@@ -7,7 +7,9 @@ deterministic for fixed inputs and flags; wall-clock timing goes to
 stderr in table mode and into the `runtime_ms` JSON field otherwise.
 
 Exit codes: 0 ok, 1 usage, 2 parse/validation, 3 resource limit,
-4 theorem violation.
+4 theorem violation. A reader that closes stdout early (`kemtree enum 12 |
+head -1`) ends the run quietly with exit 0. `--threads` is accepted and has
+no effect: scans are pure-Python work, which threads cannot run in parallel.
 """
 
 from __future__ import annotations
@@ -20,20 +22,11 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import (
-    DisconnectedError,
-    KemtreeError,
-    NotATreeError,
-    ParseError,
-    ResourceLimitError,
-    RouteRequiresTreeError,
-    TheoremViolationError,
-)
+from .errors import KemtreeError, ResourceLimitError, TheoremViolationError
 from .graphs import Tree, parse_edge_list, tree_from_graph
 from .invariants import (
     compute_invariants,
@@ -76,21 +69,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _edges_str(t: Tree) -> str:
-    return " ".join(f"{u}-{v}" for u, v in t.edges)
-
-
-def _tree_row(t: Tree) -> str:
-    return f"{canonical_code(t).hex()} {_edges_str(t)}"
-
-
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _add_exact(report: Report, name: str, value, places: int) -> None:
     if isinstance(value, Fraction) and value.denominator != 1:
         report.add(name, format_rational(value), format_exact(value, places))
@@ -131,10 +109,8 @@ def cmd_extremal(args) -> Report:
         if args.d is not None
         else enumerate_trees(args.n, cap=args.cap)
     )
-    if args.metric == "wiener":
-        values = _parallel_map(wiener_edge_cut_route, fam.members, args.threads)
-    else:
-        values = _parallel_map(kemeny_wiener_route, fam.members, args.threads)
+    metric = wiener_edge_cut_route if args.metric == "wiener" else kemeny_wiener_route
+    values = [metric(t) for t in fam.members]
     best = min(values) if args.objective == "min" else max(values)
     attaining = [t for t, v in zip(fam.members, values) if v == best]
     report = Report(
@@ -150,7 +126,7 @@ def cmd_extremal(args) -> Report:
     _add_exact(report, f"{args.metric}_{args.objective}", best, args.places)
     report.add("attaining_count", len(attaining))
     for idx, t in enumerate(attaining):
-        report.add(f"tree[{idx}]", _tree_row(t))
+        report.add(f"tree[{idx}]", census_line(t))
     return report
 
 
@@ -160,37 +136,27 @@ def cmd_mates(args) -> Report:
     )
     if args.mode == "op1":
         pairs = [
-            (p.wiener, p.kemeny, p.code_a, p.tree_a, p.code_b, p.tree_b)
+            (p.wiener, p.kemeny, p.tree_a, p.tree_b)
             for p in generate_mates_op1(args.n, cap=args.cap, orders=(args.n,))
         ]
     else:
         fam = enumerate_trees(args.n, cap=args.cap)
-        values = _parallel_map(wiener_edge_cut_route, fam.members, args.threads)
         buckets: dict[int, list[Tree]] = {}
-        for t, w in zip(fam.members, values):
-            buckets.setdefault(w, []).append(t)
+        for t in fam.members:
+            buckets.setdefault(wiener_edge_cut_route(t), []).append(t)
         pairs = []
         for w in sorted(buckets):
             group = buckets[w]
             for i in range(len(group)):
                 for j in range(i + 1, len(group)):
                     a, b = group[i], group[j]
-                    pairs.append(
-                        (
-                            w,
-                            kemeny_wiener_route(a),
-                            canonical_code(a),
-                            a,
-                            canonical_code(b),
-                            b,
-                        )
-                    )
+                    pairs.append((w, kemeny_wiener_route(a), a, b))
     report.add("pair_count", len(pairs))
-    for idx, (w, kappa, code_a, tree_a, code_b, tree_b) in enumerate(pairs):
+    for idx, (w, kappa, tree_a, tree_b) in enumerate(pairs):
         _add_exact(report, f"pair[{idx}].wiener", w, args.places)
         _add_exact(report, f"pair[{idx}].kemeny", kappa, args.places)
-        report.add(f"pair[{idx}].a", f"{code_a.hex()} {_edges_str(tree_a)}")
-        report.add(f"pair[{idx}].b", f"{code_b.hex()} {_edges_str(tree_b)}")
+        report.add(f"pair[{idx}].a", census_line(tree_a))
+        report.add(f"pair[{idx}].b", census_line(tree_b))
     return report
 
 
@@ -203,27 +169,27 @@ def cmd_maximal(args) -> Report:
         for t in maximal.members:
             if canonical_code(t) not in survivor_codes:
                 raise TheoremViolationError(
-                    f"maximal tree escaped the leaf filter: {_tree_row(t)}"
+                    f"maximal tree escaped the leaf filter: {census_line(t)}"
                 )
     report = Report(command="maximal", inputs={"n": args.n, "d": args.d})
     report.add("family_size", len(fam))
     report.add("filter_size", len(survivors))
     report.add("maximal_size", len(maximal))
     for idx, t in enumerate(survivors.members):
-        report.add(f"filter[{idx}]", _tree_row(t))
+        report.add(f"filter[{idx}]", census_line(t))
     best = None
     best_idx = -1
     for idx, t in enumerate(maximal.members):
         w = wiener_edge_cut_route(t)
         kappa = kemeny_wiener_route(t)
-        report.add(f"maximal[{idx}].edges", _tree_row(t))
+        report.add(f"maximal[{idx}].edges", census_line(t))
         _add_exact(report, f"maximal[{idx}].wiener", w, args.places)
         _add_exact(report, f"maximal[{idx}].kemeny", kappa, args.places)
         if best is None or kappa > best:
             best = kappa
             best_idx = idx
     if best_idx >= 0:
-        report.add("argmax_kemeny", _tree_row(maximal.members[best_idx]))
+        report.add("argmax_kemeny", census_line(maximal.members[best_idx]))
         if args.check_theorem:
             report.add("theorem_check", "ok")
     return report
@@ -244,16 +210,14 @@ def cmd_enum(args) -> Report:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kemtree", description=__doc__)
-    parser.add_argument("--json", action="store_true", help="emit one JSON object")
-    parser.add_argument("--csv", action="store_true", help="emit CSV rows")
+    fmt = parser.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true", help="emit one JSON object")
+    fmt.add_argument("--csv", action="store_true", help="emit CSV rows")
     parser.add_argument(
         "--places", type=int, default=4, help="decimal places for display"
     )
     parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="parallel family scans (output is order-independent)",
+        "--threads", type=int, default=1, help="accepted; has no effect"
     )
     parser.add_argument(
         "--cap", type=int, default=16, help="enumeration order cap"
@@ -326,6 +290,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.places < 0:
+            parser.error(f"argument --places: must be nonnegative, got {args.places}")
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
@@ -338,19 +304,17 @@ def main(argv=None) -> int:
     except TheoremViolationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_THEOREM
-    except (
-        ParseError,
-        NotATreeError,
-        DisconnectedError,
-        RouteRequiresTreeError,
-        KemtreeError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (KemtreeError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     report.runtime_ms = int((time.perf_counter() - start) * 1000)
-    _emit(report, args)
+    try:
+        _emit(report, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at the null device so the flush at interpreter exit
+        # cannot raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK
 
 

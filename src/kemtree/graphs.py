@@ -1,8 +1,8 @@
-"""Graph and tree types with cached structural queries.
+"""Graph and tree types, and the rooted traversal that tree queries share.
 
 Vertices are dense 0-based integer labels, which keeps every matrix and
-array operation O(1)-indexable. Both types are immutable once constructed
-and safe to share read-only across threads.
+array operation O(1)-indexable. A Graph is immutable; a Tree validates at
+construction and computes its metric data on first read.
 """
 
 from __future__ import annotations
@@ -157,33 +157,78 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     return tuple(rows)
 
 
-class Tree:
-    """A Graph validated connected and acyclic, with cached metric data.
+def rooted_traversal(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
+    """Orient a tree away from `root` with one BFS.
 
-    Distances, eccentricities, diameter, radius, and the center set are
-    computed eagerly at construction; every downstream invariant reads them.
+    Returns (parent, order, size): parent[v] is the neighbour of v towards
+    the root (-1 at the root), order lists every parent before its
+    children, and size[v] is the vertex count of the subtree below v.
+    """
+    adjacency = t.adjacency
+    parent = [-1] * t.n
+    order = [root]
+    # `order` grows while read; a tree vertex's only visited neighbour is its parent.
+    for v in order:
+        pv = parent[v]
+        for u in adjacency[v]:
+            if u != pv:
+                parent[u] = v
+                order.append(u)
+    size = [1] * t.n
+    for v in reversed(order):
+        p = parent[v]
+        if p >= 0:
+            size[p] += size[v]
+    return parent, order, size
+
+
+def path_from_root(parent: Sequence[int], v: int) -> tuple[int, ...]:
+    """Vertices from the root of `parent` down to v, both included."""
+    out = [v]
+    while parent[out[-1]] >= 0:
+        out.append(parent[out[-1]])
+    out.reverse()
+    return tuple(out)
+
+
+class Tree:
+    """A Graph validated connected and acyclic.
+
+    Construction only validates, with one BFS. `dist`, `eccentricities`,
+    `radius`, `diameter` and `center` are computed on first read and kept
+    in their slots; all but `dist` come from one double BFS sweep.
     """
 
     __slots__ = ("graph", "dist", "eccentricities", "radius", "diameter", "center")
 
     def __init__(self, graph: Graph) -> None:
-        n = graph.n
-        if graph.m >= n:
+        if graph.m >= graph.n:
             raise NotATreeError("cyclic")
-        rows = []
-        for s in range(n):
-            row = bfs_distances(graph, s)
-            if any(d < 0 for d in row):
-                raise NotATreeError("disconnected")
-            rows.append(tuple(row))
+        if -1 in bfs_distances(graph, 0):
+            raise NotATreeError("disconnected")
         self.graph: Graph = graph
-        self.dist: DistanceMatrix = tuple(rows)
-        self.eccentricities: tuple[int, ...] = tuple(max(row) for row in rows)
-        self.radius: int = min(self.eccentricities)
-        self.diameter: int = max(self.eccentricities)
-        self.center: frozenset[int] = frozenset(
-            v for v, e in enumerate(self.eccentricities) if e == self.radius
-        )
+
+    def __getattr__(self, name: str):
+        # Runs only while a slot is empty. Double sweep: a BFS from any vertex
+        # ends at a diameter end a, one from a at the other end b, and in a
+        # tree a or b is farthest from every vertex.
+        if name == "dist":
+            self.dist: DistanceMatrix = all_pairs_distances(self.graph)
+        elif name in ("eccentricities", "radius", "diameter", "center"):
+            g = self.graph
+            row = bfs_distances(g, 0)
+            da = bfs_distances(g, row.index(max(row)))
+            b = da.index(max(da))
+            ecc = tuple(map(max, da, bfs_distances(g, b)))
+            self.eccentricities: tuple[int, ...] = ecc
+            self.radius: int = min(ecc)
+            self.diameter: int = da[b]
+            self.center: frozenset[int] = frozenset(
+                v for v, e in enumerate(ecc) if e == self.radius
+            )
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
 
     @property
     def n(self) -> int:
@@ -213,35 +258,16 @@ class Tree:
         return tuple(v for v in range(self.n) if self.degree(v) == 1)
 
     def center_distance(self, v: int) -> int:
-        """Distance from the center set to v (minimum over center vertices)."""
-        return min(self.dist[c][v] for c in self.center)
+        """Distance from the center set to v, which is ecc(v) - radius in a tree."""
+        return self.eccentricities[v] - self.radius
 
     def path(self, u: int, v: int) -> tuple[int, ...]:
         """The unique u-v path as a vertex sequence, endpoints included."""
-        if u == v:
-            return (u,)
-        parent, _ = self.rooted(u)
-        out = [v]
-        while out[-1] != u:
-            out.append(parent[out[-1]])
-        out.reverse()
-        return tuple(out)
+        return path_from_root(rooted_traversal(self, u)[0], v)
 
     def rooted(self, root: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """BFS orientation from `root`: (parent per vertex, visit order)."""
-        parent = [-1] * self.n
-        order = [root]
-        seen = [False] * self.n
-        seen[root] = True
-        head = 0
-        while head < len(order):
-            v = order[head]
-            head += 1
-            for u in self.adjacency[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    parent[u] = v
-                    order.append(u)
+        parent, order, _ = rooted_traversal(self, root)
         return tuple(parent), tuple(order)
 
     def __eq__(self, other: object) -> bool:
@@ -257,7 +283,7 @@ class Tree:
 
 
 def tree_from_graph(g: Graph) -> Tree:
-    """Validate `g` as a tree and cache its metric data."""
+    """Validate `g` as a tree."""
     return Tree(g)
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import DisconnectedError
-from .graphs import DistanceMatrix, Edge, Graph, Tree, bfs_distances
+from .graphs import DistanceMatrix, Edge, Graph, Tree, bfs_distances, rooted_traversal
 from .linalg import spanning_tree_count, two_forest_count
 
 ExactRational = Fraction
@@ -49,14 +49,9 @@ class WeightedEdgeMap:
 
 def _child_split_sizes(t: Tree) -> dict[Edge, int]:
     """For each edge, the size of the component on the child side of a
-    DFS rooted at vertex 0. Only the product with (n - size) is ever used,
-    so the orientation choice is immaterial."""
-    parent, order = t.rooted(0)
-    size = [1] * t.n
-    for v in reversed(order):
-        p = parent[v]
-        if p >= 0:
-            size[p] += size[v]
+    traversal rooted at vertex 0. Only the product with (n - size) is ever
+    used, so the orientation choice is immaterial."""
+    parent, _, size = rooted_traversal(t, 0)
     return {
         (min(v, p), max(v, p)): size[v]
         for v, p in enumerate(parent)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotABridgeConfigError, PathTooShortError
-from .graphs import Edge, Tree, tree_from_edges
+from .graphs import Edge, Tree, path_from_root, rooted_traversal, tree_from_edges
 from .enumeration import (
     CanonicalCode,
     TreeFamily,
@@ -58,26 +58,29 @@ class PathDecomposition:
         return tuple(len(c) for c in self.components)
 
 
-def _component_of(adj, start: int, blocked: set[frozenset[int]]) -> frozenset[int]:
-    """Vertices reachable from `start` without crossing a blocked edge."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen and frozenset((v, u)) not in blocked:
-                seen.add(u)
-                stack.append(u)
-    return frozenset(seen)
+def _hanging_sets(
+    parent: list[int], order: list[int], path: tuple[int, ...]
+) -> tuple[frozenset[int], ...]:
+    """Vertex set hanging at each path vertex, for an orientation rooted at
+    path[0]: a vertex off the path belongs where its parent belongs."""
+    index = [-1] * len(parent)
+    for j, v in enumerate(path):
+        index[v] = j
+    groups: list[list[int]] = [[] for _ in path]
+    for v in order:
+        if index[v] < 0:
+            index[v] = index[parent[v]]
+        groups[index[v]].append(v)
+    return tuple(frozenset(g) for g in groups)
 
 
 def decompose_path(t: Tree, i1: int, i2: int) -> PathDecomposition:
     """Split the tree along its unique i1-i2 path."""
     if i1 == i2:
         raise ValueError("path endpoints must be distinct")
-    path = t.path(i1, i2)
-    blocked = {frozenset((path[k], path[k + 1])) for k in range(len(path) - 1)}
-    comps = tuple(_component_of(t.adjacency, v, blocked) for v in path)
+    parent, order, _ = rooted_traversal(t, i1)
+    path = path_from_root(parent, i2)
+    comps = _hanging_sets(parent, order, path)
     return PathDecomposition(tree=t, path=path, components=comps)
 
 
@@ -128,20 +131,28 @@ def apply_op1(t: Tree, i1: int, i2: int) -> Tree:
 
 def _branch_vertices(t: Tree, anchor: int, b_root: int) -> frozenset[int]:
     """Component of b_root after cutting the edge {anchor, b_root}."""
-    return _component_of(t.adjacency, b_root, {frozenset((anchor, b_root))})
+    parent, order, _ = rooted_traversal(t, anchor)
+    return _hanging_sets(parent, order, (anchor, b_root))[1]
 
 
-def apply_op2(t: Tree, b_root: int, i1: int, i2: int) -> Tree:
-    """Relocate the branch rooted at b_root from attachment i1 to i2."""
+def _relocation(t: Tree, b_root: int, i1: int, i2: int):
+    """Check a branch relocation; return (subtree sizes rooted at i1, i1-i2 path)."""
     if not t.graph.has_edge(i1, b_root):
         raise ValueError(f"no edge between {i1} and {b_root}")
     if i2 == i1:
         raise ValueError("relocation target must differ from the source")
-    branch = _branch_vertices(t, i1, b_root)
-    if i2 in branch:
+    parent, _, size = rooted_traversal(t, i1)
+    path = path_from_root(parent, i2)
+    if path[1] == b_root:
         raise NotABridgeConfigError(
             f"target {i2} lies inside the detached branch"
         )
+    return size, path
+
+
+def apply_op2(t: Tree, b_root: int, i1: int, i2: int) -> Tree:
+    """Relocate the branch rooted at b_root from attachment i1 to i2."""
+    _relocation(t, b_root, i1, i2)
     cut = (min(i1, b_root), max(i1, b_root))
     edges = [e for e in t.edges if e != cut]
     edges.append((i2, b_root))
@@ -152,26 +163,17 @@ def op2_delta_formula(t: Tree, b_root: int, i1: int, i2: int) -> int:
     """W(t) - W(relocated): |B| * sum_j |C_j| (2j - d) over host components.
 
     C_j are the i1-i2 path components of the host (branch excluded); the
-    path itself never enters the branch.
+    path itself never enters the branch. Rooted at i1, the branch is the
+    subtree of b_root and C_j (j >= 1) is the subtree of path vertex j
+    minus that of path vertex j + 1.
     """
-    if not t.graph.has_edge(i1, b_root):
-        raise ValueError(f"no edge between {i1} and {b_root}")
-    if i2 == i1:
-        raise ValueError("relocation target must differ from the source")
-    branch = _branch_vertices(t, i1, b_root)
-    if i2 in branch:
-        raise NotABridgeConfigError(
-            f"target {i2} lies inside the detached branch"
-        )
-    path = t.path(i1, i2)
+    size, path = _relocation(t, b_root, i1, i2)
     d = len(path) - 1
-    blocked = {frozenset((path[k], path[k + 1])) for k in range(d)}
-    blocked.add(frozenset((i1, b_root)))
-    acc = 0
-    for j, v in enumerate(path):
-        comp = _component_of(t.adjacency, v, blocked)
-        acc += len(comp) * (2 * j - d)
-    return len(branch) * acc
+    acc = -d * (t.n - size[b_root] - size[path[1]])
+    for j in range(1, d + 1):
+        below = size[path[j + 1]] if j < d else 0
+        acc += (size[path[j]] - below) * (2 * j - d)
+    return size[b_root] * acc
 
 
 @dataclass(frozen=True)
@@ -196,22 +198,16 @@ def _zero_delta_candidates(t: Tree):
     size >= 2 and far endpoint component exactly one vertex smaller than
     the near one. Yields (i1, i2, t_size, d)."""
     n = t.n
-    adj = t.adjacency
-    dist = t.dist
     for i1 in range(n):
-        parent, order = t.rooted(i1)
-        size = [1] * n
-        for v in reversed(order):
-            p = parent[v]
-            if p >= 0:
-                size[p] += size[v]
+        parent, _, size = rooted_traversal(t, i1)
         for i2 in range(n):
-            if dist[i1][i2] < 2:
+            v = parent[i2]
+            if i2 == i1 or v == i1:
                 continue
             cd = size[i2]
-            v = parent[i2]
             prev_child = i2
             t_size = -1
+            d = 1
             ok = True
             while v != i1:
                 interior = size[v] - size[prev_child]
@@ -222,11 +218,12 @@ def _zero_delta_candidates(t: Tree):
                     break
                 prev_child = v
                 v = parent[v]
+                d += 1
             if not ok or t_size < 2:
                 continue
             c0 = n - size[prev_child]
             if cd == c0 - 1:
-                yield i1, i2, t_size, dist[i1][i2]
+                yield i1, i2, t_size, d
 
 
 def generate_mates_op1(

@@ -66,6 +66,19 @@ def floyd_warshall(g: kt.Graph) -> list[list[int]]:
     return dist
 
 
+def _component_of(adj, start: int, blocked: set[frozenset[int]]) -> frozenset[int]:
+    """Vertices reachable from `start` without crossing a blocked edge."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for u in adj[v]:
+            if u not in seen and frozenset((v, u)) not in blocked:
+                seen.add(u)
+                stack.append(u)
+    return frozenset(seen)
+
+
 def det_cofactor(matrix) -> int:
     """Laplace expansion along the first available row, memoized on the
     set of remaining columns. Independent of Bareiss elimination."""

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import kemtree as kt
 from kemtree.cli import main
@@ -96,6 +100,12 @@ def test_extremal_min_kemeny_is_star(capsys):
     assert rows["attaining_count"]["value"] == "1"
     star_code = kt.canonical_code(kt.tree_from_graph(helpers.star_graph(9)))
     assert rows["tree[0]"]["value"].split()[0] == star_code.hex()
+    # the single-vertex tree has no edges, so its row ends at the code
+    code, out, err = run(
+        capsys, "extremal", "1", "--objective", "min", "--metric", "wiener"
+    )
+    assert code == 0
+    assert out.endswith("  2829\n")
 
 
 def test_extremal_max_wiener_is_path(capsys):
@@ -269,3 +279,34 @@ def test_places_flag(capsys):
     )
     rows = rows_by_name(json.loads(out))
     assert rows["kemeny"]["decimal"] == "5.416667"
+
+
+def test_negative_places_is_usage_error(capsys):
+    code, out, err = run(capsys, "--places", "-1", "enum", "6")
+    assert code == 1
+    assert out == ""
+    assert "--places" in err
+
+
+def test_json_and_csv_together_is_usage_error(capsys):
+    code, out, err = run(capsys, "--json", "--csv", "enum", "4")
+    assert code == 1
+    assert out == ""
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # enum 13 prints about 150 kB, more than a pipe buffer holds, so the
+    # command is still writing when the reader goes away.
+    src = str(Path(kt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kemtree.cli", "enum", "13"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b"count")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert b"Traceback" not in err
+    assert proc.returncode == 0

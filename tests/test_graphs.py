@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kemtree as kt
+from kemtree import graphs
 from kemtree.errors import DisconnectedError, NotATreeError, ParseError
 
 import helpers
@@ -182,6 +183,43 @@ def test_eccentricity_properties(n, rng):
     assert t.diameter == max(t.eccentricities)
     for c in t.center:
         assert t.eccentricities[c] == t.radius
+
+
+def test_lazy_metrics_match_floyd_warshall():
+    trees = [t for n in range(1, 11) for t in kt.enumerate_trees(n).members]
+    trees += [
+        helpers.load_tree(f.stem)
+        for f in sorted(helpers.FIXTURES.glob("*.txt"))
+        if not f.stem.startswith("unicycle")
+    ]
+    for t in trees:
+        fw = helpers.floyd_warshall(t.graph)
+        ecc = tuple(max(row) for row in fw)
+        radius = min(ecc)
+        center = frozenset(v for v, e in enumerate(ecc) if e == radius)
+        assert t.eccentricities == ecc
+        assert t.radius == radius
+        assert t.diameter == max(ecc)
+        assert t.center == center
+        for v in range(t.n):
+            assert t.center_distance(v) == min(fw[c][v] for c in center)
+        assert [list(row) for row in t.dist] == fw
+
+
+def test_tree_construction_runs_one_bfs(monkeypatch):
+    sources = []
+    real = graphs.bfs_distances
+
+    def counting(g, source):
+        sources.append(source)
+        return real(g, source)
+
+    monkeypatch.setattr(graphs, "bfs_distances", counting)
+    t = kt.tree_from_graph(helpers.path_graph(9))
+    assert len(sources) == 1
+    assert (t.diameter, t.radius, t.center) == (8, 4, frozenset({4}))
+    assert t.eccentricities[0] == 8 and t.center_distance(0) == 4
+    assert len(sources) == 4  # plus the three sweeps, run once and cached
 
 
 def test_center_parity_all_trees_up_to_10():

@@ -222,10 +222,8 @@ def test_op2_adjacent_sign_rule_exhaustive():
                     moved = kt.apply_op2(t, b_root, i1, i2)
                     assert delta == wiener(t) - wiener(moved)
                     blocked_path = {frozenset((i1, i2)), frozenset((i1, b_root))}
-                    from kemtree.transforms import _component_of
-
-                    c0 = _component_of(t.adjacency, i1, blocked_path)
-                    c1 = _component_of(t.adjacency, i2, blocked_path)
+                    c0 = helpers._component_of(t.adjacency, i1, blocked_path)
+                    c1 = helpers._component_of(t.adjacency, i2, blocked_path)
                     assert (wiener(t) > wiener(moved)) == (len(c0) < len(c1))
 
 
