@@ -103,12 +103,14 @@ def cmd_invariants(args) -> Report:
     return report
 
 
+def _family(args):
+    if args.d is None:
+        return enumerate_trees(args.n, cap=args.cap)
+    return family(args.n, args.d, cap=args.cap)
+
+
 def cmd_extremal(args) -> Report:
-    fam = (
-        family(args.n, args.d, cap=args.cap)
-        if args.d is not None
-        else enumerate_trees(args.n, cap=args.cap)
-    )
+    fam = _family(args)
     metric = wiener_edge_cut_route if args.metric == "wiener" else kemeny_wiener_route
     values = [metric(t) for t in fam.members]
     best = min(values) if args.objective == "min" else max(values)
@@ -196,11 +198,7 @@ def cmd_maximal(args) -> Report:
 
 
 def cmd_enum(args) -> Report:
-    fam = (
-        family(args.n, args.d, cap=args.cap)
-        if args.d is not None
-        else enumerate_trees(args.n, cap=args.cap)
-    )
+    fam = _family(args)
     report = Report(command="enum", inputs={"n": args.n, "d": args.d})
     report.add("count", len(fam))
     for idx, t in enumerate(fam.members):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import ResourceLimitError
+from .errors import KemtreeError, ParseError, ResourceLimitError
 from .graphs import Edge, Tree, tree_from_edges
 
 MAX_ORDER_DEFAULT = 16
@@ -202,11 +202,15 @@ def census_line(t: Tree) -> str:
 
 
 def parse_census_line(line: str) -> tuple[CanonicalCode, Tree]:
+    """Inverse of `census_line`; ParseError unless the hex code is the
+    canonical code of the tree the edges build."""
     tokens = line.split()
-    code = bytes.fromhex(tokens[0])
-    edges = []
-    for tok in tokens[1:]:
-        u, v = tok.split("-")
-        edges.append((int(u), int(v)))
-    n = len(code) // 2
-    return code, tree_from_edges(n, edges)
+    try:
+        code = bytes.fromhex(tokens[0])
+        edges = [tuple(map(int, tok.split("-"))) for tok in tokens[1:]]
+        tree = tree_from_edges(len(code) // 2, edges)
+    except (IndexError, ValueError, KemtreeError) as exc:
+        raise ParseError(f"bad census line {line!r}: {exc}") from None
+    if canonical_code(tree) != code:
+        raise ParseError(f"census code does not match the edges of {line!r}")
+    return code, tree

@@ -48,4 +48,5 @@ class RouteRequiresTreeError(KemtreeError):
 
 
 class TheoremViolationError(KemtreeError):
-    """A maximal element escaped the leaf-distance filter; indicates a bug."""
+    """A maximal element escaped the leaf-distance filter, or an internal
+    consistency check failed; indicates a bug."""

@@ -130,15 +130,16 @@ def parse_edge_list(text: str) -> Graph:
     return Graph(n, [(u, v) for u, v, _ in pairs])
 
 
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Hop distances from `source`; unreachable vertices are -1."""
-    dist = [-1] * g.n
+def bfs_distances(adjacency: Sequence[Sequence[int]], source: int) -> list[int]:
+    """Hop distances from `source` over adjacency lists (a Graph's, or an
+    edited copy of them); unreachable vertices are -1."""
+    dist = [-1] * len(adjacency)
     dist[source] = 0
     queue = deque([source])
     while queue:
         v = queue.popleft()
         dv = dist[v]
-        for u in g.adjacency[v]:
+        for u in adjacency[v]:
             if dist[u] < 0:
                 dist[u] = dv + 1
                 queue.append(u)
@@ -149,12 +150,20 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """BFS from every vertex; raises DisconnectedError naming one missing pair."""
     rows = []
     for s in range(g.n):
-        row = bfs_distances(g, s)
+        row = bfs_distances(g.adjacency, s)
         for v, d in enumerate(row):
             if d < 0:
                 raise DisconnectedError(s, v)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def double_sweep(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+    """Distances from one end a of a longest path of a tree, and the other
+    end b; every vertex is farthest from a or from b."""
+    row = bfs_distances(adjacency, 0)
+    da = bfs_distances(adjacency, row.index(max(row)))
+    return da, da.index(max(da))
 
 
 def rooted_traversal(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
@@ -196,7 +205,7 @@ class Tree:
 
     Construction only validates, with one BFS. `dist`, `eccentricities`,
     `radius`, `diameter` and `center` are computed on first read and kept
-    in their slots; all but `dist` come from one double BFS sweep.
+    in their slots; all but `dist` come from a `double_sweep` plus one BFS.
     """
 
     __slots__ = ("graph", "dist", "eccentricities", "radius", "diameter", "center")
@@ -204,22 +213,18 @@ class Tree:
     def __init__(self, graph: Graph) -> None:
         if graph.m >= graph.n:
             raise NotATreeError("cyclic")
-        if -1 in bfs_distances(graph, 0):
+        if -1 in bfs_distances(graph.adjacency, 0):
             raise NotATreeError("disconnected")
         self.graph: Graph = graph
 
     def __getattr__(self, name: str):
-        # Runs only while a slot is empty. Double sweep: a BFS from any vertex
-        # ends at a diameter end a, one from a at the other end b, and in a
-        # tree a or b is farthest from every vertex.
+        # Runs only while a slot is empty.
         if name == "dist":
             self.dist: DistanceMatrix = all_pairs_distances(self.graph)
         elif name in ("eccentricities", "radius", "diameter", "center"):
-            g = self.graph
-            row = bfs_distances(g, 0)
-            da = bfs_distances(g, row.index(max(row)))
-            b = da.index(max(da))
-            ecc = tuple(map(max, da, bfs_distances(g, b)))
+            adjacency = self.graph.adjacency
+            da, b = double_sweep(adjacency)
+            ecc = tuple(map(max, da, bfs_distances(adjacency, b)))
             self.eccentricities: tuple[int, ...] = ecc
             self.radius: int = min(ecc)
             self.diameter: int = da[b]

@@ -19,8 +19,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import DisconnectedError
-from .graphs import DistanceMatrix, Edge, Graph, Tree, bfs_distances, rooted_traversal
+from .errors import DisconnectedError, RouteRequiresTreeError
+from .graphs import DistanceMatrix, Edge, Graph, Tree, all_pairs_distances
+from .graphs import bfs_distances, rooted_traversal, tree_from_graph
 from .linalg import spanning_tree_count, two_forest_count
 
 ExactRational = Fraction
@@ -89,7 +90,7 @@ def gutman_index(g: Graph, d: DistanceMatrix) -> int:
 
 
 def _require_connected(g: Graph) -> None:
-    row = bfs_distances(g, 0)
+    row = bfs_distances(g.adjacency, 0)
     for v, dist in enumerate(row):
         if dist < 0:
             raise DisconnectedError(0, v)
@@ -149,21 +150,21 @@ def compute_invariants(g: Graph, route: KemenyRoute | str = "auto") -> Invariant
 
     `route` picks how Kemeny's constant is computed; "auto" uses the
     edge-cut route on trees and the forest route otherwise. Tree-only
-    routes on graphs with cycles raise RouteRequiresTreeError.
+    routes on graphs with cycles raise RouteRequiresTreeError. On a tree,
+    W is the edge-cut sum and Gut = 4W - (n-1)(2n-1), so only cyclic graphs
+    build the distance matrix.
     """
-    from .errors import RouteRequiresTreeError
-    from .graphs import all_pairs_distances, tree_from_graph
-
-    d = all_pairs_distances(g)
-    tree: Tree | None = None
-    if g.m == g.n - 1:
-        tree = tree_from_graph(g)
-    if isinstance(route, KemenyRoute):
-        chosen = route
-    elif route == "auto":
-        chosen = KemenyRoute.EDGE_CUT if tree is not None else KemenyRoute.FOREST
+    _require_connected(g)
+    tree = tree_from_graph(g) if g.m == g.n - 1 else None
+    if tree is not None:
+        wiener = wiener_edge_cut_route(tree)
+        gutman = 4 * wiener - (g.n - 1) * (2 * g.n - 1)
     else:
-        chosen = KemenyRoute(route)
+        d = all_pairs_distances(g)
+        wiener, gutman = wiener_distance_route(d), gutman_index(g, d)
+    if route == "auto":
+        route = KemenyRoute.EDGE_CUT if tree is not None else KemenyRoute.FOREST
+    chosen = KemenyRoute(route)
     if chosen is KemenyRoute.FOREST:
         kappa = kemeny_forest_route(g)
     else:
@@ -178,8 +179,8 @@ def compute_invariants(g: Graph, route: KemenyRoute | str = "auto") -> Invariant
     return InvariantReport(
         n=g.n,
         m=g.m,
-        wiener=wiener_distance_route(d),
-        gutman=gutman_index(g, d),
+        wiener=wiener,
+        gutman=gutman,
         kemeny=kappa,
         route=chosen,
     )

@@ -10,8 +10,9 @@ depend only on the component sizes along the endpoint path:
   delta is zero, which is where co-Kemeny mate pairs come from.
 
 * branch relocation: detach a branch B from attachment i1 and rejoin it
-  at i2. Delta = |B| * sum_j |C_j| (2j - d) over the i1-i2 path components
-  of the host.
+  at i2. Only distances between B and the host H = V - B change, so the
+  delta is |B| * (D_H(i1) - D_H(i2)), D_H(x) being the total distance
+  from x to H; one rooting at i1 gives it for every branch and target.
 
 A tree covers another when some single branch relocation maps one to the
 other with equal diameter and strictly larger Wiener index. Maximal
@@ -26,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotABridgeConfigError, PathTooShortError
-from .graphs import Edge, Tree, path_from_root, rooted_traversal, tree_from_edges
+from .errors import NotABridgeConfigError, PathTooShortError, TheoremViolationError
+from .graphs import Edge, Tree, double_sweep, path_from_root, rooted_traversal
+from .graphs import tree_from_edges
 from .enumeration import (
     CanonicalCode,
     TreeFamily,
@@ -58,12 +60,14 @@ class PathDecomposition:
         return tuple(len(c) for c in self.components)
 
 
-def _hanging_sets(
-    parent: list[int], order: list[int], path: tuple[int, ...]
-) -> tuple[frozenset[int], ...]:
-    """Vertex set hanging at each path vertex, for an orientation rooted at
-    path[0]: a vertex off the path belongs where its parent belongs."""
-    index = [-1] * len(parent)
+def decompose_path(t: Tree, i1: int, i2: int) -> PathDecomposition:
+    """Split the tree along its unique i1-i2 path. Rooted at i1, a vertex
+    off the path hangs where its parent hangs."""
+    if i1 == i2:
+        raise ValueError("path endpoints must be distinct")
+    parent, order, _ = rooted_traversal(t, i1)
+    path = path_from_root(parent, i2)
+    index = [-1] * t.n
     for j, v in enumerate(path):
         index[v] = j
     groups: list[list[int]] = [[] for _ in path]
@@ -71,16 +75,7 @@ def _hanging_sets(
         if index[v] < 0:
             index[v] = index[parent[v]]
         groups[index[v]].append(v)
-    return tuple(frozenset(g) for g in groups)
-
-
-def decompose_path(t: Tree, i1: int, i2: int) -> PathDecomposition:
-    """Split the tree along its unique i1-i2 path."""
-    if i1 == i2:
-        raise ValueError("path endpoints must be distinct")
-    parent, order, _ = rooted_traversal(t, i1)
-    path = path_from_root(parent, i2)
-    comps = _hanging_sets(parent, order, path)
+    comps = tuple(frozenset(g) for g in groups)
     return PathDecomposition(tree=t, path=path, components=comps)
 
 
@@ -112,27 +107,14 @@ def apply_op1(t: Tree, i1: int, i2: int) -> Tree:
     d = len(path) - 1
     if d < 2:
         raise PathTooShortError("contract-and-subdivide needs path length >= 2")
-    l0, l1 = path[0], path[1]
-    last_a, last_b = path[d - 1], path[d]
-    drop = {frozenset((l0, l1)), frozenset((last_a, last_b))}
-    edges: list[Edge] = []
-    for u, v in t.edges:
-        if frozenset((u, v)) in drop:
-            continue
-        if u == l0:
-            u = l1
-        elif v == l0:
-            v = l1
-        edges.append((u, v))
-    edges.append((last_a, l0))
-    edges.append((l0, last_b))
-    return tree_from_edges(t.n, edges)
-
-
-def _branch_vertices(t: Tree, anchor: int, b_root: int) -> frozenset[int]:
-    """Component of b_root after cutting the edge {anchor, b_root}."""
-    parent, order, _ = rooted_traversal(t, anchor)
-    return _hanging_sets(parent, order, (anchor, b_root))[1]
+    l0, l1, last_a, last_b = path[0], path[1], path[d - 1], path[d]
+    drop = {(min(l0, l1), max(l0, l1)), (min(last_a, last_b), max(last_a, last_b))}
+    edges: list[Edge] = [
+        (l1 if u == l0 else u, l1 if v == l0 else v)
+        for u, v in t.edges
+        if (u, v) not in drop
+    ]
+    return tree_from_edges(t.n, edges + [(last_a, l0), (l0, last_b)])
 
 
 def _relocation(t: Tree, b_root: int, i1: int, i2: int):
@@ -160,20 +142,37 @@ def apply_op2(t: Tree, b_root: int, i1: int, i2: int) -> Tree:
 
 
 def op2_delta_formula(t: Tree, b_root: int, i1: int, i2: int) -> int:
-    """W(t) - W(relocated): |B| * sum_j |C_j| (2j - d) over host components.
+    """W(t) - W(relocated) = |B| * (D_H(i1) - D_H(i2)).
 
-    C_j are the i1-i2 path components of the host (branch excluded); the
-    path itself never enters the branch. Rooted at i1, the branch is the
-    subtree of b_root and C_j (j >= 1) is the subtree of path vertex j
-    minus that of path vertex j + 1.
+    Rooted at i1, each step from i1 towards i2 into a vertex v lowers D_H
+    by 2 size(v) - (n - |B|), and |B| is the subtree size of b_root.
     """
     size, path = _relocation(t, b_root, i1, i2)
-    d = len(path) - 1
-    acc = -d * (t.n - size[b_root] - size[path[1]])
-    for j in range(1, d + 1):
-        below = size[path[j + 1]] if j < d else 0
-        acc += (size[path[j]] - below) * (2 * j - d)
-    return size[b_root] * acc
+    b = size[b_root]
+    return b * (2 * sum(size[v] for v in path[1:]) - (len(path) - 1) * (t.n - b))
+
+
+def _relocations(t: Tree):
+    """Yield (i1, b_root, i2, W(t) - W(moved)) for every branch relocation.
+
+    One rooting per source i1 and one top-down pass give each vertex its
+    depth, the child of i1 above it (top), and the subtree sizes summed
+    along its path from i1 (s), which is all `op2_delta_formula` reads.
+    """
+    n = t.n
+    for i1 in range(n):
+        parent, order, size = rooted_traversal(t, i1)
+        depth, top, s = [0] * n, list(range(n)), [0] * n
+        for v in order[1:]:
+            p = parent[v]
+            depth[v], s[v] = depth[p] + 1, s[p] + size[v]
+            if p != i1:
+                top[v] = top[p]
+        for b_root in t.adjacency[i1]:
+            b = size[b_root]
+            for i2 in range(n):
+                if i2 != i1 and top[i2] != b_root:
+                    yield i1, b_root, i2, b * (2 * s[i2] - depth[i2] * (n - b))
 
 
 @dataclass(frozen=True)
@@ -196,34 +195,25 @@ class MatePair:
 def _zero_delta_candidates(t: Tree):
     """Ordered endpoint pairs whose path has all interior components of one
     size >= 2 and far endpoint component exactly one vertex smaller than
-    the near one. Yields (i1, i2, t_size, d)."""
+    the near one. Yields (i1, i2, t_size, d), i1-major then i2.
+
+    Rooted at i1, common[v] is the size shared by the interior components
+    of the i1-v path (0 while there are none, -1 once two differ).
+    """
     n = t.n
     for i1 in range(n):
-        parent, _, size = rooted_traversal(t, i1)
+        parent, order, size = rooted_traversal(t, i1)
+        depth, top, common = [0] * n, list(range(n)), [0] * n
+        for v in order[1:]:
+            p = parent[v]
+            depth[v] = depth[p] + 1
+            if p != i1:
+                top[v] = top[p]
+                interior = size[p] - size[v]
+                common[v] = interior if common[p] in (0, interior) else -1
         for i2 in range(n):
-            v = parent[i2]
-            if i2 == i1 or v == i1:
-                continue
-            cd = size[i2]
-            prev_child = i2
-            t_size = -1
-            d = 1
-            ok = True
-            while v != i1:
-                interior = size[v] - size[prev_child]
-                if t_size < 0:
-                    t_size = interior
-                elif interior != t_size:
-                    ok = False
-                    break
-                prev_child = v
-                v = parent[v]
-                d += 1
-            if not ok or t_size < 2:
-                continue
-            c0 = n - size[prev_child]
-            if cd == c0 - 1:
-                yield i1, i2, t_size, d
+            if common[i2] >= 2 and size[i2] == n - size[top[i2]] - 1:
+                yield i1, i2, common[i2], depth[i2]
 
 
 def generate_mates_op1(
@@ -234,7 +224,7 @@ def generate_mates_op1(
 
     Pairs are deduplicated by their sorted code pair and returned in
     deterministic order. Every emitted pair is checked for exact Wiener
-    equality.
+    equality; a mismatch raises TheoremViolationError.
     """
     if orders is None:
         orders = tuple(range(4, n_max + 1))
@@ -253,7 +243,7 @@ def generate_mates_op1(
                     continue
                 w_b = wiener_edge_cut_route(mate)
                 if w_a != w_b:
-                    raise AssertionError(
+                    raise TheoremViolationError(
                         "zero-delta candidate changed the Wiener index"
                     )
                 found[key] = MatePair(
@@ -290,20 +280,11 @@ class CoverWitness:
     wiener_upper: int
 
 
-def _moves(t: Tree):
-    """Every (i_from, b_root, branch, host) single-branch detachment of t."""
-    for u, v in t.edges:
-        for i_from, b_root in ((u, v), (v, u)):
-            branch = _branch_vertices(t, i_from, b_root)
-            host = frozenset(range(t.n)) - branch
-            yield i_from, b_root, branch, host
-
-
 def covers(lower: Tree, upper: Tree) -> CoverWitness | None:
     """Witness that `upper` covers `lower`, or None.
 
-    Decided by exhausting single-branch relocations of `upper` and testing
-    the rebuilt tree against `lower` by canonical code.
+    Decided by rebuilding each relocation of `upper` with the right Wiener
+    delta and testing it against `lower` by canonical code.
     """
     if lower.n != upper.n:
         raise ValueError("cover comparison needs equal orders")
@@ -313,42 +294,47 @@ def covers(lower: Tree, upper: Tree) -> CoverWitness | None:
         return None
     target = canonical_code(lower)
     upper_code = canonical_code(upper)
-    for i1, b_root, branch, host in _moves(upper):
-        for i2 in host:
-            if i2 == i1:
-                continue
-            delta = op2_delta_formula(upper, b_root, i1, i2)
-            if w_upper - delta != w_lower:
-                continue
-            candidate = apply_op2(upper, b_root, i1, i2)
-            if canonical_code(candidate) == target:
-                return CoverWitness(
-                    lower=target,
-                    upper=upper_code,
-                    host_vertices=host,
-                    branch_vertices=branch,
-                    attachment=b_root,
-                    i1=i1,
-                    i2=i2,
-                    wiener_lower=w_lower,
-                    wiener_upper=w_upper,
-                )
+    for i1, b_root, i2, delta in _relocations(upper):
+        if w_upper - delta != w_lower:
+            continue
+        if canonical_code(apply_op2(upper, b_root, i1, i2)) == target:
+            branch = decompose_path(upper, i1, b_root).components[1]
+            return CoverWitness(
+                lower=target,
+                upper=upper_code,
+                host_vertices=frozenset(range(upper.n)) - branch,
+                branch_vertices=branch,
+                attachment=b_root,
+                i1=i1,
+                i2=i2,
+                wiener_lower=w_lower,
+                wiener_upper=w_upper,
+            )
     return None
 
 
 def _has_increasing_move(t: Tree, d: int) -> bool:
     """True when some branch relocation raises the Wiener index while
-    keeping the diameter at d (i.e. t is covered by something)."""
-    for i_from, b_root, branch, host in _moves(t):
-        for i_to in host:
-            if i_to == i_from:
-                continue
-            delta = op2_delta_formula(t, b_root, i_from, i_to)
-            if delta >= 0:
-                continue
-            candidate = apply_op2(t, b_root, i_from, i_to)
-            if candidate.diameter == d:
-                return True
+    keeping the diameter at d (i.e. t is covered by something).
+
+    Candidates are screened by a double sweep over t's adjacency with the
+    one edge swapped, never a Tree; the move found is rebuilt with
+    `apply_op2` as an independent check of the screen.
+    """
+    for i1, b_root, i2, delta in _relocations(t):
+        if delta >= 0:
+            continue
+        adjacency = list(t.adjacency)
+        adjacency[i1] = [u for u in adjacency[i1] if u != b_root]
+        adjacency[b_root] = [i2 if u == i1 else u for u in adjacency[b_root]]
+        adjacency[i2] += (b_root,)
+        da, far = double_sweep(adjacency)
+        if da[far] == d:
+            if apply_op2(t, b_root, i1, i2).diameter != d:
+                raise TheoremViolationError(
+                    f"diameter sweep and rebuild disagree on relocation {i1}->{i2}"
+                )
+            return True
     return False
 
 

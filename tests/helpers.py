@@ -79,6 +79,35 @@ def _component_of(adj, start: int, blocked: set[frozenset[int]]) -> frozenset[in
     return frozenset(seen)
 
 
+def _wiener_and_diameter_fw(n: int, edges) -> tuple[int, int]:
+    dist = floyd_warshall(kt.Graph(n, edges))
+    return sum(map(sum, dist)) // 2, max(map(max, dist))
+
+
+def maximal_members_brute(fam: kt.TreeFamily) -> list[kt.Tree]:
+    """Members with no Wiener-increasing, diameter-keeping branch relocation.
+
+    Every relocation is rebuilt as an edge list, and W and the diameter are
+    read off a Floyd-Warshall matrix.
+    """
+    kept = []
+    for t in fam.members:
+        w, _ = _wiener_and_diameter_fw(t.n, t.edges)
+        covered = False
+        for u, v in t.edges:
+            rest = [e for e in t.edges if e != (u, v)]
+            for i1, b_root in ((u, v), (v, u)):
+                branch = _component_of(t.adjacency, b_root, {frozenset((u, v))})
+                for i2 in range(t.n):
+                    if i2 == i1 or i2 in branch:
+                        continue
+                    w2, d2 = _wiener_and_diameter_fw(t.n, rest + [(i2, b_root)])
+                    covered = covered or (w2 > w and d2 == fam.diameter)
+        if not covered:
+            kept.append(t)
+    return kept
+
+
 def det_cofactor(matrix) -> int:
     """Laplace expansion along the first available row, memoized on the
     set of remaining columns. Independent of Bareiss elimination."""

@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 import kemtree as kt
-from kemtree.transforms import _branch_vertices
 
 import helpers
 
@@ -187,7 +186,7 @@ def test_criterion_07_transformation_oracles():
         t = helpers.random_tree(rng, n)
         u, v = t.edges[rng.randrange(len(t.edges))]
         i1, b_root = (u, v) if rng.random() < 0.5 else (v, u)
-        branch = _branch_vertices(t, i1, b_root)
+        branch = helpers._component_of(t.adjacency, b_root, {frozenset((i1, b_root))})
         host = [x for x in range(n) if x not in branch and x != i1]
         if not host:
             continue

@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import kemtree as kt
+from kemtree import transforms
 from kemtree.cli import main
 
 import helpers
@@ -310,3 +311,14 @@ def test_closed_stdout_pipe_exits_quietly():
     _, err = proc.communicate(timeout=120)
     assert b"Traceback" not in err
     assert proc.returncode == 0
+
+
+def test_internal_check_failure_exits_4_without_traceback(capsys, monkeypatch):
+    # a surgery that silently changes W must be caught by the mate check
+    def wrong_surgery(t, i1, i2):
+        return kt.tree_from_graph(helpers.path_graph(t.n))
+
+    monkeypatch.setattr(transforms, "apply_op1", wrong_surgery)
+    code, out, err = run(capsys, "mates", "7", "--mode", "op1")
+    assert code == 4
+    assert "changed the Wiener index" in err and "Traceback" not in err

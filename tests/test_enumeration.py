@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import kemtree as kt
 from kemtree.enumeration import _prufer_decode
-from kemtree.errors import ResourceLimitError
+from kemtree.errors import ParseError, ResourceLimitError
 
 import helpers
 
@@ -175,3 +175,25 @@ def test_census_round_trip():
     single = kt.tree_from_edges(1, [])
     code, parsed = kt.parse_census_line(kt.census_line(single))
     assert parsed.n == 1 and code == b"()"
+
+
+def _census_line_with_foreign_code():
+    a, b = kt.enumerate_trees(6).members[:2]
+    return kt.canonical_code(a).hex() + " " + kt.census_line(b).split(" ", 1)[1]
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "",
+        "zz 0-1",
+        "2828 01",
+        "2828 0-1-2",
+        "28282929 0-1 1-2",
+        "28 ",
+        _census_line_with_foreign_code(),
+    ],
+)
+def test_parse_census_line_rejects_bad_input(line):
+    with pytest.raises(ParseError):
+        kt.parse_census_line(line)

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 import kemtree as kt
-from kemtree.errors import RouteRequiresTreeError
+from kemtree import graphs, invariants
+from kemtree.errors import DisconnectedError, RouteRequiresTreeError
 from kemtree.invariants import KemenyRoute
 
 import helpers
@@ -212,6 +213,42 @@ def test_compute_invariants_route_selection():
         kt.compute_invariants(helpers.cycle_graph(4), "wiener")
     with pytest.raises(RouteRequiresTreeError):
         kt.compute_invariants(helpers.cycle_graph(4), "edgecut")
+
+
+def test_compute_invariants_matches_distance_matrix_oracle():
+    cases = [t.graph for n in range(2, 11) for t in kt.enumerate_trees(n).members]
+    cases += [helpers.load_graph(p.stem) for p in sorted(helpers.FIXTURES.glob("*.txt"))]
+    for g in cases:
+        d = kt.all_pairs_distances(g)
+        report = kt.compute_invariants(g)
+        assert report.wiener == kt.wiener_distance_route(d)
+        assert report.gutman == kt.gutman_index(g, d)
+
+
+def test_compute_invariants_builds_no_distance_matrix_on_trees(monkeypatch):
+    calls = []
+    real = graphs.all_pairs_distances
+
+    def counting(g):
+        calls.append(g.n)
+        return real(g)
+
+    for module in (graphs, invariants):
+        monkeypatch.setattr(module, "all_pairs_distances", counting, raising=False)
+    kt.compute_invariants(helpers.load_graph("spider_2_5"))
+    kt.compute_invariants(helpers.path_graph(30), "forest")
+    assert calls == []
+    kt.compute_invariants(helpers.cycle_graph(5))
+    assert calls == [5]
+    # a disconnected graph still names the first vertex unreachable from 0,
+    # also when its edge count is that of a tree
+    for g, pair in [
+        (kt.Graph(4, [(0, 1), (2, 3)]), (0, 2)),
+        (kt.Graph(4, [(0, 1), (1, 2), (0, 2)]), (0, 3)),
+    ]:
+        with pytest.raises(DisconnectedError) as exc:
+            kt.compute_invariants(g)
+        assert exc.value.pair == pair
 
 
 def test_format_exact_rounding():

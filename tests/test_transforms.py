@@ -5,7 +5,8 @@ import pytest
 
 import kemtree as kt
 from kemtree.errors import NotABridgeConfigError, PathTooShortError
-from kemtree.transforms import _branch_vertices, _moves
+from kemtree import transforms
+from kemtree.transforms import _relocations, _zero_delta_candidates
 
 import helpers
 
@@ -210,21 +211,38 @@ def test_op2_symmetric_target_gives_zero_delta():
 
 
 def test_op2_adjacent_sign_rule_exhaustive():
-    # for adjacent endpoints the Wiener index rises exactly when the far
-    # host component is bigger than the near one
+    # every relocation's delta is exact; for adjacent endpoints the Wiener
+    # index rises exactly when the far host component is bigger than the
+    # near one
     for n in range(4, 10):
         for t in kt.enumerate_trees(n).members:
-            for i1, b_root, branch, host in _moves(t):
-                for i2 in host:
-                    if i2 == i1 or t.dist[i1][i2] != 1:
-                        continue
-                    delta = kt.op2_delta_formula(t, b_root, i1, i2)
-                    moved = kt.apply_op2(t, b_root, i1, i2)
-                    assert delta == wiener(t) - wiener(moved)
-                    blocked_path = {frozenset((i1, i2)), frozenset((i1, b_root))}
-                    c0 = helpers._component_of(t.adjacency, i1, blocked_path)
-                    c1 = helpers._component_of(t.adjacency, i2, blocked_path)
-                    assert (wiener(t) > wiener(moved)) == (len(c0) < len(c1))
+            for i1, b_root, i2, delta in _relocations(t):
+                moved = kt.apply_op2(t, b_root, i1, i2)
+                assert delta == kt.op2_delta_formula(t, b_root, i1, i2)
+                assert delta == wiener(t) - wiener(moved)
+                if t.dist[i1][i2] != 1:
+                    continue
+                blocked_path = {frozenset((i1, i2)), frozenset((i1, b_root))}
+                c0 = helpers._component_of(t.adjacency, i1, blocked_path)
+                c1 = helpers._component_of(t.adjacency, i2, blocked_path)
+                assert (wiener(t) > wiener(moved)) == (len(c0) < len(c1))
+
+
+def test_relocations_cover_every_branch_and_target():
+    for n in range(2, 9):
+        for t in kt.enumerate_trees(n).members:
+            expected = []
+            for i1 in range(n):
+                for b_root in t.adjacency[i1]:
+                    branch = helpers._component_of(
+                        t.adjacency, b_root, {frozenset((i1, b_root))}
+                    )
+                    expected += [
+                        (i1, b_root, i2)
+                        for i2 in range(n)
+                        if i2 != i1 and i2 not in branch
+                    ]
+            assert [m[:3] for m in _relocations(t)] == expected
 
 
 def test_op2_formula_matches_recomputation_random():
@@ -235,7 +253,7 @@ def test_op2_formula_matches_recomputation_random():
         t = helpers.random_tree(rng, n)
         u, v = t.edges[rng.randrange(len(t.edges))]
         i1, b_root = (u, v) if rng.random() < 0.5 else (v, u)
-        branch = _branch_vertices(t, i1, b_root)
+        branch = helpers._component_of(t.adjacency, b_root, {frozenset((i1, b_root))})
         host = [x for x in range(n) if x not in branch and x != i1]
         if not host:
             continue
@@ -297,6 +315,49 @@ def test_maximal_family_10_4():
     }
     assert set(maxi.codes()) == expected
     assert sorted(wiener(t) for t in maxi.members) == [112, 114, 117]
+
+
+def test_maximal_elements_match_brute_force_oracle_up_to_9():
+    for n in range(2, 10):
+        for d in range(1, n):
+            fam = kt.family(n, d)
+            expected = tuple(
+                kt.canonical_code(t) for t in helpers.maximal_members_brute(fam)
+            )
+            assert kt.maximal_elements(fam).codes() == expected
+
+
+def test_maximal_scan_rebuilds_only_the_rejecting_move(monkeypatch):
+    calls = {"apply_op2": 0, "op2_delta_formula": 0}
+    for name in calls:
+        real = getattr(transforms, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(transforms, name, counting)
+    fam = kt.family(10, 4)
+    maxi = kt.maximal_elements(fam)
+    assert calls == {"apply_op2": len(fam) - len(maxi), "op2_delta_formula": 0}
+
+
+def test_zero_delta_candidates_match_path_pattern_up_to_10():
+    for n in range(1, 11):
+        for t in kt.enumerate_trees(n).members:
+            expected = []
+            for i1 in range(n):
+                for i2 in range(n):
+                    if i1 == i2:
+                        continue
+                    pd = kt.decompose_path(t, i1, i2)
+                    sizes, d = pd.sizes, pd.d
+                    interior = set(sizes[1:d])
+                    if d >= 2 and len(interior) == 1 and sizes[d] == sizes[0] - 1:
+                        (t_size,) = interior
+                        if t_size >= 2:
+                            expected.append((i1, i2, t_size, d))
+            assert list(_zero_delta_candidates(t)) == expected
 
 
 def test_maximal_path_family_is_trivial():
