@@ -6,10 +6,15 @@ formatting of the exact value at emit time. Output on stdout is
 deterministic for fixed inputs and flags; wall-clock timing goes to
 stderr in table mode and into the `runtime_ms` JSON field otherwise.
 
-Exit codes: 0 ok, 1 usage, 2 parse/validation, 3 resource limit,
-4 theorem violation. A reader that closes stdout early (`kemtree enum 12 |
-head -1`) ends the run quietly with exit 0. `--threads` is accepted and has
-no effect: scans are pure-Python work, which threads cannot run in parallel.
+At fixed order, Kemeny's constant K rises strictly with the Wiener index W
+(`kemeny_from_wiener`), so equal W is the same as equal K: census mates are
+the equal-W pairs, extremal ranks by W, and K is taken once per W printed.
+
+Exit codes: 0 ok, 1 usage, 2 parse/validation, 3 resource limit (--cap, or
+graphs.MAX_VERTICES in an edge list), 4 theorem violation. A reader that
+closes stdout early (`kemtree enum 12 | head -1`) ends the run quietly with
+exit 0. `--threads` is accepted and has no effect: scans are pure-Python
+work, which threads cannot run in parallel.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -26,13 +32,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import KemtreeError, ResourceLimitError, TheoremViolationError
-from .graphs import Tree, parse_edge_list, tree_from_graph
+from .errors import InputError, KemtreeError, ParseError, ResourceLimitError
+from .errors import TheoremViolationError
+from .graphs import parse_edge_list, tree_from_graph
 from .invariants import (
     compute_invariants,
     format_exact,
     format_rational,
-    kemeny_wiener_route,
+    kemeny_from_wiener,
     omega_weights,
     wiener_edge_cut_route,
 )
@@ -78,7 +85,12 @@ def _add_exact(report: Report, name: str, value, places: int) -> None:
 
 def cmd_invariants(args) -> Report:
     data = Path(args.path).read_bytes()
-    g = parse_edge_list(data.decode("utf-8"))
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError("input is not UTF-8", line) from None
+    g = parse_edge_list(text)
     inv = compute_invariants(g, args.route)
     report = Report(
         command="invariants",
@@ -111,10 +123,13 @@ def _family(args):
 
 def cmd_extremal(args) -> Report:
     fam = _family(args)
-    metric = wiener_edge_cut_route if args.metric == "wiener" else kemeny_wiener_route
-    values = [metric(t) for t in fam.members]
+    if not fam.members:
+        raise InputError(f"no tree of order {args.n} has diameter {args.d}")
+    values = [wiener_edge_cut_route(t) for t in fam.members]
     best = min(values) if args.objective == "min" else max(values)
     attaining = [t for t, v in zip(fam.members, values) if v == best]
+    if args.metric == "kemeny":
+        best = kemeny_from_wiener(args.n, best)
     report = Report(
         command="extremal",
         inputs={
@@ -138,27 +153,24 @@ def cmd_mates(args) -> Report:
     )
     if args.mode == "op1":
         pairs = [
-            (p.wiener, p.kemeny, p.tree_a, p.tree_b)
+            (p.wiener, p.kemeny, census_line(p.tree_a), census_line(p.tree_b))
             for p in generate_mates_op1(args.n, cap=args.cap, orders=(args.n,))
         ]
     else:
-        fam = enumerate_trees(args.n, cap=args.cap)
-        buckets: dict[int, list[Tree]] = {}
-        for t in fam.members:
-            buckets.setdefault(wiener_edge_cut_route(t), []).append(t)
+        buckets: dict[int, list[str]] = {}
+        for t in enumerate_trees(args.n, cap=args.cap).members:
+            buckets.setdefault(wiener_edge_cut_route(t), []).append(census_line(t))
         pairs = []
-        for w in sorted(buckets):
-            group = buckets[w]
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    a, b = group[i], group[j]
-                    pairs.append((w, kemeny_wiener_route(a), a, b))
+        for w, lines in sorted(buckets.items()):
+            if len(lines) > 1:
+                kappa = kemeny_from_wiener(args.n, w)
+                pairs += ((w, kappa, a, b) for a, b in itertools.combinations(lines, 2))
     report.add("pair_count", len(pairs))
-    for idx, (w, kappa, tree_a, tree_b) in enumerate(pairs):
+    for idx, (w, kappa, line_a, line_b) in enumerate(pairs):
         _add_exact(report, f"pair[{idx}].wiener", w, args.places)
         _add_exact(report, f"pair[{idx}].kemeny", kappa, args.places)
-        report.add(f"pair[{idx}].a", census_line(tree_a))
-        report.add(f"pair[{idx}].b", census_line(tree_b))
+        report.add(f"pair[{idx}].a", line_a)
+        report.add(f"pair[{idx}].b", line_b)
     return report
 
 
@@ -179,18 +191,14 @@ def cmd_maximal(args) -> Report:
     report.add("maximal_size", len(maximal))
     for idx, t in enumerate(survivors.members):
         report.add(f"filter[{idx}]", census_line(t))
-    best = None
-    best_idx = -1
-    for idx, t in enumerate(maximal.members):
-        w = wiener_edge_cut_route(t)
-        kappa = kemeny_wiener_route(t)
+    wieners = [wiener_edge_cut_route(t) for t in maximal.members]
+    for idx, (t, w) in enumerate(zip(maximal.members, wieners)):
         report.add(f"maximal[{idx}].edges", census_line(t))
         _add_exact(report, f"maximal[{idx}].wiener", w, args.places)
+        kappa = kemeny_from_wiener(args.n, w)
         _add_exact(report, f"maximal[{idx}].kemeny", kappa, args.places)
-        if best is None or kappa > best:
-            best = kappa
-            best_idx = idx
-    if best_idx >= 0:
+    if wieners:
+        best_idx = wieners.index(max(wieners))
         report.add("argmax_kemeny", census_line(maximal.members[best_idx]))
         if args.check_theorem:
             report.add("theorem_check", "ok")
@@ -296,15 +304,11 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report = args.fn(args)
-    except ResourceLimitError as exc:
+    except (KemtreeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_RESOURCE
-    except TheoremViolationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_THEOREM
-    except (KemtreeError, ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
+        if isinstance(exc, ResourceLimitError):
+            return EXIT_RESOURCE
+        return EXIT_THEOREM if isinstance(exc, TheoremViolationError) else EXIT_INPUT
     report.runtime_ms = int((time.perf_counter() - start) * 1000)
     try:
         _emit(report, args)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import KemtreeError, ParseError, ResourceLimitError
+from .errors import InputError, KemtreeError, ParseError, ResourceLimitError
 from .graphs import Edge, Tree, tree_from_edges
 
 MAX_ORDER_DEFAULT = 16
@@ -122,7 +122,7 @@ def _layer(n: int) -> tuple[tuple[bytes, tuple[Edge, ...]], ...]:
 def enumerate_trees(n: int, cap: int = MAX_ORDER_DEFAULT) -> TreeFamily:
     """All non-isomorphic trees of order n, one representative per class."""
     if n < 1:
-        raise ValueError("order must be positive")
+        raise InputError("order must be positive")
     if n > cap:
         raise ResourceLimitError(f"order {n} exceeds enumeration cap {cap}")
     members = tuple(tree_from_edges(n, edges) for _, edges in _layer(n))
@@ -132,7 +132,7 @@ def enumerate_trees(n: int, cap: int = MAX_ORDER_DEFAULT) -> TreeFamily:
 def family(n: int, d: int, cap: int = MAX_ORDER_DEFAULT) -> TreeFamily:
     """Trees of order n with diameter exactly d."""
     if not 1 <= d <= n - 1:
-        raise ValueError(f"diameter {d} out of range 1..{n - 1}")
+        raise InputError(f"diameter {d} out of range 1..{n - 1}")
     base = enumerate_trees(n, cap)
     members = tuple(t for t in base.members if t.diameter == d)
     return TreeFamily(n=n, diameter=d, members=members)
@@ -174,7 +174,7 @@ def prufer_oracle_count(n: int) -> int:
     is exponential.
     """
     if n < 1:
-        raise ValueError("order must be positive")
+        raise InputError("order must be positive")
     if n > PRUFER_ORACLE_MAX:
         raise ResourceLimitError(
             f"order {n} exceeds oracle cap {PRUFER_ORACLE_MAX}"

@@ -5,6 +5,12 @@ class KemtreeError(Exception):
     """Base class for all library-specific errors."""
 
 
+class InputError(KemtreeError, ValueError):
+    """An argument is outside the domain of the operation (an order, a
+    diameter, a vertex pair, a move). Also a ValueError, so callers that
+    catch ValueError keep working."""
+
+
 class ParseError(KemtreeError):
     """Edge-list input could not be parsed; carries the offending line number."""
 
@@ -32,7 +38,9 @@ class NotATreeError(KemtreeError):
 
 
 class ResourceLimitError(KemtreeError):
-    """Requested order exceeds the configured enumeration or oracle cap."""
+    """A request exceeds a size limit that is checked before any memory is
+    allocated: the enumeration or oracle order cap, or the vertex ceiling
+    of an edge list (then the message names the line)."""
 
 
 class PathTooShortError(KemtreeError):

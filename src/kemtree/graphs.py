@@ -10,10 +10,15 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Sequence
 
-from .errors import DisconnectedError, NotATreeError, ParseError
+from .errors import DisconnectedError, InputError, NotATreeError, ParseError
+from .errors import ResourceLimitError
 
 Edge = tuple[int, int]
 DistanceMatrix = tuple[tuple[int, ...], ...]
+
+# Most vertices an edge list may declare or label; checked while parsing,
+# before a Graph allocates one adjacency list per vertex.
+MAX_VERTICES = 1_000_000
 
 
 def _normalize(u: int, v: int) -> Edge:
@@ -27,17 +32,17 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]) -> None:
         if n < 1:
-            raise ValueError("vertex count must be positive")
+            raise InputError("vertex count must be positive")
         seen: set[Edge] = set()
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
+                raise InputError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise InputError(f"self-loop at vertex {u}")
             key = _normalize(u, v)
             if key in seen:
-                raise ValueError(f"duplicate edge {key}")
+                raise InputError(f"duplicate edge {key}")
             seen.add(key)
             adj[u].append(v)
             adj[v].append(u)
@@ -79,7 +84,8 @@ def parse_edge_list(text: str) -> Graph:
     Format: one edge per line as two nonnegative integers "u v", with an
     optional first significant line "n <count>" declaring the vertex count.
     Lines starting with '#' and blank lines are ignored. Without a header,
-    the vertex count is inferred as 1 + the largest label seen.
+    the vertex count is inferred as 1 + the largest label seen. A count, or
+    a label's need, over MAX_VERTICES raises ResourceLimitError naming the line.
     """
     declared: int | None = None
     header_allowed = True
@@ -101,6 +107,10 @@ def parse_edge_list(text: str) -> Graph:
                 raise ParseError(f"non-integer token {tokens[1]!r}", lineno) from None
             if declared < 1:
                 raise ParseError("vertex count must be positive", lineno)
+            if declared > MAX_VERTICES:
+                raise ResourceLimitError(
+                    f"line {lineno}: vertex count {declared} exceeds {MAX_VERTICES}"
+                )
             continue
         header_allowed = False
         if len(tokens) != 2:
@@ -114,16 +124,21 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError("labels must be nonnegative", lineno)
         if u == v:
             raise ParseError(f"self-loop at vertex {u}", lineno)
-        if declared is not None and (u >= declared or v >= declared):
+        top = max(u, v)
+        if declared is not None and top >= declared:
             raise ParseError(
-                f"label {max(u, v)} exceeds declared vertex count {declared}", lineno
+                f"label {top} exceeds declared vertex count {declared}", lineno
+            )
+        if top >= MAX_VERTICES:
+            raise ResourceLimitError(
+                f"line {lineno}: label {top} needs more than {MAX_VERTICES} vertices"
             )
         key = _normalize(u, v)
         if key in seen:
             raise ParseError(f"duplicate edge {key}", lineno)
         seen.add(key)
         pairs.append((u, v, lineno))
-        max_label = max(max_label, u, v)
+        max_label = max(max_label, top)
     n = declared if declared is not None else max_label + 1
     if n < 1:
         raise ParseError("input declares no vertices", None)
@@ -299,5 +314,5 @@ def tree_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Tree:
 def leaf_center_distances(t: Tree) -> tuple[tuple[int, int], ...]:
     """(leaf, distance to center set) for every degree-1 vertex; needs n >= 2."""
     if t.n < 2:
-        raise ValueError("leaf distances need at least two vertices")
+        raise InputError("leaf distances need at least two vertices")
     return tuple((v, t.center_distance(v)) for v in t.leaves)

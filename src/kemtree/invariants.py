@@ -4,7 +4,7 @@ Kemeny's constant is available through three independent routes:
 
 * forest route (any connected graph): deg^T F deg / (4 m tau), where F
   counts separating spanning 2-forests and tau counts spanning trees;
-* Wiener relation (trees only): 2 W / (n - 1) - n + 1/2;
+* Wiener relation (trees only): `kemeny_from_wiener`, from W and n;
 * edge-cut route (trees only): sum over edges of
   (2 n1 - 1)(2 n2 - 1) / (2 (n - 1)), with n1, n2 the component sizes
   left by removing the edge.
@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import DisconnectedError, RouteRequiresTreeError
+from .errors import DisconnectedError, InputError, RouteRequiresTreeError
 from .graphs import DistanceMatrix, Edge, Graph, Tree, all_pairs_distances
 from .graphs import bfs_distances, rooted_traversal, tree_from_graph
 from .linalg import spanning_tree_count, two_forest_count
@@ -104,7 +104,7 @@ def kemeny_forest_route(g: Graph) -> Fraction:
     """
     n = g.n
     if n < 2:
-        raise ValueError("Kemeny's constant needs at least two vertices")
+        raise InputError("Kemeny's constant needs at least two vertices")
     _require_connected(g)
     deg = g.degrees
     quad = 0
@@ -115,20 +115,24 @@ def kemeny_forest_route(g: Graph) -> Fraction:
     return Fraction(quad, 4 * g.m * tau)
 
 
+def kemeny_from_wiener(n: int, w: int) -> Fraction:
+    """Kemeny's constant 2 w / (n - 1) - n + 1/2 of a tree of order n and
+    Wiener index w; at fixed n it rises strictly with w."""
+    if n < 2:
+        raise InputError("Kemeny's constant needs at least two vertices")
+    return Fraction(2 * w, n - 1) - n + Fraction(1, 2)
+
+
 def kemeny_wiener_route(t: Tree) -> Fraction:
     """Kemeny's constant of a tree from its Wiener index."""
-    n = t.n
-    if n < 2:
-        raise ValueError("Kemeny's constant needs at least two vertices")
-    w = wiener_edge_cut_route(t)
-    return Fraction(2 * w, n - 1) - n + Fraction(1, 2)
+    return kemeny_from_wiener(t.n, wiener_edge_cut_route(t))
 
 
 def kemeny_edge_cut_route(t: Tree) -> Fraction:
     """Kemeny's constant of a tree from its edge split sizes."""
     n = t.n
     if n < 2:
-        raise ValueError("Kemeny's constant needs at least two vertices")
+        raise InputError("Kemeny's constant needs at least two vertices")
     acc = 0
     for s in _child_split_sizes(t).values():
         acc += (2 * s - 1) * (2 * (n - s) - 1)
@@ -167,15 +171,12 @@ def compute_invariants(g: Graph, route: KemenyRoute | str = "auto") -> Invariant
     chosen = KemenyRoute(route)
     if chosen is KemenyRoute.FOREST:
         kappa = kemeny_forest_route(g)
+    elif tree is None:
+        raise RouteRequiresTreeError(f"route {chosen.value!r} is defined only on trees")
+    elif chosen is KemenyRoute.WIENER:
+        kappa = kemeny_from_wiener(g.n, wiener)
     else:
-        if tree is None:
-            raise RouteRequiresTreeError(
-                f"route {chosen.value!r} is defined only on trees"
-            )
-        if chosen is KemenyRoute.WIENER:
-            kappa = kemeny_wiener_route(tree)
-        else:
-            kappa = kemeny_edge_cut_route(tree)
+        kappa = kemeny_edge_cut_route(tree)
     return InvariantReport(
         n=g.n,
         m=g.m,

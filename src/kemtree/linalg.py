@@ -6,6 +6,7 @@ rounded. Rational results appear only downstream (invariants module).
 
 from __future__ import annotations
 
+from .errors import InputError
 from .graphs import Graph
 
 BigIntMatrix = list[list[int]]
@@ -40,7 +41,7 @@ def det_exact(m: BigIntMatrix) -> int:
         return 1
     a = [row[:] for row in m]
     if any(len(row) != k for row in a):
-        raise ValueError("matrix must be square")
+        raise InputError("matrix must be square")
     sign = 1
     prev = 1
     for col in range(k - 1):
@@ -79,5 +80,5 @@ def two_forest_count(g: Graph, i: int, j: int) -> int:
     passing a connected graph.
     """
     if i == j:
-        raise ValueError("two-forest count needs two distinct vertices")
+        raise InputError("two-forest count needs two distinct vertices")
     return det_exact(delete_rows_cols(laplacian(g), {i, j}))

@@ -27,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotABridgeConfigError, PathTooShortError, TheoremViolationError
+from .errors import InputError, NotABridgeConfigError, PathTooShortError
+from .errors import TheoremViolationError
 from .graphs import Edge, Tree, double_sweep, path_from_root, rooted_traversal
 from .graphs import tree_from_edges
 from .enumeration import (
@@ -36,7 +37,7 @@ from .enumeration import (
     canonical_code,
     enumerate_trees,
 )
-from .invariants import kemeny_wiener_route, wiener_edge_cut_route
+from .invariants import kemeny_from_wiener, wiener_edge_cut_route
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ def decompose_path(t: Tree, i1: int, i2: int) -> PathDecomposition:
     """Split the tree along its unique i1-i2 path. Rooted at i1, a vertex
     off the path hangs where its parent hangs."""
     if i1 == i2:
-        raise ValueError("path endpoints must be distinct")
+        raise InputError("path endpoints must be distinct")
     parent, order, _ = rooted_traversal(t, i1)
     path = path_from_root(parent, i2)
     index = [-1] * t.n
@@ -120,9 +121,9 @@ def apply_op1(t: Tree, i1: int, i2: int) -> Tree:
 def _relocation(t: Tree, b_root: int, i1: int, i2: int):
     """Check a branch relocation; return (subtree sizes rooted at i1, i1-i2 path)."""
     if not t.graph.has_edge(i1, b_root):
-        raise ValueError(f"no edge between {i1} and {b_root}")
+        raise InputError(f"no edge between {i1} and {b_root}")
     if i2 == i1:
-        raise ValueError("relocation target must differ from the source")
+        raise InputError("relocation target must differ from the source")
     parent, _, size = rooted_traversal(t, i1)
     path = path_from_root(parent, i2)
     if path[1] == b_root:
@@ -253,7 +254,7 @@ def generate_mates_op1(
                     tree_a=tree if code_a == key[0] else mate,
                     tree_b=mate if code_a == key[0] else tree,
                     wiener=w_a,
-                    kemeny=kemeny_wiener_route(tree),
+                    kemeny=kemeny_from_wiener(n, w_a),
                     endpoints=(i1, i2),
                     interior_size=t_size,
                     path_length=d,
@@ -287,7 +288,7 @@ def covers(lower: Tree, upper: Tree) -> CoverWitness | None:
     delta and testing it against `lower` by canonical code.
     """
     if lower.n != upper.n:
-        raise ValueError("cover comparison needs equal orders")
+        raise InputError("cover comparison needs equal orders")
     w_lower = wiener_edge_cut_route(lower)
     w_upper = wiener_edge_cut_route(upper)
     if w_lower >= w_upper or lower.diameter != upper.diameter:
@@ -346,7 +347,7 @@ def maximal_elements(fam: TreeFamily) -> TreeFamily:
     absence of a Wiener-increasing, diameter-preserving move.
     """
     if fam.diameter is None:
-        raise ValueError("maximality needs a diameter-filtered family")
+        raise InputError("maximality needs a diameter-filtered family")
     d = fam.diameter
     members = tuple(t for t in fam.members if not _has_increasing_move(t, d))
     return TreeFamily(n=fam.n, diameter=d, members=members)
@@ -355,7 +356,7 @@ def maximal_elements(fam: TreeFamily) -> TreeFamily:
 def theorem_leaf_filter(fam: TreeFamily) -> TreeFamily:
     """Members whose leaves all sit at distance floor(d/2) from the center."""
     if fam.diameter is None:
-        raise ValueError("leaf filter needs a diameter-filtered family")
+        raise InputError("leaf filter needs a diameter-filtered family")
     half = fam.diameter // 2
     members = tuple(
         t

@@ -5,8 +5,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import kemtree as kt
-from kemtree import transforms
+from kemtree import cli, transforms
 from kemtree.cli import main
 
 import helpers
@@ -80,6 +82,35 @@ def test_invariants_parse_error_exit_code(capsys, tmp_path):
     code, out, err = run(capsys, "invariants", str(f))
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("0 1\n1 1000000000\n", 2), ("n 1000000000\n0 1\n", 1)],
+)
+def test_invariants_vertex_ceiling_exits_3(capsys, tmp_path, text, line):
+    f = tmp_path / "big.txt"
+    f.write_text(text)
+    code, out, err = run(capsys, "invariants", str(f))
+    assert code == 3
+    assert out == "" and err.startswith(f"error: line {line}: ")
+
+
+def test_invariants_non_utf8_exits_2(capsys, tmp_path):
+    f = tmp_path / "latin1.txt"
+    f.write_bytes(b"0 1\n1 2 # caf\xe9\n")
+    code, out, err = run(capsys, "invariants", str(f))
+    assert code == 2
+    assert err == "error: line 2: input is not UTF-8\n"
+
+
+def test_internal_value_error_is_not_an_input_error(capsys, monkeypatch):
+    def broken(t):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "census_line", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["enum", "4"])
 
 
 def test_missing_file_exit_code(capsys, tmp_path):

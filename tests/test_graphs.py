@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import kemtree as kt
 from kemtree import graphs
 from kemtree.errors import DisconnectedError, NotATreeError, ParseError
+from kemtree.errors import ResourceLimitError
 
 import helpers
 
@@ -44,6 +45,32 @@ def test_parse_label_exceeds_header():
     with pytest.raises(ParseError) as exc:
         kt.parse_edge_list("n 3\n0 1\n1 3")
     assert exc.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("0 1\n1 1000000000\n", 2), ("# big\nn 1000000000\n0 1\n", 2)],
+)
+def test_parse_vertex_ceiling_raises_before_building_a_graph(monkeypatch, text, line):
+    def no_graph(*args):
+        raise AssertionError("a Graph was built")
+
+    monkeypatch.setattr(graphs, "Graph", no_graph)
+    with pytest.raises(ResourceLimitError, match=f"^line {line}: "):
+        kt.parse_edge_list(text)
+
+
+def test_parse_vertex_ceiling_boundary(monkeypatch):
+    monkeypatch.setattr(graphs, "MAX_VERTICES", 10)
+    assert kt.parse_edge_list("0 9").n == 10
+    assert kt.parse_edge_list("n 10\n0 1").n == 10
+    with pytest.raises(ResourceLimitError):
+        kt.parse_edge_list("0 10")
+    with pytest.raises(ResourceLimitError):
+        kt.parse_edge_list("n 11\n0 1")
+    # a label past a declared count is still a parse error
+    with pytest.raises(ParseError):
+        kt.parse_edge_list("n 5\n0 1000")
 
 
 def test_parse_header_comments_and_crlf():

@@ -154,7 +154,7 @@ def test_wiener_relation_fails_on_cycles():
         g = helpers.load_graph(name)
         d = kt.all_pairs_distances(g)
         w = kt.wiener_distance_route(d)
-        pretend = Fraction(2 * w, g.n - 1) - g.n + Fraction(1, 2)
+        pretend = kt.kemeny_from_wiener(g.n, w)
         assert kt.kemeny_forest_route(g) != pretend
 
 
