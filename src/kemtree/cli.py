@@ -10,11 +10,11 @@ At fixed order, Kemeny's constant K rises strictly with the Wiener index W
 (`kemeny_from_wiener`), so equal W is the same as equal K: census mates are
 the equal-W pairs, extremal ranks by W, and K is taken once per W printed.
 
-Exit codes: 0 ok, 1 usage, 2 parse/validation, 3 resource limit (--cap, or
-graphs.MAX_VERTICES in an edge list), 4 theorem violation. A reader that
-closes stdout early (`kemtree enum 12 | head -1`) ends the run quietly with
-exit 0. `--threads` is accepted and has no effect: scans are pure-Python
-work, which threads cannot run in parallel.
+Exit codes: 0 ok, 1 usage, 2 parse/validation (also a path holding a NUL
+byte, and a label or count not in ASCII decimal digits), 3 resource limit
+(--cap, or graphs.MAX_VERTICES in an edge list), 4 theorem violation. A
+reader that closes stdout early (`kemtree enum 12 | head -1`) ends the run
+quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -84,7 +84,10 @@ def _add_exact(report: Report, name: str, value, places: int) -> None:
 
 
 def cmd_invariants(args) -> Report:
-    data = Path(args.path).read_bytes()
+    try:
+        data = Path(args.path).read_bytes()
+    except ValueError as exc:  # a NUL byte in the path
+        raise InputError(f"bad path {args.path!r}: {exc}") from None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -221,9 +224,6 @@ def _build_parser() -> _Parser:
     fmt.add_argument("--csv", action="store_true", help="emit CSV rows")
     parser.add_argument(
         "--places", type=int, default=4, help="decimal places for display"
-    )
-    parser.add_argument(
-        "--threads", type=int, default=1, help="accepted; has no effect"
     )
     parser.add_argument(
         "--cap", type=int, default=16, help="enumeration order cap"

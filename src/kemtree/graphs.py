@@ -1,8 +1,10 @@
 """Graph and tree types, and the rooted traversal that tree queries share.
 
 Vertices are dense 0-based integer labels, which keeps every matrix and
-array operation O(1)-indexable. A Graph is immutable; a Tree validates at
-construction and computes its metric data on first read.
+array operation O(1)-indexable. A Graph is immutable. A Tree is a Graph
+validated connected and acyclic at construction; it computes its
+eccentricities, radius, diameter and center on first read. The distance
+matrix of a tree, as of any connected graph, is `all_pairs_distances(g)`.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ class Graph:
         return v in self.adjacency[u]
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Graph):
+        # Exact types: a Tree never equals a Graph on the same edges.
+        if type(other) is not type(self):
             return NotImplemented
         return self.n == other.n and self.edges == other.edges
 
@@ -78,11 +81,21 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _integer(token: str, lineno: int) -> int:
+    # int() alone also reads '+1', '1_0' and non-ASCII digits such as '١'.
+    # A leading '-' passes here so that the caller names a negative value.
+    digits = token[1:] if token[0] == "-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"non-integer token {token!r}", lineno)
+    return int(token)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse edge-list text into a validated Graph.
 
     Format: one edge per line as two nonnegative integers "u v", with an
     optional first significant line "n <count>" declaring the vertex count.
+    Labels and the count are written in ASCII decimal digits only.
     Lines starting with '#' and blank lines are ignored. Without a header,
     the vertex count is inferred as 1 + the largest label seen. A count, or
     a label's need, over MAX_VERTICES raises ResourceLimitError naming the line.
@@ -101,10 +114,7 @@ def parse_edge_list(text: str) -> Graph:
             header_allowed = False
             if len(tokens) != 2:
                 raise ParseError("header must be 'n <count>'", lineno)
-            try:
-                declared = int(tokens[1])
-            except ValueError:
-                raise ParseError(f"non-integer token {tokens[1]!r}", lineno) from None
+            declared = _integer(tokens[1], lineno)
             if declared < 1:
                 raise ParseError("vertex count must be positive", lineno)
             if declared > MAX_VERTICES:
@@ -115,11 +125,7 @@ def parse_edge_list(text: str) -> Graph:
         header_allowed = False
         if len(tokens) != 2:
             raise ParseError(f"expected two labels, got {len(tokens)}", lineno)
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            bad = tokens[0] if not tokens[0].lstrip("-").isdigit() else tokens[1]
-            raise ParseError(f"non-integer token {bad!r}", lineno) from None
+        u, v = _integer(tokens[0], lineno), _integer(tokens[1], lineno)
         if u < 0 or v < 0:
             raise ParseError("labels must be nonnegative", lineno)
         if u == v:
@@ -215,63 +221,37 @@ def path_from_root(parent: Sequence[int], v: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class Tree:
+class Tree(Graph):
     """A Graph validated connected and acyclic.
 
-    Construction only validates, with one BFS. `dist`, `eccentricities`,
-    `radius`, `diameter` and `center` are computed on first read and kept
-    in their slots; all but `dist` come from a `double_sweep` plus one BFS.
+    Construction runs Graph's validation, then one BFS. `eccentricities`,
+    `radius`, `diameter` and `center` are computed on first read, from a
+    `double_sweep` plus one BFS, and kept in their slots. The distance
+    matrix is `all_pairs_distances(t)`, as for any Graph.
     """
 
-    __slots__ = ("graph", "dist", "eccentricities", "radius", "diameter", "center")
+    __slots__ = ("eccentricities", "radius", "diameter", "center")
 
-    def __init__(self, graph: Graph) -> None:
-        if graph.m >= graph.n:
+    def __init__(self, n: int, edges: Iterable[Sequence[int]]) -> None:
+        super().__init__(n, edges)
+        if self.m >= n:
             raise NotATreeError("cyclic")
-        if -1 in bfs_distances(graph.adjacency, 0):
+        if -1 in bfs_distances(self.adjacency, 0):
             raise NotATreeError("disconnected")
-        self.graph: Graph = graph
 
     def __getattr__(self, name: str):
         # Runs only while a slot is empty.
-        if name == "dist":
-            self.dist: DistanceMatrix = all_pairs_distances(self.graph)
-        elif name in ("eccentricities", "radius", "diameter", "center"):
-            adjacency = self.graph.adjacency
-            da, b = double_sweep(adjacency)
-            ecc = tuple(map(max, da, bfs_distances(adjacency, b)))
-            self.eccentricities: tuple[int, ...] = ecc
-            self.radius: int = min(ecc)
-            self.diameter: int = da[b]
-            self.center: frozenset[int] = frozenset(
-                v for v, e in enumerate(ecc) if e == self.radius
-            )
-        else:
+        if name not in Tree.__slots__:
             raise AttributeError(name)
+        da, b = double_sweep(self.adjacency)
+        ecc = tuple(map(max, da, bfs_distances(self.adjacency, b)))
+        self.eccentricities: tuple[int, ...] = ecc
+        self.radius: int = min(ecc)
+        self.diameter: int = da[b]
+        self.center: frozenset[int] = frozenset(
+            v for v, e in enumerate(ecc) if e == self.radius
+        )
         return getattr(self, name)
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @property
-    def m(self) -> int:
-        return self.graph.m
-
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        return self.graph.edges
-
-    @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        return self.graph.adjacency
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return self.graph.degrees
-
-    def degree(self, v: int) -> int:
-        return self.graph.degree(v)
 
     @property
     def leaves(self) -> tuple[int, ...]:
@@ -290,25 +270,17 @@ class Tree:
         parent, order, _ = rooted_traversal(self, root)
         return tuple(parent), tuple(order)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Tree):
-            return NotImplemented
-        return self.graph == other.graph
-
-    def __hash__(self) -> int:
-        return hash(self.graph)
-
     def __repr__(self) -> str:
         return f"Tree(n={self.n}, diameter={self.diameter})"
 
 
 def tree_from_graph(g: Graph) -> Tree:
     """Validate `g` as a tree."""
-    return Tree(g)
+    return Tree(g.n, g.edges)
 
 
 def tree_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Tree:
-    return Tree(Graph(n, edges))
+    return Tree(n, edges)
 
 
 def leaf_center_distances(t: Tree) -> tuple[tuple[int, int], ...]:

@@ -120,7 +120,7 @@ def apply_op1(t: Tree, i1: int, i2: int) -> Tree:
 
 def _relocation(t: Tree, b_root: int, i1: int, i2: int):
     """Check a branch relocation; return (subtree sizes rooted at i1, i1-i2 path)."""
-    if not t.graph.has_edge(i1, b_root):
+    if not t.has_edge(i1, b_root):
         raise InputError(f"no edge between {i1} and {b_root}")
     if i2 == i1:
         raise InputError("relocation target must differ from the source")

@@ -78,7 +78,7 @@ def test_criterion_03_three_route_agreement():
         members = kt.enumerate_trees(n).members
         assert len(members) == expected
         for t in members:
-            a = kt.kemeny_forest_route(t.graph)
+            a = kt.kemeny_forest_route(t)
             b = kt.kemeny_wiener_route(t)
             c = kt.kemeny_edge_cut_route(t)
             assert a == b == c
@@ -93,7 +93,9 @@ def test_criterion_04_wiener_route_agreement():
     count = 0
     for n in range(2, 11):
         for t in kt.enumerate_trees(n).members:
-            assert kt.wiener_edge_cut_route(t) == kt.wiener_distance_route(t.dist)
+            assert kt.wiener_edge_cut_route(t) == kt.wiener_distance_route(
+                kt.all_pairs_distances(t)
+            )
             count += 1
     _pass(4, f"edge-cut Wiener equals distance Wiener on {count} trees")
 
@@ -103,8 +105,8 @@ def test_criterion_05_six_vertex_example():
     t2 = helpers.load_tree("double_star_2_2")
     assert kt.omega_weights(t1).multiset() == (5, 5, 5, 5, 8)
     assert kt.omega_weights(t2).multiset() == (5, 5, 5, 5, 9)
-    k1 = kt.kemeny_forest_route(t1.graph)
-    k2 = kt.kemeny_forest_route(t2.graph)
+    k1 = kt.kemeny_forest_route(t1)
+    k2 = kt.kemeny_forest_route(t2)
     assert k2 > k1
     assert (k1, k2) == (Fraction(57, 10), Fraction(61, 10))
     _pass(5, "weights {8,5,5,5,5} vs {9,5,5,5,5}, kappa ordering confirmed")
@@ -114,7 +116,7 @@ def test_criterion_06_extremal_star_and_path():
     for n in range(3, 11):
         members = kt.enumerate_trees(n).members
         wieners = [kt.wiener_edge_cut_route(t) for t in members]
-        kappas = [kt.kemeny_forest_route(t.graph) for t in members]
+        kappas = [kt.kemeny_forest_route(t) for t in members]
         w_min, w_max = min(wieners), max(wieners)
         k_min, k_max = min(kappas), max(kappas)
         min_by_w = {i for i, w in enumerate(wieners) if w == w_min}
@@ -135,6 +137,7 @@ def _uniform_head_instances(t):
     """(i1, i2) pairs whose path components are all one size except the far
     end: sizes[0] = ... = sizes[d-1] = t_size, sizes[d] = t_size + m."""
     n = t.n
+    dist = kt.all_pairs_distances(t)
     for i1 in range(n):
         parent, order = t.rooted(i1)
         size = [1] * n
@@ -143,7 +146,7 @@ def _uniform_head_instances(t):
             if p >= 0:
                 size[p] += size[v]
         for i2 in range(n):
-            if t.dist[i1][i2] < 2:
+            if dist[i1][i2] < 2:
                 continue
             v = parent[i2]
             prev_child = i2
@@ -172,7 +175,7 @@ def test_criterion_07_transformation_oracles():
         n = rng.randrange(8, 15)
         t = helpers.random_tree(rng, n)
         i1, i2 = rng.sample(range(n), 2)
-        if t.dist[i1][i2] < 2:
+        if kt.all_pairs_distances(t)[i1][i2] < 2:
             continue
         pd = kt.decompose_path(t, i1, i2)
         t2 = kt.apply_op1(t, i1, i2)

@@ -104,6 +104,22 @@ def test_invariants_non_utf8_exits_2(capsys, tmp_path):
     assert err == "error: line 2: input is not UTF-8\n"
 
 
+def test_invariants_nul_path_exits_2(capsys):
+    code, out, err = run(capsys, "invariants", "a\x00b")
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad path 'a\\x00b': embedded null byte\n"
+
+
+def test_invariants_non_ascii_digit_label_exits_2(capsys, tmp_path):
+    f = tmp_path / "digits.txt"
+    f.write_text("0 1\n1 \u0662\n", encoding="utf-8")
+    code, out, err = run(capsys, "invariants", str(f))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 2: non-integer token '\u0662'\n"
+
+
 def test_internal_value_error_is_not_an_input_error(capsys, monkeypatch):
     def broken(t):
         raise ValueError("internal bug")
@@ -290,14 +306,13 @@ def test_table_and_csv_formats(capsys):
     assert any(line.startswith("kemeny,57/10,5.7000") for line in lines)
 
 
-def test_threads_flag_output_identical(capsys):
-    base = ["--json", "extremal", "8", "--objective", "max", "--metric", "kemeny"]
-    _, out1, _ = run(capsys, "--threads", "1", *base)
-    _, out4, _ = run(capsys, "--threads", "4", *base)
-    p1, p4 = json.loads(out1), json.loads(out4)
-    p1.pop("runtime_ms")
-    p4.pop("runtime_ms")
-    assert p1 == p4
+def test_threads_flag_is_usage_error(capsys):
+    base = ["extremal", "8", "--objective", "max", "--metric", "kemeny"]
+    for argv in (["--threads", "4", *base], ["--threads=1", *base]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 def test_places_flag(capsys):

@@ -41,6 +41,25 @@ def test_parse_non_integer_token():
     assert "x" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text, line, token",
+    [
+        ("0 1\n0 1_0", 2, "1_0"),
+        ("0 \u0661", 1, "\u0661"),
+        ("0 1\n\u0662 1", 2, "\u0662"),
+        ("+1 0", 1, "+1"),
+        ("0 -", 1, "-"),
+        ("n 1_0\n0 1", 1, "1_0"),
+        ("# count\nn \u0663\n0 1", 2, "\u0663"),
+    ],
+)
+def test_parse_accepts_only_ascii_decimal_digits(text, line, token):
+    with pytest.raises(ParseError) as exc:
+        kt.parse_edge_list(text)
+    assert exc.value.line == line
+    assert repr(token) in str(exc.value)
+
+
 def test_parse_label_exceeds_header():
     with pytest.raises(ParseError) as exc:
         kt.parse_edge_list("n 3\n0 1\n1 3")
@@ -150,6 +169,20 @@ def test_tree_rejects_disconnected():
     assert exc.value.reason == "disconnected"
 
 
+def test_tree_is_a_validated_graph_that_never_equals_a_graph():
+    edges = [(0, 1), (1, 2), (1, 3)]
+    t, g = kt.Tree(4, edges), kt.Graph(4, edges)
+    assert isinstance(t, kt.Graph)
+    assert (t.n, t.m, t.edges, t.adjacency) == (g.n, g.m, g.edges, g.adjacency)
+    assert (t.degrees, t.degree(1)) == (g.degrees, 3)
+    assert t != g and g != t
+    assert t == kt.tree_from_graph(g) == kt.tree_from_edges(4, reversed(edges))
+    assert len({t, kt.Tree(4, edges)}) == 1
+    assert not hasattr(t, "graph") and not hasattr(t, "dist")
+    with pytest.raises(ValueError):
+        kt.Tree(3, [(0, 1), (1, 1)])
+
+
 def test_tree_path5_center():
     t = kt.tree_from_graph(helpers.path_graph(5))
     assert t.diameter == 4
@@ -161,7 +194,7 @@ def test_tree_path4_two_adjacent_centers():
     assert t.diameter == 3
     assert t.center == frozenset({1, 2})
     a, b = sorted(t.center)
-    assert t.graph.has_edge(a, b)
+    assert t.has_edge(a, b)
 
 
 def test_single_vertex_tree():
@@ -197,9 +230,9 @@ def test_tree_path_method_matches_distances():
         u, v = rng.sample(range(t.n), 2)
         path = t.path(u, v)
         assert path[0] == u and path[-1] == v
-        assert len(path) - 1 == t.dist[u][v]
+        assert len(path) - 1 == kt.all_pairs_distances(t)[u][v]
         for k in range(len(path) - 1):
-            assert t.graph.has_edge(path[k], path[k + 1])
+            assert t.has_edge(path[k], path[k + 1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -220,7 +253,7 @@ def test_lazy_metrics_match_floyd_warshall():
         if not f.stem.startswith("unicycle")
     ]
     for t in trees:
-        fw = helpers.floyd_warshall(t.graph)
+        fw = helpers.floyd_warshall(t)
         ecc = tuple(max(row) for row in fw)
         radius = min(ecc)
         center = frozenset(v for v, e in enumerate(ecc) if e == radius)
@@ -230,7 +263,7 @@ def test_lazy_metrics_match_floyd_warshall():
         assert t.center == center
         for v in range(t.n):
             assert t.center_distance(v) == min(fw[c][v] for c in center)
-        assert [list(row) for row in t.dist] == fw
+        assert [list(row) for row in kt.all_pairs_distances(t)] == fw
 
 
 def test_tree_construction_runs_one_bfs(monkeypatch):
@@ -257,7 +290,7 @@ def test_center_parity_all_trees_up_to_10():
             else:
                 assert len(t.center) == 2
                 a, b = sorted(t.center)
-                assert t.graph.has_edge(a, b)
+                assert t.has_edge(a, b)
 
 
 def test_graph_rejects_bad_edges():

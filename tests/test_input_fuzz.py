@@ -1,10 +1,13 @@
-"""Fuzzing at the input boundary: any text ends in a Graph or a typed error.
+"""Fuzzing at the input boundary: any text ends in a Graph or a typed error,
+and any argv ends in a documented exit code.
 
 Edge-list text is drawn both as arbitrary strings and as lines built from
 edge-list tokens (labels, the header, comments, labels over the vertex
 ceiling), so the parser's later checks are reached too. Numbers stay
 small or over the ceiling: a count at it, or a label just under it, would
-build a real Graph of a million vertices.
+build a real Graph of a million vertices. Likewise, orders for the
+enumerating subcommands stay at most 9 or above every cap, so no run
+enumerates a large order.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +17,12 @@ import kemtree as kt
 from kemtree.cli import main
 from kemtree.errors import ParseError, ResourceLimitError
 from kemtree.graphs import MAX_VERTICES
+
+_FUZZ_MAIN = settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 
 _TOKENS = st.one_of(
     st.integers(-2, 9).map(str),
@@ -26,6 +35,42 @@ _EDGE_LIST = st.lists(
 _TEXT = st.one_of(st.text(), _EDGE_LIST)
 
 
+def _concat(parts):
+    return [arg for part in parts for arg in part]
+
+
+_ORDER = st.one_of(st.integers(-3, 9), st.sampled_from([17, 40, 10**9]))
+_N = _ORDER.map(lambda n: [str(n)])
+_D = st.integers(-2, 12).map(str)
+_OPT_D = st.one_of(st.just([]), _D.map(lambda d: ["--d", d]))
+_COMMAND = st.one_of(
+    st.tuples(
+        st.just(["extremal"]),
+        _N,
+        _OPT_D,
+        st.sampled_from(["min", "max"]).map(lambda o: ["--objective", o]),
+        st.sampled_from(["wiener", "kemeny"]).map(lambda m: ["--metric", m]),
+    ),
+    st.tuples(
+        st.just(["mates"]),
+        _N,
+        st.sampled_from([[], ["--mode", "census"], ["--mode", "op1"]]),
+    ),
+    st.tuples(
+        st.just(["maximal"]),
+        _N,
+        _D.map(lambda d: [d]),
+        st.sampled_from([[], ["--check-theorem"]]),
+    ),
+    st.tuples(st.just(["enum"]), _N, _OPT_D),
+).map(_concat)
+_ARGV = st.tuples(
+    st.sampled_from([[], ["--json"], ["--csv"]]),
+    st.one_of(st.just([]), st.integers(-3, 9).map(lambda c: ["--cap", str(c)])),
+    _COMMAND,
+).map(_concat)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_TEXT)
 def test_parse_edge_list_returns_a_graph_or_a_typed_error(text):
@@ -36,11 +81,7 @@ def test_parse_edge_list_returns_a_graph_or_a_typed_error(text):
     assert isinstance(g, kt.Graph) and 1 <= g.n <= MAX_VERTICES
 
 
-@settings(
-    max_examples=100,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@_FUZZ_MAIN
 @given(st.one_of(_TEXT.map(str.encode), st.binary(max_size=40)))
 def test_invariants_exits_0_2_or_3_without_traceback(capsys, tmp_path, data):
     f = tmp_path / "graph.txt"
@@ -48,5 +89,15 @@ def test_invariants_exits_0_2_or_3_without_traceback(capsys, tmp_path, data):
     code = main(["invariants", str(f)])
     out, err = capsys.readouterr()
     assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    assert (out != "") == (code == 0)
+
+
+@_FUZZ_MAIN
+@given(_ARGV)
+def test_enumerating_subcommands_exit_0_to_3_without_traceback(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err
     assert (out != "") == (code == 0)

@@ -23,7 +23,7 @@ def test_wiener_path3():
 def test_wiener_double_stars_both_routes():
     for name, expected in [("double_star_1_3", 28), ("double_star_2_2", 29)]:
         t = helpers.load_tree(name)
-        d = kt.all_pairs_distances(t.graph)
+        d = kt.all_pairs_distances(t)
         assert kt.wiener_distance_route(d) == expected
         assert kt.wiener_edge_cut_route(t) == expected
 
@@ -39,7 +39,7 @@ def test_wiener_path_closed_form():
         t = tree(helpers.path_graph(n))
         w = n * (n * n - 1) // 6
         assert kt.wiener_edge_cut_route(t) == w
-        assert kt.wiener_distance_route(t.dist) == w
+        assert kt.wiener_distance_route(kt.all_pairs_distances(t)) == w
 
 
 def test_omega_double_stars():
@@ -136,13 +136,13 @@ def test_kemeny_edge_cut_small_cases():
     expected = Fraction(17, 2)  # n - 3/2 at n = 10
     assert kt.kemeny_edge_cut_route(t) == expected
     assert kt.kemeny_wiener_route(t) == expected
-    assert kt.kemeny_forest_route(t.graph) == expected
+    assert kt.kemeny_forest_route(t) == expected
 
 
 def test_three_routes_agree_up_to_8():
     for n in range(2, 9):
         for t in kt.enumerate_trees(n).members:
-            a = kt.kemeny_forest_route(t.graph)
+            a = kt.kemeny_forest_route(t)
             b = kt.kemeny_wiener_route(t)
             c = kt.kemeny_edge_cut_route(t)
             assert a == b == c
@@ -164,9 +164,10 @@ def test_degree_distance_identity_on_trees_up_to_9():
     for n in range(2, 10):
         for t in kt.enumerate_trees(n).members:
             deg = t.degrees
+            d = kt.all_pairs_distances(t)
             for j in range(n):
-                lhs = sum(deg[i] * t.dist[i][j] for i in range(n))
-                rhs = 2 * sum(t.dist[i][j] for i in range(n)) - (n - 1)
+                lhs = sum(deg[i] * d[i][j] for i in range(n))
+                rhs = 2 * sum(d[i][j] for i in range(n)) - (n - 1)
                 assert lhs == rhs
 
 
@@ -176,8 +177,8 @@ def test_comparison_transfers_between_kemeny_and_wiener():
         n = rng.randrange(4, 9)
         t1, t2 = helpers.random_tree(rng, n), helpers.random_tree(rng, n)
         w1, w2 = kt.wiener_edge_cut_route(t1), kt.wiener_edge_cut_route(t2)
-        k1 = kt.kemeny_forest_route(t1.graph)
-        k2 = kt.kemeny_forest_route(t2.graph)
+        k1 = kt.kemeny_forest_route(t1)
+        k2 = kt.kemeny_forest_route(t2)
         assert (k1 < k2) == (w1 < w2)
         assert (k1 == k2) == (w1 == w2)
 
@@ -189,7 +190,7 @@ def test_kemeny_needs_two_vertices():
     with pytest.raises(ValueError):
         kt.kemeny_edge_cut_route(single)
     with pytest.raises(ValueError):
-        kt.kemeny_forest_route(single.graph)
+        kt.kemeny_forest_route(single)
     assert kt.wiener_edge_cut_route(single) == 0
 
 
@@ -216,7 +217,7 @@ def test_compute_invariants_route_selection():
 
 
 def test_compute_invariants_matches_distance_matrix_oracle():
-    cases = [t.graph for n in range(2, 11) for t in kt.enumerate_trees(n).members]
+    cases = [t for n in range(2, 11) for t in kt.enumerate_trees(n).members]
     cases += [helpers.load_graph(p.stem) for p in sorted(helpers.FIXTURES.glob("*.txt"))]
     for g in cases:
         d = kt.all_pairs_distances(g)

@@ -72,7 +72,7 @@ def test_petersen_spanning_trees():
 def test_tree_has_one_spanning_tree():
     for n in range(1, 9):
         for t in kt.enumerate_trees(n).members:
-            assert kt.spanning_tree_count(t.graph) == 1
+            assert kt.spanning_tree_count(t) == 1
 
 
 def test_cycle_spanning_trees_brute_force():
@@ -131,9 +131,10 @@ def test_two_forest_symmetric():
 def test_two_forest_on_trees_is_distance():
     for n in range(2, 11):
         for t in kt.enumerate_trees(n).members:
+            d = kt.all_pairs_distances(t)
             for i in range(n):
                 for j in range(i + 1, n):
-                    assert kt.two_forest_count(t.graph, i, j) == t.dist[i][j]
+                    assert kt.two_forest_count(t, i, j) == d[i][j]
 
 
 def test_counts_match_brute_force_on_random_graphs():

@@ -91,7 +91,7 @@ def test_op1_formula_matches_recomputation_random():
         n = rng.randrange(8, 15)
         t = helpers.random_tree(rng, n)
         i1, i2 = rng.sample(range(n), 2)
-        if t.dist[i1][i2] < 2:
+        if kt.all_pairs_distances(t)[i1][i2] < 2:
             continue
         pd = kt.decompose_path(t, i1, i2)
         t2 = kt.apply_op1(t, i1, i2)
@@ -106,9 +106,10 @@ def test_op1_uniform_interior_with_matching_head_reduces():
     found = 0
     for n in range(5, 11):
         for t in kt.enumerate_trees(n).members:
+            dist = kt.all_pairs_distances(t)
             for i1 in range(n):
                 for i2 in range(n):
-                    if t.dist[i1][i2] < 2:
+                    if dist[i1][i2] < 2:
                         continue
                     pd = kt.decompose_path(t, i1, i2)
                     sizes = pd.sizes
@@ -135,9 +136,10 @@ def test_op1_uniform_interior_with_matching_head_reduces():
 def test_op1_uniform_t1_gives_isomorphic_trees():
     for n in range(4, 9):
         for t in kt.enumerate_trees(n).members:
+            dist = kt.all_pairs_distances(t)
             for i1 in range(n):
                 for i2 in range(n):
-                    if t.dist[i1][i2] < 2:
+                    if dist[i1][i2] < 2:
                         continue
                     pd = kt.decompose_path(t, i1, i2)
                     sizes = pd.sizes
@@ -168,7 +170,7 @@ def test_generate_mates_smallest_order_is_7():
     pair = mates[0]
     assert pair.wiener == 46
     assert pair.code_a != pair.code_b
-    assert not helpers.brute_force_isomorphic(pair.tree_a.graph, pair.tree_b.graph)
+    assert not helpers.brute_force_isomorphic(pair.tree_a, pair.tree_b)
 
 
 def test_generate_mates_pairs_are_exact_mates_up_to_10():
@@ -182,16 +184,16 @@ def test_generate_mates_pairs_are_exact_mates_up_to_10():
         seen.add(key)
         assert pair.tree_a.n == pair.tree_b.n == pair.order
         assert wiener(pair.tree_a) == wiener(pair.tree_b) == pair.wiener
-        ka = kt.kemeny_forest_route(pair.tree_a.graph)
-        kb = kt.kemeny_forest_route(pair.tree_b.graph)
+        ka = kt.kemeny_forest_route(pair.tree_a)
+        kb = kt.kemeny_forest_route(pair.tree_b)
         assert ka == kb == pair.kemeny
 
 
 def test_op2_apply_and_errors():
     t = kt.tree_from_graph(helpers.path_graph(5))
     moved = kt.apply_op2(t, 4, 3, 0)  # move leaf 4 from 3 to 0
-    assert moved.graph.has_edge(0, 4)
-    assert not moved.graph.has_edge(3, 4)
+    assert moved.has_edge(0, 4)
+    assert not moved.has_edge(3, 4)
     with pytest.raises(ValueError):
         kt.apply_op2(t, 4, 2, 0)  # no edge {2, 4}
     with pytest.raises(ValueError):
@@ -216,11 +218,12 @@ def test_op2_adjacent_sign_rule_exhaustive():
     # near one
     for n in range(4, 10):
         for t in kt.enumerate_trees(n).members:
+            dist = kt.all_pairs_distances(t)
             for i1, b_root, i2, delta in _relocations(t):
                 moved = kt.apply_op2(t, b_root, i1, i2)
                 assert delta == kt.op2_delta_formula(t, b_root, i1, i2)
                 assert delta == wiener(t) - wiener(moved)
-                if t.dist[i1][i2] != 1:
+                if dist[i1][i2] != 1:
                     continue
                 blocked_path = {frozenset((i1, i2)), frozenset((i1, b_root))}
                 c0 = helpers._component_of(t.adjacency, i1, blocked_path)

@@ -51,7 +51,7 @@ def test_census_pairs_are_the_equal_forest_route_pairs(capsys, n):
     ]
     trees = kt.enumerate_trees(n).members
     scored = [
-        (kt.canonical_code(t).hex(), kt.kemeny_forest_route(t.graph)) for t in trees
+        (kt.canonical_code(t).hex(), kt.kemeny_forest_route(t)) for t in trees
     ]
     want = [
         (code_a, code_b, ka)
@@ -64,7 +64,7 @@ def test_census_pairs_are_the_equal_forest_route_pairs(capsys, n):
 @pytest.mark.parametrize("n", range(3, 10))
 def test_extremal_kemeny_matches_a_forest_route_ranking(capsys, n):
     trees = kt.enumerate_trees(n).members
-    kappa = {t: kt.kemeny_forest_route(t.graph) for t in trees}
+    kappa = {t: kt.kemeny_forest_route(t) for t in trees}
     for d in [None, *range(2, n)]:
         members = [t for t in trees if d is None or t.diameter == d]
         for objective, pick in (("min", min), ("max", max)):
