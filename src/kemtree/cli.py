@@ -9,6 +9,12 @@ stderr in table mode and into the `runtime_ms` JSON field otherwise.
 At fixed order, Kemeny's constant K rises strictly with the Wiener index W
 (`kemeny_from_wiener`), so equal W is the same as equal K: census mates are
 the equal-W pairs, extremal ranks by W, and K is taken once per W printed.
+Census lines print the canonical codes their family carries from the
+generator; only an op1 surgery result is coded afresh.
+
+A diameter runs from 1 to n - 1, or is 0 for the one-vertex tree
+(`enum 1 --d 0`). `invariants --omega` checks that the graph is a tree
+before any invariant is computed, so a non-tree exits 2 at once.
 
 Exit codes: 0 ok, 1 usage, 2 parse/validation (also a path holding a NUL
 byte, and a label or count not in ASCII decimal digits), 3 resource limit
@@ -43,7 +49,7 @@ from .invariants import (
     omega_weights,
     wiener_edge_cut_route,
 )
-from .enumeration import canonical_code, census_line, enumerate_trees, family
+from .enumeration import MAX_ORDER_DEFAULT, census_line, enumerate_trees, family
 from .transforms import generate_mates_op1, maximal_elements, theorem_leaf_filter
 
 EXIT_OK = 0
@@ -94,6 +100,7 @@ def cmd_invariants(args) -> Report:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError("input is not UTF-8", line) from None
     g = parse_edge_list(text)
+    t = tree_from_graph(g) if args.omega else None
     inv = compute_invariants(g, args.route)
     report = Report(
         command="invariants",
@@ -111,8 +118,7 @@ def cmd_invariants(args) -> Report:
     _add_exact(report, "wiener", inv.wiener, args.places)
     _add_exact(report, "gutman", inv.gutman, args.places)
     _add_exact(report, "kemeny", inv.kemeny, args.places)
-    if args.omega:
-        t = tree_from_graph(g)
+    if t is not None:
         for (u, v), w in sorted(omega_weights(t).weights.items()):
             report.add(f"omega[{u}-{v}]", w)
     return report
@@ -130,7 +136,7 @@ def cmd_extremal(args) -> Report:
         raise InputError(f"no tree of order {args.n} has diameter {args.d}")
     values = [wiener_edge_cut_route(t) for t in fam.members]
     best = min(values) if args.objective == "min" else max(values)
-    attaining = [t for t, v in zip(fam.members, values) if v == best]
+    attaining = [member for member, v in zip(fam, values) if v == best]
     if args.metric == "kemeny":
         best = kemeny_from_wiener(args.n, best)
     report = Report(
@@ -145,8 +151,8 @@ def cmd_extremal(args) -> Report:
     report.add("family_size", len(fam))
     _add_exact(report, f"{args.metric}_{args.objective}", best, args.places)
     report.add("attaining_count", len(attaining))
-    for idx, t in enumerate(attaining):
-        report.add(f"tree[{idx}]", census_line(t))
+    for idx, (code, t) in enumerate(attaining):
+        report.add(f"tree[{idx}]", census_line(code, t))
     return report
 
 
@@ -156,13 +162,15 @@ def cmd_mates(args) -> Report:
     )
     if args.mode == "op1":
         pairs = [
-            (p.wiener, p.kemeny, census_line(p.tree_a), census_line(p.tree_b))
+            (p.wiener, p.kemeny)
+            + (census_line(p.code_a, p.tree_a), census_line(p.code_b, p.tree_b))
             for p in generate_mates_op1(args.n, cap=args.cap, orders=(args.n,))
         ]
     else:
         buckets: dict[int, list[str]] = {}
-        for t in enumerate_trees(args.n, cap=args.cap).members:
-            buckets.setdefault(wiener_edge_cut_route(t), []).append(census_line(t))
+        for code, t in enumerate_trees(args.n, cap=args.cap):
+            w = wiener_edge_cut_route(t)
+            buckets.setdefault(w, []).append(census_line(code, t))
         pairs = []
         for w, lines in sorted(buckets.items()):
             if len(lines) > 1:
@@ -182,27 +190,28 @@ def cmd_maximal(args) -> Report:
     survivors = theorem_leaf_filter(fam)
     maximal = maximal_elements(fam)
     if args.check_theorem:
-        survivor_codes = set(survivors.codes())
-        for t in maximal.members:
-            if canonical_code(t) not in survivor_codes:
+        survivor_codes = set(survivors.codes)
+        for code, t in maximal:
+            if code not in survivor_codes:
                 raise TheoremViolationError(
-                    f"maximal tree escaped the leaf filter: {census_line(t)}"
+                    f"maximal tree escaped the leaf filter: {census_line(code, t)}"
                 )
     report = Report(command="maximal", inputs={"n": args.n, "d": args.d})
     report.add("family_size", len(fam))
     report.add("filter_size", len(survivors))
     report.add("maximal_size", len(maximal))
-    for idx, t in enumerate(survivors.members):
-        report.add(f"filter[{idx}]", census_line(t))
+    for idx, (code, t) in enumerate(survivors):
+        report.add(f"filter[{idx}]", census_line(code, t))
     wieners = [wiener_edge_cut_route(t) for t in maximal.members]
-    for idx, (t, w) in enumerate(zip(maximal.members, wieners)):
-        report.add(f"maximal[{idx}].edges", census_line(t))
+    lines = [census_line(code, t) for code, t in maximal]
+    for idx, (line, w) in enumerate(zip(lines, wieners)):
+        report.add(f"maximal[{idx}].edges", line)
         _add_exact(report, f"maximal[{idx}].wiener", w, args.places)
         kappa = kemeny_from_wiener(args.n, w)
         _add_exact(report, f"maximal[{idx}].kemeny", kappa, args.places)
     if wieners:
         best_idx = wieners.index(max(wieners))
-        report.add("argmax_kemeny", census_line(maximal.members[best_idx]))
+        report.add("argmax_kemeny", lines[best_idx])
         if args.check_theorem:
             report.add("theorem_check", "ok")
     return report
@@ -212,8 +221,8 @@ def cmd_enum(args) -> Report:
     fam = _family(args)
     report = Report(command="enum", inputs={"n": args.n, "d": args.d})
     report.add("count", len(fam))
-    for idx, t in enumerate(fam.members):
-        report.add(f"tree[{idx}]", census_line(t))
+    for idx, (code, t) in enumerate(fam):
+        report.add(f"tree[{idx}]", census_line(code, t))
     return report
 
 
@@ -226,7 +235,7 @@ def _build_parser() -> _Parser:
         "--places", type=int, default=4, help="decimal places for display"
     )
     parser.add_argument(
-        "--cap", type=int, default=16, help="enumeration order cap"
+        "--cap", type=int, default=MAX_ORDER_DEFAULT, help="enumeration order cap"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

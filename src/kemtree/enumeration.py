@@ -9,13 +9,16 @@ of structure, so persisted censuses stay byte-stable across runs.
 
 Generation grows order k+1 representatives from order k by attaching a
 new leaf at every vertex and deduplicating by code. Simple, provably
-complete, and adequate at the default order cap.
+complete, and adequate at the default order cap. The generator is the one
+place a family member's code is computed: every TreeFamily carries the
+codes with its members, and a census record is `census_line(code, tree)`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from .errors import InputError, KemtreeError, ParseError, ResourceLimitError
 from .graphs import Edge, Tree, tree_from_edges
@@ -76,17 +79,28 @@ def canonical_code(t: Tree) -> CanonicalCode:
 
 @dataclass(frozen=True)
 class TreeFamily:
-    """Trees of one order (optionally one diameter), canonical-code ascending."""
+    """Trees of one order (optionally one diameter), canonical-code ascending.
+
+    codes[i] is the canonical code of members[i], carried from the generator
+    that made it; iterating a family yields (code, tree) pairs.
+    """
 
     n: int
     diameter: int | None
     members: tuple[Tree, ...]
+    codes: tuple[CanonicalCode, ...]
 
     def __len__(self) -> int:
         return len(self.members)
 
-    def codes(self) -> tuple[CanonicalCode, ...]:
-        return tuple(canonical_code(t) for t in self.members)
+    def __iter__(self) -> Iterator[tuple[CanonicalCode, Tree]]:
+        return zip(self.codes, self.members)
+
+    def where(self, keep: Callable[[Tree], bool], diameter: int | None) -> TreeFamily:
+        """The members `keep` accepts, with their codes, as a family of `diameter`."""
+        kept = [(code, t) for code, t in self if keep(t)]
+        members, codes = tuple(t for _, t in kept), tuple(c for c, _ in kept)
+        return TreeFamily(self.n, diameter, members, codes)
 
 
 # order -> ((code, edges), ...) sorted by code; grown lazily and kept for reuse
@@ -125,17 +139,19 @@ def enumerate_trees(n: int, cap: int = MAX_ORDER_DEFAULT) -> TreeFamily:
         raise InputError("order must be positive")
     if n > cap:
         raise ResourceLimitError(f"order {n} exceeds enumeration cap {cap}")
-    members = tuple(tree_from_edges(n, edges) for _, edges in _layer(n))
-    return TreeFamily(n=n, diameter=None, members=members)
+    layer = _layer(n)
+    members = tuple(tree_from_edges(n, edges) for _, edges in layer)
+    return TreeFamily(n, None, members, tuple(code for code, _ in layer))
 
 
 def family(n: int, d: int, cap: int = MAX_ORDER_DEFAULT) -> TreeFamily:
-    """Trees of order n with diameter exactly d."""
-    if not 1 <= d <= n - 1:
-        raise InputError(f"diameter {d} out of range 1..{n - 1}")
-    base = enumerate_trees(n, cap)
-    members = tuple(t for t in base.members if t.diameter == d)
-    return TreeFamily(n=n, diameter=d, members=members)
+    """Trees of order n with diameter exactly d (d = 0 only for n = 1)."""
+    if n < 1:
+        raise InputError("order must be positive")
+    low = min(1, n - 1)
+    if not low <= d <= n - 1:
+        raise InputError(f"diameter {d} out of range {low}..{n - 1}")
+    return enumerate_trees(n, cap).where(lambda t: t.diameter == d, d)
 
 
 def _prufer_decode(seq: tuple[int, ...], n: int) -> list[list[int]]:
@@ -195,10 +211,14 @@ def prufer_oracle_count(n: int) -> int:
     return count
 
 
-def census_line(t: Tree) -> str:
-    """One census record: canonical code in hex, then the edge list."""
+def census_line(code: CanonicalCode, t: Tree) -> str:
+    """One census record: `code` in hex, then the edge list of `t`.
+
+    `code` is t's canonical code as its TreeFamily carries it; nothing here
+    recomputes or checks it. `census_line(*parse_census_line(line)) == line`.
+    """
     edges = " ".join(f"{u}-{v}" for u, v in t.edges)
-    return f"{canonical_code(t).hex()} {edges}".rstrip()
+    return f"{code.hex()} {edges}".rstrip()
 
 
 def parse_census_line(line: str) -> tuple[CanonicalCode, Tree]:

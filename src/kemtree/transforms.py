@@ -32,6 +32,7 @@ from .errors import TheoremViolationError
 from .graphs import Edge, Tree, double_sweep, path_from_root, rooted_traversal
 from .graphs import tree_from_edges
 from .enumeration import (
+    MAX_ORDER_DEFAULT,
     CanonicalCode,
     TreeFamily,
     canonical_code,
@@ -218,21 +219,21 @@ def _zero_delta_candidates(t: Tree):
 
 
 def generate_mates_op1(
-    n_max: int, cap: int = 16, orders: tuple[int, ...] | None = None
+    n_max: int, cap: int = MAX_ORDER_DEFAULT, orders: tuple[int, ...] | None = None
 ) -> tuple[MatePair, ...]:
     """All mate pairs reachable by one zero-delta contract-and-subdivide
     from any tree of order <= n_max (or of the given orders only).
 
     Pairs are deduplicated by their sorted code pair and returned in
-    deterministic order. Every emitted pair is checked for exact Wiener
-    equality; a mismatch raises TheoremViolationError.
+    deterministic order. A source tree's code comes from its family; each
+    surgery result is coded once. Every emitted pair is checked for exact
+    Wiener equality; a mismatch raises TheoremViolationError.
     """
     if orders is None:
         orders = tuple(range(4, n_max + 1))
     found: dict[tuple[bytes, bytes], MatePair] = {}
     for n in orders:
-        for tree in enumerate_trees(n, cap).members:
-            code_a = canonical_code(tree)
+        for code_a, tree in enumerate_trees(n, cap):
             w_a = wiener_edge_cut_route(tree)
             for i1, i2, t_size, d in _zero_delta_candidates(tree):
                 mate = apply_op1(tree, i1, i2)
@@ -349,8 +350,7 @@ def maximal_elements(fam: TreeFamily) -> TreeFamily:
     if fam.diameter is None:
         raise InputError("maximality needs a diameter-filtered family")
     d = fam.diameter
-    members = tuple(t for t in fam.members if not _has_increasing_move(t, d))
-    return TreeFamily(n=fam.n, diameter=d, members=members)
+    return fam.where(lambda t: not _has_increasing_move(t, d), d)
 
 
 def theorem_leaf_filter(fam: TreeFamily) -> TreeFamily:
@@ -358,9 +358,6 @@ def theorem_leaf_filter(fam: TreeFamily) -> TreeFamily:
     if fam.diameter is None:
         raise InputError("leaf filter needs a diameter-filtered family")
     half = fam.diameter // 2
-    members = tuple(
-        t
-        for t in fam.members
-        if all(t.center_distance(v) == half for v in t.leaves)
+    return fam.where(
+        lambda t: all(t.center_distance(v) == half for v in t.leaves), fam.diameter
     )
-    return TreeFamily(n=fam.n, diameter=fam.diameter, members=members)

@@ -54,7 +54,7 @@ def test_criterion_02_family_10_4_reproduction():
     spider_codes = {
         name: kt.canonical_code(helpers.load_tree(name)) for name in SPIDERS
     }
-    assert set(survivors.codes()) == set(spider_codes.values())
+    assert set(survivors.codes) == set(spider_codes.values())
     maxi = kt.maximal_elements(fam)
     expected_w = {
         spider_codes["spider_3_4"]: 112,
@@ -257,8 +257,8 @@ def test_criterion_09_maximal_included_in_filter():
             fam = kt.family(n, d)
             if not fam.members:
                 continue
-            maxi = set(kt.maximal_elements(fam).codes())
-            surv = set(kt.theorem_leaf_filter(fam).codes())
+            maxi = set(kt.maximal_elements(fam).codes)
+            surv = set(kt.theorem_leaf_filter(fam).codes)
             assert maxi <= surv
             pairs_checked += 1
     elapsed = time.perf_counter() - start

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import kemtree as kt
-from kemtree import cli, transforms
+from kemtree import cli, invariants, transforms
 from kemtree.cli import main
 
 import helpers
@@ -120,8 +121,21 @@ def test_invariants_non_ascii_digit_label_exits_2(capsys, tmp_path):
     assert err == "error: line 2: non-integer token '\u0662'\n"
 
 
+def test_omega_rejects_a_non_tree_before_computing(capsys, monkeypatch):
+    def forbidden(g):
+        raise AssertionError("the forest route ran before the tree check")
+
+    monkeypatch.setattr(invariants, "kemeny_forest_route", forbidden)
+    path = str(FIXTURES / "unicycle_balanced.txt")
+    for route in ("auto", "forest", "wiener", "edgecut"):
+        code, out, err = run(capsys, "invariants", path, "--omega", "--route", route)
+        assert code == 2
+        assert out == ""
+        assert err == "error: graph is not a tree (cyclic)\n"
+
+
 def test_internal_value_error_is_not_an_input_error(capsys, monkeypatch):
-    def broken(t):
+    def broken(code, t):
         raise ValueError("internal bug")
 
     monkeypatch.setattr(cli, "census_line", broken)
@@ -256,6 +270,77 @@ def test_enum_with_diameter_filter(capsys):
     assert rows["count"]["value"] == "1"
     _, parsed = kt.parse_census_line(rows["tree[0]"]["value"])
     assert parsed.diameter == 6
+
+
+def test_diameter_zero_is_the_one_vertex_family(capsys):
+    code, out, err = run(capsys, "enum", "1", "--d", "0")
+    assert code == 0
+    assert (code, out) == run(capsys, "enum", "1")[:2]
+    code, out, err = run(capsys, "maximal", "1", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: Kemeny's constant needs at least two vertices\n"
+
+
+def test_order_is_checked_before_diameter(capsys):
+    argv = ["extremal", "0", "--d", "5", "--objective", "min", "--metric", "wiener"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: order must be positive\n"
+
+
+# Every subcommand that prints census lines, and the rows that hold them.
+CENSUS_ARGV = [
+    ["enum", "8"],
+    ["enum", "7", "--d", "4"],
+    ["enum", "1"],
+    ["extremal", "9", "--objective", "min", "--metric", "kemeny"],
+    ["extremal", "10", "--d", "4", "--objective", "max", "--metric", "wiener"],
+    ["mates", "9", "--mode", "census"],
+    ["mates", "9", "--mode", "op1"],
+    ["maximal", "10", "4", "--check-theorem"],
+]
+CENSUS_ROW = re.compile(
+    r"tree\[\d+\]|pair\[\d+\]\.[ab]|filter\[\d+\]|maximal\[\d+\]\.edges|argmax_kemeny"
+)
+
+
+@pytest.mark.parametrize("argv", CENSUS_ARGV, ids="-".join)
+def test_printed_census_lines_round_trip(capsys, argv):
+    code, out, err = run(capsys, "--json", *argv)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    lines = [r["value"] for r in rows if CENSUS_ROW.fullmatch(r["name"])]
+    assert lines
+    for line in lines:
+        # parse_census_line rejects a code that is not the edges' own
+        assert kt.census_line(*kt.parse_census_line(line)) == line
+
+
+def _count_calls(monkeypatch, name):
+    """Record each call of kemtree's `name` through every module binding it."""
+    calls = []
+    original = getattr(kt, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module_name, module in list(sys.modules.items()):
+        in_kemtree = module_name.split(".")[0] == "kemtree"
+        if in_kemtree and vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", CENSUS_ARGV, ids="-".join)
+def test_only_op1_surgery_results_are_coded(capsys, monkeypatch, argv):
+    codes = _count_calls(monkeypatch, "canonical_code")
+    surgeries = _count_calls(monkeypatch, "apply_op1")
+    assert run(capsys, *argv)[0] == 0
+    assert len(codes) == len(surgeries)
+    assert (len(surgeries) > 0) == ("op1" in argv)
 
 
 def test_enum_over_cap_exit_code(capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import kemtree as kt
 from kemtree.enumeration import _prufer_decode
-from kemtree.errors import ParseError, ResourceLimitError
+from kemtree.errors import InputError, ParseError, ResourceLimitError
 
 import helpers
 
@@ -22,7 +22,7 @@ def test_enumerate_counts_match_census():
 def test_enumerate_members_are_valid_and_sorted():
     for n in range(1, 9):
         fam = kt.enumerate_trees(n)
-        codes = fam.codes()
+        codes = fam.codes
         assert len(set(codes)) == len(codes)
         assert list(codes) == sorted(codes)
         for t in fam.members:
@@ -112,7 +112,7 @@ def test_family_diameters_partition():
 
 
 def test_family_10_4_contains_the_seven_spiders():
-    fam_codes = set(kt.family(10, 4).codes())
+    fam_codes = set(kt.family(10, 4).codes)
     spiders = [
         "spider_1_6",
         "spider_2_5",
@@ -131,6 +131,30 @@ def test_family_rejects_bad_diameter():
         kt.family(5, 0)
     with pytest.raises(ValueError):
         kt.family(5, 5)
+
+
+def test_family_boundary_order_first_and_d0_only_at_n1():
+    single = kt.family(1, 0)
+    assert single.diameter == 0
+    assert single.codes == kt.enumerate_trees(1).codes == (b"()",)
+    for n, d in ((0, 5), (0, 0), (-2, 1)):
+        with pytest.raises(InputError, match="^order must be positive$"):
+            kt.family(n, d)
+    for n, d, message in ((1, 1, "0..0"), (2, 0, "1..1"), (20, 30, "1..19")):
+        # the range is checked before the enumeration cap
+        with pytest.raises(InputError, match=f"^diameter {d} out of range {message}$"):
+            kt.family(n, d)
+
+
+def test_families_carry_the_codes_of_their_members():
+    for n in range(1, 12):
+        families = [kt.enumerate_trees(n)]
+        for d in range(min(1, n - 1), n):
+            fam = kt.family(n, d)
+            families += [fam, kt.maximal_elements(fam), kt.theorem_leaf_filter(fam)]
+        for fam in families:
+            assert fam.codes == tuple(kt.canonical_code(t) for t in fam.members)
+            assert list(fam) == list(zip(fam.codes, fam.members))
 
 
 def test_prufer_decode_matches_naive_exhaustively():
@@ -167,19 +191,19 @@ def test_prufer_oracle_cap():
 
 
 def test_census_round_trip():
-    for t in kt.enumerate_trees(7).members:
-        line = kt.census_line(t)
+    for fam_code, t in kt.enumerate_trees(7):
+        line = kt.census_line(fam_code, t)
         code, parsed = kt.parse_census_line(line)
         assert code == kt.canonical_code(t)
         assert parsed.edges == t.edges
     single = kt.tree_from_edges(1, [])
-    code, parsed = kt.parse_census_line(kt.census_line(single))
+    code, parsed = kt.parse_census_line(kt.census_line(b"()", single))
     assert parsed.n == 1 and code == b"()"
 
 
 def _census_line_with_foreign_code():
     a, b = kt.enumerate_trees(6).members[:2]
-    return kt.canonical_code(a).hex() + " " + kt.census_line(b).split(" ", 1)[1]
+    return kt.census_line(kt.canonical_code(a), b)
 
 
 @pytest.mark.parametrize(

@@ -316,7 +316,7 @@ def test_maximal_family_10_4():
         kt.canonical_code(helpers.load_tree("spider_2_2_2")),
         kt.canonical_code(helpers.load_tree("spider_1_1_1_2")),
     }
-    assert set(maxi.codes()) == expected
+    assert set(maxi.codes) == expected
     assert sorted(wiener(t) for t in maxi.members) == [112, 114, 117]
 
 
@@ -327,7 +327,7 @@ def test_maximal_elements_match_brute_force_oracle_up_to_9():
             expected = tuple(
                 kt.canonical_code(t) for t in helpers.maximal_members_brute(fam)
             )
-            assert kt.maximal_elements(fam).codes() == expected
+            assert kt.maximal_elements(fam).codes == expected
 
 
 def test_maximal_scan_rebuilds_only_the_rejecting_move(monkeypatch):
@@ -372,8 +372,8 @@ def test_maximal_path_family_is_trivial():
 
 def test_maximal_subset_of_filter_8_3():
     fam = kt.family(8, 3)
-    maxi = set(kt.maximal_elements(fam).codes())
-    surv = set(kt.theorem_leaf_filter(fam).codes())
+    maxi = set(kt.maximal_elements(fam).codes)
+    surv = set(kt.theorem_leaf_filter(fam).codes)
     assert maxi <= surv
 
 
@@ -393,7 +393,7 @@ def test_leaf_filter_10_4_has_seven():
             "spider_1_1_1_2",
         ]
     }
-    assert set(surv.codes()) == spider_codes
+    assert set(surv.codes) == spider_codes
 
 
 def test_leaf_filter_star_passes():
@@ -417,6 +417,6 @@ def test_maximal_subset_of_filter_up_to_9():
             fam = kt.family(n, d)
             if not fam.members:
                 continue
-            maxi = set(kt.maximal_elements(fam).codes())
-            surv = set(kt.theorem_leaf_filter(fam).codes())
+            maxi = set(kt.maximal_elements(fam).codes)
+            surv = set(kt.theorem_leaf_filter(fam).codes)
             assert maxi <= surv

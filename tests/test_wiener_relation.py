@@ -73,7 +73,11 @@ def test_extremal_kemeny_matches_a_forest_route_ranking(capsys, n):
             best = pick(kappa[t] for t in members)
             assert rows[f"kemeny_{objective}"] == kt.format_rational(best)
             lines = [rows[f"tree[{i}]"] for i in range(int(rows["attaining_count"]))]
-            assert lines == [kt.census_line(t) for t in members if kappa[t] == best]
+            assert lines == [
+                kt.census_line(kt.canonical_code(t), t)
+                for t in members
+                if kappa[t] == best
+            ]
 
 
 def test_extremal_input_errors_exit_2(capsys):
