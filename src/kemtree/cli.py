@@ -101,7 +101,7 @@ def cmd_invariants(args) -> Report:
         raise ParseError("input is not UTF-8", line) from None
     g = parse_edge_list(text)
     t = tree_from_graph(g) if args.omega else None
-    inv = compute_invariants(g, args.route)
+    inv = compute_invariants(g if t is None else t, args.route)
     report = Report(
         command="invariants",
         inputs={

@@ -3,7 +3,9 @@
 Kemeny's constant is available through three independent routes:
 
 * forest route (any connected graph): deg^T F deg / (4 m tau), where F
-  counts separating spanning 2-forests and tau counts spanning trees;
+  counts separating spanning 2-forests and tau counts spanning trees. Both
+  come from one fraction-free adjugate of the grounded Laplacian
+  (`linalg.adjugate_det`), in O(n^3) big-integer steps;
 * Wiener relation (trees only): `kemeny_from_wiener`, from W and n;
 * edge-cut route (trees only): sum over edges of
   (2 n1 - 1)(2 n2 - 1) / (2 (n - 1)), with n1, n2 the component sizes
@@ -22,7 +24,7 @@ from typing import Mapping
 from .errors import DisconnectedError, InputError, RouteRequiresTreeError
 from .graphs import DistanceMatrix, Edge, Graph, Tree, all_pairs_distances
 from .graphs import bfs_distances, rooted_traversal, tree_from_graph
-from .linalg import spanning_tree_count, two_forest_count
+from .linalg import adjugate_det, delete_rows_cols, laplacian
 
 ExactRational = Fraction
 
@@ -99,20 +101,29 @@ def _require_connected(g: Graph) -> None:
 def kemeny_forest_route(g: Graph) -> Fraction:
     """Kemeny's constant of the random walk on any connected graph.
 
-    Evaluates deg^T F deg / (4 m tau) with every entry of F obtained as an
-    exact Laplacian-minor determinant.
+    Evaluates the resistance form sum_{i<j} d_i d_j r_ij / (2m) (Klein and
+    Randic 1993). With L0 the Laplacian grounded at vertex 0, tau = det L0
+    counts spanning trees and adj = tau * L0^-1, both from one
+    `adjugate_det` pass. tau * r_ij is the 2-forest count F(i, j): adj_jj
+    when i = 0, else adj_ii + adj_jj - 2 adj_ij. The older formula
+    deg^T F deg / (4 m tau), with one determinant per entry of F, is kept
+    in the tests as an oracle.
     """
     n = g.n
     if n < 2:
         raise InputError("Kemeny's constant needs at least two vertices")
     _require_connected(g)
+    tau, adj = adjugate_det(delete_rows_cols(laplacian(g), {0}))
+    # Border adj with a zero row and column for the grounded vertex 0, so
+    # that a[i][j] is tau times the grounded Green's function of (i, j).
+    a = [[0] * n] + [[0] + row for row in adj]
     deg = g.degrees
     quad = 0
     for i in range(n):
+        row = a[i]
         for j in range(i + 1, n):
-            quad += 2 * deg[i] * deg[j] * two_forest_count(g, i, j)
-    tau = spanning_tree_count(g)
-    return Fraction(quad, 4 * g.m * tau)
+            quad += deg[i] * deg[j] * (row[i] + a[j][j] - 2 * row[j])
+    return Fraction(quad, 2 * g.m * tau)
 
 
 def kemeny_from_wiener(n: int, w: int) -> Fraction:
@@ -156,10 +167,14 @@ def compute_invariants(g: Graph, route: KemenyRoute | str = "auto") -> Invariant
     edge-cut route on trees and the forest route otherwise. Tree-only
     routes on graphs with cycles raise RouteRequiresTreeError. On a tree,
     W is the edge-cut sum and Gut = 4W - (n-1)(2n-1), so only cyclic graphs
-    build the distance matrix.
+    build the distance matrix. A `Tree` is used as it is; a plain Graph
+    with m = n - 1 is validated as a tree here.
     """
     _require_connected(g)
-    tree = tree_from_graph(g) if g.m == g.n - 1 else None
+    if isinstance(g, Tree):
+        tree = g
+    else:
+        tree = tree_from_graph(g) if g.m == g.n - 1 else None
     if tree is not None:
         wiener = wiener_edge_cut_route(tree)
         gutman = 4 * wiener - (g.n - 1) * (2 * g.n - 1)

@@ -1,4 +1,10 @@
-"""Exact integer determinants powering spanning-tree and 2-forest counts.
+"""Exact integer determinants and adjugates of Laplacian minors.
+
+`adjugate_det` gives the determinant and the adjugate of a matrix in one
+fraction-free Gauss-Jordan pass; the forest route reads Kemeny's constant
+off the adjugate of the grounded Laplacian. `det_exact` (Bareiss
+elimination) powers `spanning_tree_count` and `two_forest_count`, which
+count spanning trees and separating 2-forests one minor at a time.
 
 Everything here is integer arithmetic on Python ints; no value is ever
 rounded. Rational results appear only downstream (invariants module).
@@ -61,6 +67,46 @@ def det_exact(m: BigIntMatrix) -> int:
             row_r[col] = 0
         prev = pivot
     return sign * a[k - 1][k - 1]
+
+
+def adjugate_det(m: BigIntMatrix) -> tuple[int, BigIntMatrix]:
+    """Determinant and adjugate of a square integer matrix, (det, adj).
+
+    One fraction-free Gauss-Jordan pass (Bareiss 1968) over [m | I]: at
+    step c every other row becomes (p * row - f * pivot_row) // prev, with p
+    the pivot and prev the one before it, and each division is exact. The
+    left block ends as det * I and the right block as adj = det * m^-1.
+    There is no pivoting, so a zero pivot (a singular leading principal
+    minor) raises InputError; the grounded Laplacian of a connected graph is
+    positive definite and never has one. The 0x0 matrix gives (1, []).
+    """
+    k = len(m)
+    if any(len(row) != k for row in m):
+        raise InputError("matrix must be square")
+    a = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(m)]
+    prev = 1
+    for c in range(k):
+        pivot_row = a[c]
+        p = pivot_row[c]
+        if p == 0:
+            raise InputError(f"zero pivot at step {c}: a leading minor is singular")
+        # Row c is zero left of column c and right of column k + c, so only
+        # columns c+1 .. k+c mix. Outside them, and column c, which is
+        # cleared, a row's one nonzero entry is its own diagonal: in the left
+        # block for rows above c, in the right block for rows below. It is
+        # scaled by p / prev.
+        lo, hi = c + 1, k + c + 1
+        live = pivot_row[lo:hi]
+        for r, row in enumerate(a):
+            if r == c:
+                continue
+            f = row[c]
+            row[lo:hi] = [(p * x - f * y) // prev for x, y in zip(row[lo:hi], live)]
+            row[c] = 0
+            d = r if r < c else k + r
+            row[d] = row[d] * p // prev
+        prev = p
+    return prev, [row[k:] for row in a]  # the last pivot is the determinant
 
 
 def spanning_tree_count(g: Graph) -> int:

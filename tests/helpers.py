@@ -9,6 +9,7 @@ rather than tautology.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from pathlib import Path
 
 import kemtree as kt
@@ -179,6 +180,17 @@ def two_forest_count_brute(g: kt.Graph, i: int, j: int) -> int:
     return count
 
 
+def kemeny_forest_determinants(g: kt.Graph):
+    """Kemeny's constant as deg^T F deg / (4 m tau), one Bareiss
+    determinant per separating 2-forest count and one for tau."""
+    deg = g.degrees
+    quad = 0
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            quad += 2 * deg[i] * deg[j] * kt.two_forest_count(g, i, j)
+    return Fraction(quad, 4 * g.m * kt.spanning_tree_count(g))
+
+
 def naive_prufer_decode(seq, n: int) -> set[frozenset[int]]:
     """Reference decode: repeatedly join the smallest inactive leaf."""
     remaining = list(seq)
@@ -214,6 +226,13 @@ def random_connected_graph(rng, n: int, extra_p: float = 0.3) -> kt.Graph:
             if (u, v) not in edges and rng.random() < extra_p:
                 edges.add((u, v))
     return kt.Graph(n, sorted(edges))
+
+
+def random_graph_with_edges(rng, n: int, m: int) -> kt.Graph:
+    """Random spanning tree plus m - (n - 1) distinct extra edges."""
+    edges = set(random_tree(rng, n).edges)
+    rest = [e for e in itertools.combinations(range(n), 2) if e not in edges]
+    return kt.Graph(n, sorted(edges.union(rng.sample(rest, m - n + 1))))
 
 
 def relabel_graph(g: kt.Graph, perm) -> kt.Graph:

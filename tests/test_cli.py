@@ -134,6 +134,21 @@ def test_omega_rejects_a_non_tree_before_computing(capsys, monkeypatch):
         assert err == "error: graph is not a tree (cyclic)\n"
 
 
+def test_omega_builds_the_tree_once(capsys, monkeypatch):
+    calls = []
+    real = kt.Tree.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args[0])
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(kt.Tree, "__init__", counting)
+    code, out, err = run(capsys, "invariants", str(FIXTURES / "spider_2_5.txt"), "--omega")
+    assert code == 0
+    assert "omega[" in out
+    assert calls == [10]
+
+
 def test_internal_value_error_is_not_an_input_error(capsys, monkeypatch):
     def broken(code, t):
         raise ValueError("internal bug")

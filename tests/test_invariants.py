@@ -120,6 +120,31 @@ def test_kemeny_forest_unicycles():
     assert kt.format_exact(k2) == "6.0833"
 
 
+def test_forest_route_matches_determinant_formula_on_fixtures_and_trees():
+    cases = [helpers.load_graph(p.stem) for p in sorted(helpers.FIXTURES.glob("*.txt"))]
+    assert len(cases) == 13
+    cases += [t for n in range(2, 9) for t in kt.enumerate_trees(n).members]
+    for g in cases:
+        assert kt.kemeny_forest_route(g) == helpers.kemeny_forest_determinants(g)
+
+
+def test_forest_route_matches_determinant_formula_on_random_graphs():
+    rng = random.Random(2024)
+    for n in range(2, 17):
+        top = n * (n - 1) // 2
+        sizes = {n - 1, top} | {rng.randint(n - 1, top) for _ in range(3)}
+        for m in sorted(sizes):
+            g = helpers.random_graph_with_edges(rng, n, m)
+            assert g.m == m
+            assert kt.kemeny_forest_route(g) == helpers.kemeny_forest_determinants(g)
+
+
+def test_kemeny_closed_forms_complete_and_cycle():
+    for n in range(3, 13):
+        assert kt.kemeny_forest_route(helpers.complete_graph(n)) == Fraction((n - 1) ** 2, n)
+        assert kt.kemeny_forest_route(helpers.cycle_graph(n)) == Fraction(n * n - 1, 6)
+
+
 def test_kemeny_wiener_route_double_stars():
     t1 = helpers.load_tree("double_star_1_3")
     t2 = helpers.load_tree("double_star_2_2")

@@ -1,12 +1,14 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kemtree as kt
-from kemtree.linalg import delete_rows_cols
+from kemtree import linalg
+from kemtree.linalg import adjugate_det, delete_rows_cols
 
 import helpers
 
@@ -147,3 +149,77 @@ def test_counts_match_brute_force_on_random_graphs():
                 assert kt.two_forest_count(g, i, j) == helpers.two_forest_count_brute(
                     g, i, j
                 )
+
+
+def _cofactor_adjugate(matrix):
+    k = len(matrix)
+    return [
+        [
+            (-1) ** (i + j)
+            * helpers.det_cofactor(
+                [[matrix[r][c] for c in range(k) if c != i] for r in range(k) if r != j]
+            )
+            for j in range(k)
+        ]
+        for i in range(k)
+    ]
+
+
+def test_adjugate_of_laplacian_minors():
+    rng = random.Random(41)
+    for _ in range(40):
+        n = rng.randrange(2, 13)
+        g = helpers.random_connected_graph(rng, n, rng.choice((0.1, 0.3, 0.7)))
+        a = delete_rows_cols(kt.laplacian(g), {rng.randrange(n)})
+        det, adj = adjugate_det(a)
+        assert det == kt.det_exact(a) == kt.spanning_tree_count(g)
+        k = n - 1
+        for i in range(k):
+            for j in range(k):
+                assert sum(a[i][t] * adj[t][j] for t in range(k)) == det * (i == j)
+        if k <= 6:
+            assert adj == _cofactor_adjugate(a)
+
+
+def test_adjugate_small_cases():
+    assert adjugate_det([]) == (1, [])
+    assert adjugate_det([[5]]) == (5, [[1]])
+    assert adjugate_det([[-3]]) == (-3, [[1]])
+    assert adjugate_det([[2, -1], [-1, 2]]) == (3, [[2, 1], [1, 2]])
+
+
+def test_adjugate_zero_pivot_is_an_input_error():
+    for matrix in ([[0, 1], [1, 0]], [[0]], [[1, 1, 0], [1, 1, 1], [0, 1, 1]]):
+        with pytest.raises(kt.InputError):
+            adjugate_det(matrix)
+    with pytest.raises(kt.InputError):
+        adjugate_det([[1, 2, 3], [4, 5, 6]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda k: st.lists(
+        st.lists(st.integers(-9, 9), min_size=k, max_size=k),
+        min_size=k,
+        max_size=k,
+    )
+))
+def test_adjugate_matches_cofactor_oracle(matrix):
+    leading = [
+        helpers.det_cofactor([row[:s] for row in matrix[:s]])
+        for s in range(1, len(matrix) + 1)
+    ]
+    if 0 in leading:
+        with pytest.raises(kt.InputError):
+            adjugate_det(matrix)
+    else:
+        assert adjugate_det(matrix) == (leading[-1], _cofactor_adjugate(matrix))
+
+
+def test_forest_route_takes_no_determinant(monkeypatch):
+    def forbidden(m):
+        raise AssertionError("det_exact called")
+
+    monkeypatch.setattr(linalg, "det_exact", forbidden)
+    g = helpers.load_graph("unicycle_balanced")
+    assert kt.kemeny_forest_route(g) == Fraction(65, 12)
