@@ -18,7 +18,8 @@ before any invariant is computed, so a non-tree exits 2 at once.
 
 Exit codes: 0 ok, 1 usage, 2 parse/validation (also a path holding a NUL
 byte, and a label or count not in ASCII decimal digits), 3 resource limit
-(--cap, or graphs.MAX_VERTICES in an edge list), 4 theorem violation. A
+(--cap, or graphs.MAX_VERTICES in an edge list), 4 theorem violation.
+`--places` runs from 0 to MAX_PLACES; a value outside is a usage error. A
 reader that closes stdout early (`kemtree enum 12 | head -1`) ends the run
 quietly with exit 0.
 """
@@ -51,6 +52,10 @@ from .invariants import (
 )
 from .enumeration import MAX_ORDER_DEFAULT, census_line, enumerate_trees, family
 from .transforms import generate_mates_op1, maximal_elements, theorem_leaf_filter
+
+# Python refuses to print an int of more than 4300 digits, and the decimal
+# column scales by 10**places, so display precision is capped well below.
+MAX_PLACES = 1000
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -305,8 +310,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.places < 0:
-            parser.error(f"argument --places: must be nonnegative, got {args.places}")
+        if not 0 <= args.places <= MAX_PLACES:
+            parser.error(
+                f"argument --places: must be in 0..{MAX_PLACES}, got {args.places}"
+            )
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

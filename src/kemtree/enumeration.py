@@ -8,10 +8,16 @@ codes exactly when they are isomorphic, and the code is a pure function
 of structure, so persisted censuses stay byte-stable across runs.
 
 Generation grows order k+1 representatives from order k by attaching a
-new leaf at every vertex and deduplicating by code. Simple, provably
-complete, and adequate at the default order cap. The generator is the one
-place a family member's code is computed: every TreeFamily carries the
-codes with its members, and a census record is `census_line(code, tree)`.
+new leaf to each order-k tree and deduplicating by code; the first tree
+found with a code is its representative. Each order-k tree is rooted at
+its center once, which gives every subtree code; an attachment then
+re-codes only the path from its vertex up to the center, moving the
+center across one edge when the new leaf deepens the tree. Leaves go only
+on the lowest-labelled vertex of each automorphism orbit, since the rest
+of an orbit repeats that vertex's code, so the representatives are those
+of attaching at every vertex. The generator is the one place a family
+member's code is computed: every TreeFamily carries the codes with its
+members, and a census record is `census_line(code, tree)`.
 """
 
 from __future__ import annotations
@@ -103,6 +109,112 @@ class TreeFamily:
         return TreeFamily(self.n, diameter, members, codes)
 
 
+def _center_rooting(m: int, edges: tuple[Edge, ...]):
+    """Root a tree of order m >= 2 at its center by peeling leaves.
+
+    Returns (adj, parent, depth, order, code): `order` lists the center(s)
+    first and every vertex after its parent, and `code[v]` is the rooted
+    code of v's subtree. Across a central edge each center is the other's
+    parent, so both centers sit at depth 0 and their codes are the halves.
+    """
+    adj: list[list[int]] = [[] for _ in range(m)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    join = b"".join
+    deg = [len(nbrs) for nbrs in adj]
+    parent = [-1] * m
+    code = [_LEAF_CODE] * m
+    layer = [v for v in range(m) if deg[v] == 1]
+    peeled: list[int] = []
+    remaining = m
+    while remaining > 2:
+        remaining -= len(layer)
+        nxt = []
+        for v in layer:
+            deg[v] = 0
+            parts = []
+            for u in adj[v]:
+                if deg[u]:
+                    parent[v] = u
+                    deg[u] -= 1
+                    if deg[u] == 1:
+                        nxt.append(u)
+                else:
+                    parts.append(code[u])
+            if parts:
+                parts.sort()
+                code[v] = b"(" + join(parts) + b")"
+        peeled += layer
+        layer = nxt
+    if len(layer) == 2:
+        a, b = layer
+        parent[a], parent[b] = b, a
+    for c in layer:
+        p = parent[c]
+        code[c] = b"(" + join(sorted([code[u] for u in adj[c] if u != p])) + b")"
+    depth = [0] * m
+    for v in reversed(peeled):
+        depth[v] = depth[parent[v]] + 1
+    return adj, parent, depth, layer + peeled[::-1], code
+
+
+def _leaf_attachments(m: int, edges: tuple[Edge, ...]) -> Iterator[tuple[int, bytes]]:
+    """(v, canonical code of the tree with a new leaf at v), v ascending,
+    for the lowest-labelled vertex v of each automorphism orbit of a tree
+    of order m >= 2.
+
+    A vertex's orbit label is its parent's label plus its own subtree code,
+    so two vertices share a label exactly when an automorphism maps one to
+    the other, and attachments within one orbit give the same code. Each
+    attachment re-codes only the path from v up to its center.
+    """
+    adj, parent, depth, order, code = _center_rooting(m, edges)
+    label = [b""] * m
+    for v in order:
+        label[v] = (label[parent[v]] if depth[v] else b"") + code[v]
+    height = max(depth)
+    bicentral = depth[order[1]] == 0
+    join = b"".join
+    seen = set()
+    for a in range(m):
+        if label[a] in seen:
+            continue
+        seen.add(label[a])
+        v, new, below = a, _LEAF_CODE, -1
+        while True:
+            p = parent[v]
+            parts = [code[u] for u in adj[v] if u != p and u != below]
+            if not depth[v]:
+                break
+            parts.append(new)
+            parts.sort()
+            new = b"(" + join(parts) + b")"
+            below, v = v, p
+        # v is the center on a's side, `below` its child towards a (or -1
+        # when a is v) with `new` as that child's new code, and `parts` the
+        # codes of v's other children; p is the other center or -1
+        if depth[a] < height:
+            parts.append(new)
+            parts.sort()
+            half = b"(" + join(parts) + b")"
+            if bicentral:
+                other = code[p]
+                yield a, min(half + other, other + half)
+            else:
+                yield a, half
+        elif bicentral:
+            # a deepens its half: v becomes the only center
+            parts += (new, code[p])
+            parts.sort()
+            yield a, b"(" + join(parts) + b")"
+        else:
+            # a deepens one branch: the central edge becomes v-below
+            parts.sort()
+            rest = b"(" + join(parts) + b")"
+            yield a, min(rest + new, new + rest)
+
+
 # order -> ((code, edges), ...) sorted by code; grown lazily and kept for reuse
 _layers: dict[int, tuple[tuple[bytes, tuple[Edge, ...]], ...]] = {}
 
@@ -111,23 +223,14 @@ def _layer(n: int) -> tuple[tuple[bytes, tuple[Edge, ...]], ...]:
     cached = _layers.get(n)
     if cached is not None:
         return cached
-    if n == 1:
-        entries = ((b"()", ()),)
+    if n <= 2:
+        entries = ((b"()", ()),) if n == 1 else ((b"()()", ((0, 1),)),)
     else:
         found: dict[bytes, tuple[Edge, ...]] = {}
         for _, edges in _layer(n - 1):
-            adj: list[list[int]] = [[] for _ in range(n)]
-            for u, v in edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            adj[n - 1] = [0]
-            for v in range(n - 1):
-                adj[v].append(n - 1)
-                adj[n - 1][0] = v
-                code = _code_from_adjacency(adj)
+            for v, code in _leaf_attachments(n - 1, edges):
                 if code not in found:
                     found[code] = edges + ((v, n - 1),)
-                adj[v].pop()
         entries = tuple(sorted(found.items()))
     _layers[n] = entries
     return entries

@@ -8,11 +8,15 @@ rather than tautology.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import kemtree as kt
+from kemtree.enumeration import _code_from_adjacency
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -260,3 +264,72 @@ def omega_by_path_enumeration(t: kt.Tree) -> dict[tuple[int, int], int]:
                 a, b = path[k], path[k + 1]
                 counts[(min(a, b), max(a, b))] += 1
     return counts
+
+
+@functools.cache
+def layer_by_full_recode(n: int):
+    """Trees of order n as sorted (code, edges) pairs, grown by attaching a
+    leaf at every vertex of every order n-1 tree and coding each result
+    from scratch with the leaf peel; the first edge list found per code is
+    kept. The generator this replaced, kept as the oracle for `_layer`."""
+    if n == 1:
+        return ((b"()", ()),)
+    found = {}
+    for _, edges in layer_by_full_recode(n - 1):
+        adj = [[] for _ in range(n)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        adj[n - 1] = [0]
+        for v in range(n - 1):
+            adj[v].append(n - 1)
+            adj[n - 1][0] = v
+            code = _code_from_adjacency(adj)
+            if code not in found:
+                found[code] = edges + ((v, n - 1),)
+            adj[v].pop()
+    return tuple(sorted(found.items()))
+
+
+def rooted_code(adj, root: int) -> bytes:
+    """Rooted-tree code of the tree given by adjacency lists, rooted at
+    `root`: two vertices get equal codes exactly when an automorphism maps
+    one to the other."""
+
+    def code(v: int, parent: int) -> bytes:
+        parts = sorted(code(u, v) for u in adj[v] if u != parent)
+        return b"(" + b"".join(parts) + b")"
+
+    return code(root, -1)
+
+
+def _balanced_words(code: bytes) -> list[bytes]:
+    """Split a concatenation of balanced parenthesis words into its words."""
+    words, depth, start = [], 0, 0
+    for i, ch in enumerate(code):
+        depth += 1 if ch == ord("(") else -1
+        if depth == 0:
+            words.append(code[start : i + 1])
+            start = i + 1
+    return words
+
+
+@functools.cache
+def _rooted_aut(code: bytes) -> int:
+    """Automorphisms of a rooted tree fixing the root, from its code: over
+    each group of mult equal child codes, mult! * aut(child)**mult."""
+    total = 1
+    for child, mult in Counter(_balanced_words(code[1:-1])).items():
+        total *= math.factorial(mult) * _rooted_aut(child) ** mult
+    return total
+
+
+def automorphism_count(code: bytes) -> int:
+    """|Aut(T)| read off T's canonical code alone: the center's rooted count,
+    or for a bicentral tree the product of the halves' counts, doubled when
+    the halves are equal."""
+    halves = _balanced_words(code)
+    if len(halves) == 1:
+        return _rooted_aut(code)
+    a, b = halves
+    return _rooted_aut(a) * _rooted_aut(b) * (2 if a == b else 1)

@@ -435,6 +435,19 @@ def test_negative_places_is_usage_error(capsys):
     assert "--places" in err
 
 
+def test_places_ceiling(capsys):
+    path = str(FIXTURES / "unicycle_balanced.txt")
+    top = cli.MAX_PLACES
+    code, out, err = run(capsys, "--json", "--places", str(top), "invariants", path)
+    assert code == 0
+    decimal = rows_by_name(json.loads(out))["kemeny"]["decimal"]
+    assert decimal == "5.41" + "6" * (top - 3) + "7"  # 65/12, rounded
+    code, out, err = run(capsys, "--places", str(top + 1), "invariants", path)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: argument --places: must be in 0..{top}, got {top + 1}\n"
+
+
 def test_json_and_csv_together_is_usage_error(capsys):
     code, out, err = run(capsys, "--json", "--csv", "enum", "4")
     assert code == 1

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -6,17 +7,93 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kemtree as kt
-from kemtree.enumeration import _prufer_decode
+from kemtree import enumeration
+from kemtree.enumeration import (
+    _code_from_adjacency,
+    _layer,
+    _leaf_attachments,
+    _prufer_decode,
+)
 from kemtree.errors import InputError, ParseError, ResourceLimitError
 
 import helpers
 
-FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
+# OEIS A000055
+FREE_TREE_COUNTS = {
+    1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106,
+    11: 235, 12: 551, 13: 1301, 14: 3159, 15: 7741, 16: 19320,
+}
 
 
 def test_enumerate_counts_match_census():
     for n, expected in FREE_TREE_COUNTS.items():
         assert len(kt.enumerate_trees(n)) == expected
+
+
+def test_generator_keeps_every_representative():
+    # same codes, and the same first-found edge list for each code, as
+    # attaching a leaf at every vertex and coding every result from scratch
+    for n in range(1, 15):
+        assert _layer(n) == helpers.layer_by_full_recode(n)
+
+
+def test_attachments_are_orbit_minima_with_their_codes():
+    for n in range(2, 11):
+        for _, edges in _layer(n):
+            adj = [[] for _ in range(n + 1)]
+            for u, v in edges:
+                adj[u].append(v)
+                adj[v].append(u)
+            orbits = {}
+            for v in range(n):
+                orbits.setdefault(helpers.rooted_code(adj, v), v)
+            got = list(_leaf_attachments(n, edges))
+            assert [v for v, _ in got] == sorted(orbits.values())
+            for v, code in got:
+                adj[v].append(n)
+                adj[n] = [v]
+                assert code == _code_from_adjacency(adj)
+                adj[v].pop()
+
+
+def test_generator_codes_no_tree_from_scratch(monkeypatch):
+    def forbidden(adj):
+        raise AssertionError("_code_from_adjacency called")
+
+    monkeypatch.setattr(enumeration, "_layers", {})
+    monkeypatch.setattr(enumeration, "_code_from_adjacency", forbidden)
+    assert len(_layer(12)) == FREE_TREE_COUNTS[12]
+
+
+def test_layer_codes_are_the_codes_of_their_edges():
+    for n in range(1, 17):
+        for code, edges in _layer(n):
+            adj = [[] for _ in range(n)]
+            for u, v in edges:
+                adj[u].append(v)
+                adj[v].append(u)
+            assert _code_from_adjacency(adj) == code
+
+
+def test_layers_satisfy_the_cayley_orbit_identity():
+    # each free tree T has n!/|Aut(T)| labelings, and there are n^(n-2)
+    # labeled trees in all, so a missing or repeated class breaks the sum
+    for n in range(1, 17):
+        labelings = sum(
+            math.factorial(n) // helpers.automorphism_count(code)
+            for code, _ in _layer(n)
+        )
+        assert labelings == (n ** (n - 2) if n > 1 else 1)
+
+
+def test_automorphism_count_small_trees():
+    star = kt.canonical_code(kt.tree_from_graph(helpers.star_graph(5)))
+    assert helpers.automorphism_count(star) == 24
+    path = kt.canonical_code(kt.tree_from_graph(helpers.path_graph(6)))
+    assert helpers.automorphism_count(path) == 2
+    double_star = kt.canonical_code(helpers.load_tree("double_star_1_3"))
+    assert helpers.automorphism_count(double_star) == 6
+    assert helpers.automorphism_count(b"()") == 1
 
 
 def test_enumerate_members_are_valid_and_sorted():

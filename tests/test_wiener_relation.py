@@ -137,6 +137,10 @@ GOLDEN = {
     "extremal 1 --objective min --metric wiener": (
         "fc0524f6401b493be3194fb4735e7ec5e00257e32e095f035953e53a4811bfcd"
     ),
+    # frozen from the generator that coded every leaf attachment from scratch
+    "enum 16": (
+        "9abbc522df0ba13b5f78edc49943996b71f09bd4a999511384944aeb9158edfa"
+    ),
 }
 
 
