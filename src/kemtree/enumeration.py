@@ -18,6 +18,12 @@ of an orbit repeats that vertex's code, so the representatives are those
 of attaching at every vertex. The generator is the one place a family
 member's code is computed: every TreeFamily carries the codes with its
 members, and a census record is `census_line(code, tree)`.
+
+`prufer_oracle_count` checks the generator's counts independently. It
+decodes every labeled-tree code sequence of order n, coding each decoded
+tree as it goes as a rooted shape at vertex n-1 (child-id tuples interned
+as small ints), and gives each of the few distinct shapes its canonical
+code once by the leaf peel.
 """
 
 from __future__ import annotations
@@ -257,30 +263,65 @@ def family(n: int, d: int, cap: int = MAX_ORDER_DEFAULT) -> TreeFamily:
     return enumerate_trees(n, cap).where(lambda t: t.diameter == d, d)
 
 
-def _prufer_decode(seq: tuple[int, ...], n: int) -> list[list[int]]:
-    """Adjacency lists of the labeled tree with the given code sequence."""
+def _decode_shape(
+    seq: tuple[int, ...], n: int, ids: dict[tuple[int, ...], int]
+) -> tuple[int, ...]:
+    """Rooted shape of the labeled tree with the given code sequence,
+    rooted at n - 1: the sorted ids of the root's children.
+
+    The decode removes each vertex after all of its children and joins it
+    to its parent, so each removal interns the vertex's sorted child ids
+    as the next unused id in `ids` (AHU 1974) and hands that id to the
+    parent. Equal shapes mean isomorphic rooted trees when one `ids` is
+    shared by every call.
+    """
     deg = [1] * n
     for x in seq:
         deg[x] += 1
-    adj: list[list[int]] = [[] for _ in range(n)]
-    ptr = 0
-    while deg[ptr] != 1:
-        ptr += 1
-    leaf = ptr
+    kids: list[tuple[int, ...]] = [()] * n
+    ptr = leaf = deg.index(1)
     for v in seq:
-        adj[leaf].append(v)
-        adj[v].append(leaf)
+        k = kids[leaf]
+        if len(k) > 1:
+            k = tuple(sorted(k))
+        kids[v] += (ids.setdefault(k, len(ids)),)
         deg[v] -= 1
         if deg[v] == 1 and v < ptr:
             leaf = v
         else:
-            ptr += 1
-            while deg[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    adj[leaf].append(n - 1)
-    adj[n - 1].append(leaf)
+            ptr = leaf = deg.index(1, ptr + 1)
+    k = kids[leaf]
+    if len(k) > 1:
+        k = tuple(sorted(k))
+    return tuple(sorted(kids[n - 1] + (ids.setdefault(k, len(ids)),)))
+
+
+def _shape_adjacency(
+    shape: tuple[int, ...], table: list[tuple[int, ...]]
+) -> list[list[int]]:
+    """Adjacency lists of a rooted shape, root at vertex 0, where table[i]
+    is the child-id tuple interned as id i."""
+    adj: list[list[int]] = [[]]
+    stack = [(0, shape)]
+    while stack:
+        v, kids = stack.pop()
+        for i in kids:
+            u = len(adj)
+            adj.append([v])
+            adj[v].append(u)
+            stack.append((u, table[i]))
     return adj
+
+
+def _decode_shapes(n: int) -> tuple[set[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The distinct rooted shapes over all n^(n-2) code sequences (n >= 2),
+    with the id table that expands them."""
+    ids: dict[tuple[int, ...], int] = {}
+    decode = _decode_shape
+    shapes = {
+        decode(seq, n, ids) for seq in itertools.product(range(n), repeat=n - 2)
+    }
+    return shapes, list(ids)
 
 
 _prufer_counts: dict[int, int] = {}
@@ -289,8 +330,11 @@ _prufer_counts: dict[int, int] = {}
 def prufer_oracle_count(n: int) -> int:
     """Distinct canonical codes over all n^(n-2) labeled-tree sequences.
 
-    Independent of the growth generator; capped because the sequence space
-    is exponential.
+    Every sequence is decoded and its tree coded as a rooted shape during
+    the decode; each distinct shape (one per rooted tree of order n) is then
+    expanded once and given its canonical code by the leaf peel. Independent
+    of the growth generator; capped because the sequence space is
+    exponential.
     """
     if n < 1:
         raise InputError("order must be positive")
@@ -304,12 +348,9 @@ def prufer_oracle_count(n: int) -> int:
     if n <= 2:
         count = 1
     else:
-        seen: set[bytes] = set()
-        decode = _prufer_decode
-        code = _code_from_adjacency
-        for seq in itertools.product(range(n), repeat=n - 2):
-            seen.add(code(decode(seq, n)))
-        count = len(seen)
+        shapes, table = _decode_shapes(n)
+        codes = {_code_from_adjacency(_shape_adjacency(s, table)) for s in shapes}
+        count = len(codes)
     _prufer_counts[n] = count
     return count
 

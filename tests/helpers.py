@@ -333,3 +333,31 @@ def automorphism_count(code: bytes) -> int:
         return _rooted_aut(code)
     a, b = halves
     return _rooted_aut(a) * _rooted_aut(b) * (2 if a == b else 1)
+
+
+def rooted_tree_counts(N: int) -> list[int]:
+    """r(0..N), the number of rooted trees of each order (OEIS A000081), by
+    the Euler-transform recurrence
+    r(n+1) = (1/n) sum_{k=1..n} (sum_{d | k} d r(d)) r(n-k+1)."""
+    r = [0, 1] + [0] * (N - 1)
+    for n in range(1, N):
+        total = 0
+        for k in range(1, n + 1):
+            divisor_sum = sum(d * r[d] for d in range(1, k + 1) if k % d == 0)
+            total += divisor_sum * r[n - k + 1]
+        r[n + 1] = total // n
+    return r[: N + 1]
+
+
+def free_tree_counts(N: int) -> list[int]:
+    """t(0..N), the number of free trees of each order n >= 1 (t(0) = 0), by
+    Otter's (1948) dissimilarity count
+    t(n) = r(n) - (sum_{i=1..n-1} r(i) r(n-i) - [n even] r(n/2)) / 2."""
+    r = rooted_tree_counts(N)
+    t = [0] * (N + 1)
+    for n in range(1, N + 1):
+        pairs = sum(r[i] * r[n - i] for i in range(1, n))
+        if n % 2 == 0:
+            pairs -= r[n // 2]
+        t[n] = r[n] - pairs // 2
+    return t

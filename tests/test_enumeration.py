@@ -10,9 +10,11 @@ import kemtree as kt
 from kemtree import enumeration
 from kemtree.enumeration import (
     _code_from_adjacency,
+    _decode_shape,
+    _decode_shapes,
     _layer,
     _leaf_attachments,
-    _prufer_decode,
+    _shape_adjacency,
 )
 from kemtree.errors import InputError, ParseError, ResourceLimitError
 
@@ -23,11 +25,19 @@ FREE_TREE_COUNTS = {
     1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106,
     11: 235, 12: 551, 13: 1301, 14: 3159, 15: 7741, 16: 19320,
 }
+ROOTED_TREE_COUNTS = helpers.rooted_tree_counts(16)
 
 
 def test_enumerate_counts_match_census():
+    # A000055, and Otter's count from the rooted-tree recurrence
+    free = helpers.free_tree_counts(16)
     for n, expected in FREE_TREE_COUNTS.items():
-        assert len(kt.enumerate_trees(n)) == expected
+        assert len(kt.enumerate_trees(n)) == expected == free[n]
+
+
+def test_rooted_tree_counts_match_a000081():
+    assert ROOTED_TREE_COUNTS[1:10] == [1, 1, 2, 4, 9, 20, 48, 115, 286]
+    assert ROOTED_TREE_COUNTS[15:] == [87811, 235381]
 
 
 def test_generator_keeps_every_representative():
@@ -54,6 +64,16 @@ def test_attachments_are_orbit_minima_with_their_codes():
                 adj[n] = [v]
                 assert code == _code_from_adjacency(adj)
                 adj[v].pop()
+
+
+def test_attachments_count_rooted_trees():
+    # an attachment orbit of a free tree is one rooted tree of the same
+    # order, so orbit minima over a whole layer number exactly r(n)
+    for n in range(2, 16):
+        attachments = sum(
+            1 for _, edges in _layer(n) for _ in _leaf_attachments(n, edges)
+        )
+        assert attachments == ROOTED_TREE_COUNTS[n]
 
 
 def test_generator_codes_no_tree_from_scratch(monkeypatch):
@@ -234,23 +254,37 @@ def test_families_carry_the_codes_of_their_members():
             assert list(fam) == list(zip(fam.codes, fam.members))
 
 
+def _assert_decode_shape_matches_naive(seq, n, ids):
+    # the shape, expanded, is the naive decode's tree rooted at n - 1
+    shape = _decode_shape(seq, n, ids)
+    adj = _shape_adjacency(shape, list(ids))
+    naive = [[] for _ in range(n)]
+    for u, v in helpers.naive_prufer_decode(seq, n):
+        naive[u].append(v)
+        naive[v].append(u)
+    assert len(adj) == n
+    assert helpers.rooted_code(adj, 0) == helpers.rooted_code(naive, n - 1)
+
+
 def test_prufer_decode_matches_naive_exhaustively():
     for n in range(3, 7):
+        ids = {}
         for seq in itertools.product(range(n), repeat=n - 2):
-            adj = _prufer_decode(seq, n)
-            edges = {
-                frozenset((u, v)) for v, nbrs in enumerate(adj) for u in nbrs
-            }
-            assert edges == helpers.naive_prufer_decode(seq, n)
+            _assert_decode_shape_matches_naive(seq, n, ids)
 
 
 def test_prufer_decode_matches_naive_random_n9():
     rng = random.Random(13)
+    ids = {}
     for _ in range(300):
         seq = tuple(rng.randrange(9) for _ in range(7))
-        adj = _prufer_decode(seq, 9)
-        edges = {frozenset((u, v)) for v, nbrs in enumerate(adj) for u in nbrs}
-        assert edges == helpers.naive_prufer_decode(seq, 9)
+        _assert_decode_shape_matches_naive(seq, 9, ids)
+
+
+def test_oracle_shapes_count_rooted_trees():
+    for n in range(3, 9):
+        shapes, _ = _decode_shapes(n)
+        assert len(shapes) == ROOTED_TREE_COUNTS[n]
 
 
 def test_prufer_oracle_small_counts():
