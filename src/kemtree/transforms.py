@@ -7,7 +7,11 @@ depend only on the component sizes along the endpoint path:
   last one. Keeps the order fixed; the Wiener delta has a closed form in
   the path component sizes. When the interior components share one size
   t >= 2 and the far end is one vertex smaller than the near end, the
-  delta is zero, which is where co-Kemeny mate pairs come from.
+  delta is zero, which is where co-Kemeny mate pairs come from. The mate
+  scan roots each tree once, reads every component size off that rooting,
+  and walks from each endpoint only the paths that can still qualify.
+  Each candidate is coded on edited adjacency lists, and only a result
+  that is a new pair is rebuilt as a Tree and checked.
 
 * branch relocation: detach a branch B from attachment i1 and rejoin it
   at i2. Only distances between B and the host H = V - B change, so the
@@ -35,6 +39,7 @@ from .enumeration import (
     MAX_ORDER_DEFAULT,
     CanonicalCode,
     TreeFamily,
+    _code_from_adjacency,
     canonical_code,
     enumerate_trees,
 )
@@ -62,9 +67,16 @@ class PathDecomposition:
         return tuple(len(c) for c in self.components)
 
 
+def _check_vertices(t: Tree, *labels: int) -> None:
+    for v in labels:
+        if not 0 <= v < t.n:
+            raise InputError(f"vertex {v} outside vertex range 0..{t.n - 1}")
+
+
 def decompose_path(t: Tree, i1: int, i2: int) -> PathDecomposition:
     """Split the tree along its unique i1-i2 path. Rooted at i1, a vertex
     off the path hangs where its parent hangs."""
+    _check_vertices(t, i1, i2)
     if i1 == i2:
         raise InputError("path endpoints must be distinct")
     parent, order, _ = rooted_traversal(t, i1)
@@ -105,6 +117,7 @@ def apply_op1(t: Tree, i1: int, i2: int) -> Tree:
     The order is preserved: the contracted endpoint label is recycled as
     the new subdivision vertex.
     """
+    _check_vertices(t, i1, i2)
     path = t.path(i1, i2)
     d = len(path) - 1
     if d < 2:
@@ -121,6 +134,7 @@ def apply_op1(t: Tree, i1: int, i2: int) -> Tree:
 
 def _relocation(t: Tree, b_root: int, i1: int, i2: int):
     """Check a branch relocation; return (subtree sizes rooted at i1, i1-i2 path)."""
+    _check_vertices(t, b_root, i1, i2)
     if not t.has_edge(i1, b_root):
         raise InputError(f"no edge between {i1} and {b_root}")
     if i2 == i1:
@@ -197,25 +211,59 @@ class MatePair:
 def _zero_delta_candidates(t: Tree):
     """Ordered endpoint pairs whose path has all interior components of one
     size >= 2 and far endpoint component exactly one vertex smaller than
-    the near one. Yields (i1, i2, t_size, d), i1-major then i2.
+    the near one. Yields (i1, i2, t_size, d, path), i1-major then i2.
 
-    Rooted at i1, common[v] is the size shared by the interior components
-    of the i1-v path (0 while there are none, -1 once two differ).
+    The tree is rooted once, at vertex 0: the vertex count on v's side of
+    an edge u-v is size[v] when parent[v] == u, else n - size[u]. Along a
+    path from i1 the component hanging at an interior vertex is its side
+    minus the next one's, so the side falls strictly. From each i1 and each
+    neighbour p1, a walk extends a path only while its interior components
+    share one size >= 2 and its side is still at least the wanted far size
+    n - side(i1, p1) - 1; it yields the path where the two are equal.
     """
     n = t.n
+    adjacency = t.adjacency
+    parent, _, size = rooted_traversal(t, 0)
     for i1 in range(n):
-        parent, order, size = rooted_traversal(t, i1)
-        depth, top, common = [0] * n, list(range(n)), [0] * n
-        for v in order[1:]:
-            p = parent[v]
-            depth[v] = depth[p] + 1
-            if p != i1:
-                top[v] = top[p]
-                interior = size[p] - size[v]
-                common[v] = interior if common[p] in (0, interior) else -1
-        for i2 in range(n):
-            if common[i2] >= 2 and size[i2] == n - size[top[i2]] - 1:
-                yield i1, i2, common[i2], depth[i2]
+        hits = []
+        for p1 in adjacency[i1]:
+            s1 = size[p1] if parent[p1] == i1 else n - size[i1]
+            want = n - s1 - 1
+            # (path so far, its side, common interior size or 0 while none)
+            stack = [((i1, p1), s1, 0)] if want > 0 else []
+            while stack:
+                path, s, common = stack.pop()
+                u, v = path[-2:]
+                for w in adjacency[v]:
+                    if w == u:
+                        continue
+                    s_w = size[w] if parent[w] == v else n - size[v]
+                    interior = s - s_w
+                    if s_w < want or interior < 2 or common not in (0, interior):
+                        continue
+                    if s_w == want:
+                        hits.append((w, interior, len(path), path + (w,)))
+                    else:
+                        stack.append((path + (w,), s_w, interior))
+        hits.sort()
+        for hit in hits:
+            yield (i1, *hit)
+
+
+def _op1_code(t: Tree, path: tuple[int, ...]) -> CanonicalCode:
+    """Canonical code of `apply_op1` along `path`, from t's adjacency lists
+    with the one edit made on a copy, never a Tree: i1's other neighbours
+    move onto p1, and i1 subdivides the last path edge."""
+    i1, p1, last, i2 = path[0], path[1], path[-2], path[-1]
+    adjacency = list(t.adjacency)
+    moved = [u for u in adjacency[i1] if u != p1]
+    for u in moved:
+        adjacency[u] = [p1 if x == i1 else x for x in adjacency[u]]
+    adjacency[p1] = [x for x in adjacency[p1] if x != i1] + moved
+    adjacency[last] = [i1 if x == i2 else x for x in adjacency[last]]
+    adjacency[i2] = [i1 if x == last else x for x in adjacency[i2]]
+    adjacency[i1] = [last, i2]
+    return _code_from_adjacency(adjacency)
 
 
 def generate_mates_op1(
@@ -225,28 +273,35 @@ def generate_mates_op1(
     from any tree of order <= n_max (or of the given orders only).
 
     Pairs are deduplicated by their sorted code pair and returned in
-    deterministic order. A source tree's code comes from its family; each
-    surgery result is coded once. Every emitted pair is checked for exact
-    Wiener equality; a mismatch raises TheoremViolationError.
+    deterministic order. A source tree's code comes from its family. Its
+    candidates come from one rooting (`_zero_delta_candidates`), and each
+    is screened by `_op1_code` on edited adjacency lists: a result
+    isomorphic to the source, or a pair already found, is dropped unbuilt.
+    Only a new pair is rebuilt with `apply_op1`, and two checks run on the
+    rebuild: its Wiener index must equal the source's, and its canonical
+    code the screened one. Either mismatch raises TheoremViolationError.
     """
     if orders is None:
         orders = tuple(range(4, n_max + 1))
     found: dict[tuple[bytes, bytes], MatePair] = {}
     for n in orders:
         for code_a, tree in enumerate_trees(n, cap):
-            w_a = wiener_edge_cut_route(tree)
-            for i1, i2, t_size, d in _zero_delta_candidates(tree):
-                mate = apply_op1(tree, i1, i2)
-                code_b = canonical_code(mate)
-                if code_b == code_a:
-                    continue
+            w_a = None
+            for i1, i2, t_size, d, path in _zero_delta_candidates(tree):
+                code_b = _op1_code(tree, path)
                 key = (min(code_a, code_b), max(code_a, code_b))
-                if key in found:
+                if code_b == code_a or key in found:
                     continue
-                w_b = wiener_edge_cut_route(mate)
-                if w_a != w_b:
+                mate = apply_op1(tree, i1, i2)
+                if w_a is None:
+                    w_a = wiener_edge_cut_route(tree)
+                if wiener_edge_cut_route(mate) != w_a:
                     raise TheoremViolationError(
                         "zero-delta candidate changed the Wiener index"
+                    )
+                if canonical_code(mate) != code_b:
+                    raise TheoremViolationError(
+                        f"op1 screen and rebuild disagree on candidate {i1}->{i2}"
                     )
                 found[key] = MatePair(
                     order=n,

@@ -481,3 +481,13 @@ def test_internal_check_failure_exits_4_without_traceback(capsys, monkeypatch):
     code, out, err = run(capsys, "mates", "7", "--mode", "op1")
     assert code == 4
     assert "changed the Wiener index" in err and "Traceback" not in err
+
+
+def test_op1_screen_and_rebuild_disagreement_exits_4_without_traceback(
+    capsys, monkeypatch
+):
+    # a surgery that keeps W but not the shape: only the code check sees it
+    monkeypatch.setattr(transforms, "apply_op1", lambda t, i1, i2: t)
+    code, out, err = run(capsys, "mates", "7", "--mode", "op1")
+    assert code == 4
+    assert "op1 screen and rebuild disagree" in err and "Traceback" not in err

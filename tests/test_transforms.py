@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import kemtree as kt
-from kemtree.errors import NotABridgeConfigError, PathTooShortError
+from kemtree.errors import InputError, NotABridgeConfigError, PathTooShortError
 from kemtree import transforms
 from kemtree.transforms import _relocations, _zero_delta_candidates
 
@@ -345,22 +345,83 @@ def test_maximal_scan_rebuilds_only_the_rejecting_move(monkeypatch):
     assert calls == {"apply_op2": len(fam) - len(maxi), "op2_delta_formula": 0}
 
 
+def test_mate_scan_roots_each_tree_once_and_rebuilds_only_new_pairs(monkeypatch):
+    calls = {"apply_op1": 0, "rooted_traversal": 0}
+    for name in calls:
+        real = getattr(transforms, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(transforms, name, counting)
+    mates = kt.generate_mates_op1(12, orders=(12,))
+    assert calls == {"apply_op1": len(mates), "rooted_traversal": len(kt.enumerate_trees(12))}
+
+
+def _zero_delta_by_decomposition(t):
+    """The zero-delta candidates of t, with their paths, from one
+    decompose_path per ordered endpoint pair."""
+    expected = []
+    for i1 in range(t.n):
+        for i2 in range(t.n):
+            if i1 == i2:
+                continue
+            pd = kt.decompose_path(t, i1, i2)
+            sizes, d = pd.sizes, pd.d
+            interior = set(sizes[1:d])
+            if d >= 2 and len(interior) == 1 and sizes[d] == sizes[0] - 1:
+                (t_size,) = interior
+                if t_size >= 2:
+                    expected.append((i1, i2, t_size, d, pd.path))
+    return expected
+
+
 def test_zero_delta_candidates_match_path_pattern_up_to_10():
     for n in range(1, 11):
         for t in kt.enumerate_trees(n).members:
-            expected = []
-            for i1 in range(n):
-                for i2 in range(n):
-                    if i1 == i2:
-                        continue
-                    pd = kt.decompose_path(t, i1, i2)
-                    sizes, d = pd.sizes, pd.d
-                    interior = set(sizes[1:d])
-                    if d >= 2 and len(interior) == 1 and sizes[d] == sizes[0] - 1:
-                        (t_size,) = interior
-                        if t_size >= 2:
-                            expected.append((i1, i2, t_size, d))
-            assert list(_zero_delta_candidates(t)) == expected
+            assert list(_zero_delta_candidates(t)) == _zero_delta_by_decomposition(t)
+
+
+def test_zero_delta_candidates_match_path_pattern_random_11_to_24():
+    # beyond the exhaustive range: the pruned walk must lose no candidate
+    rng = random.Random(1010)
+    found = 0
+    for _ in range(200):
+        t = helpers.random_tree(rng, rng.randrange(11, 25))
+        expected = _zero_delta_by_decomposition(t)
+        assert list(_zero_delta_candidates(t)) == expected
+        found += len(expected)
+    assert found > 100
+
+
+def test_op1_screen_codes_match_rebuilds_up_to_11():
+    checked = 0
+    for n in range(1, 12):
+        for t in kt.enumerate_trees(n).members:
+            for i1, i2, _, _, path in _zero_delta_candidates(t):
+                assert path == t.path(i1, i2)
+                rebuilt = kt.apply_op1(t, i1, i2)
+                assert transforms._op1_code(t, path) == kt.canonical_code(rebuilt)
+                checked += 1
+    assert checked == 735
+
+
+@pytest.mark.parametrize(
+    "name, args, label",
+    [
+        ("apply_op1", (0, 99), 99),
+        ("apply_op1", (-1, 3), -1),
+        ("decompose_path", (0, 9), 9),
+        ("op2_delta_formula", (1, 0, 9), 9),
+        ("apply_op2", (1, 0, -2), -2),
+    ],
+)
+def test_surgery_rejects_vertex_labels_out_of_range(name, args, label):
+    t = kt.tree_from_graph(helpers.path_graph(5))
+    with pytest.raises(InputError, match=rf"^vertex {label} outside vertex range 0\.\.4$") as info:
+        getattr(kt, name)(t, *args)
+    assert type(info.value) is InputError
 
 
 def test_maximal_path_family_is_trivial():
