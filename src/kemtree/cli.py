@@ -19,9 +19,9 @@ before any invariant is computed, so a non-tree exits 2 at once.
 Exit codes: 0 ok, 1 usage, 2 parse/validation (also a path holding a NUL
 byte, and a label or count not in ASCII decimal digits), 3 resource limit
 (--cap, or graphs.MAX_VERTICES in an edge list), 4 theorem violation.
-`--places` runs from 0 to MAX_PLACES; a value outside is a usage error. A
-reader that closes stdout early (`kemtree enum 12 | head -1`) ends the run
-quietly with exit 0.
+`--places` runs from 0 to MAX_PLACES and `--cap` up to MAX_ORDER_HARD; a
+value outside is a usage error. A reader that closes stdout early
+(`kemtree enum 12 | head -1`) ends the run quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ from .invariants import (
     omega_weights,
     wiener_edge_cut_route,
 )
-from .enumeration import MAX_ORDER_DEFAULT, census_line, enumerate_trees, family
+from .enumeration import MAX_ORDER_DEFAULT, MAX_ORDER_HARD, census_line
+from .enumeration import enumerate_trees, family
 from .transforms import generate_mates_op1, maximal_elements, theorem_leaf_filter
 
 # Python refuses to print an int of more than 4300 digits, and the decimal
@@ -313,6 +314,10 @@ def main(argv=None) -> int:
         if not 0 <= args.places <= MAX_PLACES:
             parser.error(
                 f"argument --places: must be in 0..{MAX_PLACES}, got {args.places}"
+            )
+        if args.cap > MAX_ORDER_HARD:
+            parser.error(
+                f"argument --cap: must be at most {MAX_ORDER_HARD}, got {args.cap}"
             )
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

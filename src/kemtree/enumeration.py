@@ -36,6 +36,9 @@ from .errors import InputError, KemtreeError, ParseError, ResourceLimitError
 from .graphs import Edge, Tree, tree_from_edges
 
 MAX_ORDER_DEFAULT = 16
+# Highest order enumerate_trees builds, whatever the cap: order 18's layers
+# and Trees take about 410 MB, and order 19's layers alone about 234 MB more.
+MAX_ORDER_HARD = 18
 PRUFER_ORACLE_MAX = 9
 
 CanonicalCode = bytes
@@ -45,42 +48,16 @@ _LEAF_CODE = b"()"
 
 
 def _code_from_adjacency(adj) -> bytes:
-    """Canonical code from adjacency lists of a tree (not re-validated)."""
-    n = len(adj)
-    if n == 1:
+    """Canonical code from adjacency lists of a tree (not re-validated):
+    the finish step over `_center_rooting`'s peel, giving the center's
+    rooted code, or the smaller concatenation of the two halves."""
+    if len(adj) == 1:
         return _LEAF_CODE
-    join = b"".join
-    deg = [len(nbrs) for nbrs in adj]
-    removed = [False] * n
-    codes = [_LEAF_CODE] * n
-    layer = [v for v in range(n) if deg[v] == 1]
-    remaining = n
-    while remaining > 2:
-        for v in layer:
-            removed[v] = True
-            parts = [codes[u] for u in adj[v] if removed[u]]
-            if parts:
-                parts.sort()
-                codes[v] = b"(" + join(parts) + b")"
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            for u in adj[v]:
-                if not removed[u]:
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    centers = [v for v in range(n) if not removed[v]]
-
-    def finish(v: int) -> bytes:
-        parts = sorted(codes[u] for u in adj[v] if removed[u])
-        return b"(" + join(parts) + b")"
-
-    if len(centers) == 1:
-        return finish(centers[0])
-    a, b = centers
-    half_a, half_b = finish(a), finish(b)
+    parent, order, code = _center_rooting(adj)
+    c = order[0]
+    if parent[c] < 0:
+        return code[c]
+    half_a, half_b = code[c], code[parent[c]]
     return min(half_a + half_b, half_b + half_a)
 
 
@@ -115,18 +92,16 @@ class TreeFamily:
         return TreeFamily(self.n, diameter, members, codes)
 
 
-def _center_rooting(m: int, edges: tuple[Edge, ...]):
-    """Root a tree of order m >= 2 at its center by peeling leaves.
+def _center_rooting(adj):
+    """Root a tree of order >= 2, given by adjacency lists, at its center by
+    peeling leaves: the one leaf peel every canonical code comes from.
 
-    Returns (adj, parent, depth, order, code): `order` lists the center(s)
-    first and every vertex after its parent, and `code[v]` is the rooted
-    code of v's subtree. Across a central edge each center is the other's
-    parent, so both centers sit at depth 0 and their codes are the halves.
+    Returns (parent, order, code): `order` lists the center(s) first and
+    every vertex after its parent, and `code[v]` is the rooted code of v's
+    subtree. Across a central edge each center is the other's parent, so
+    the two centers open `order` and their codes are the halves.
     """
-    adj: list[list[int]] = [[] for _ in range(m)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    m = len(adj)
     join = b"".join
     deg = [len(nbrs) for nbrs in adj]
     parent = [-1] * m
@@ -159,10 +134,7 @@ def _center_rooting(m: int, edges: tuple[Edge, ...]):
     for c in layer:
         p = parent[c]
         code[c] = b"(" + join(sorted([code[u] for u in adj[c] if u != p])) + b")"
-    depth = [0] * m
-    for v in reversed(peeled):
-        depth[v] = depth[parent[v]] + 1
-    return adj, parent, depth, layer + peeled[::-1], code
+    return parent, layer + peeled[::-1], code
 
 
 def _leaf_attachments(m: int, edges: tuple[Edge, ...]) -> Iterator[tuple[int, bytes]]:
@@ -175,12 +147,18 @@ def _leaf_attachments(m: int, edges: tuple[Edge, ...]) -> Iterator[tuple[int, by
     the other, and attachments within one orbit give the same code. Each
     attachment re-codes only the path from v up to its center.
     """
-    adj, parent, depth, order, code = _center_rooting(m, edges)
-    label = [b""] * m
+    adj: list[list[int]] = [[] for _ in range(m)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent, order, code = _center_rooting(adj)
+    bicentral = parent[order[0]] >= 0
+    depth, label = [0] * m, [b""] * m
+    for v in order[1 + bicentral :]:
+        depth[v] = depth[parent[v]] + 1
     for v in order:
         label[v] = (label[parent[v]] if depth[v] else b"") + code[v]
     height = max(depth)
-    bicentral = depth[order[1]] == 0
     join = b"".join
     seen = set()
     for a in range(m):
@@ -248,6 +226,8 @@ def enumerate_trees(n: int, cap: int = MAX_ORDER_DEFAULT) -> TreeFamily:
         raise InputError("order must be positive")
     if n > cap:
         raise ResourceLimitError(f"order {n} exceeds enumeration cap {cap}")
+    if n > MAX_ORDER_HARD:
+        raise ResourceLimitError(f"order {n} exceeds hard ceiling {MAX_ORDER_HARD}")
     layer = _layer(n)
     members = tuple(tree_from_edges(n, edges) for _, edges in layer)
     return TreeFamily(n, None, members, tuple(code for code, _ in layer))

@@ -17,6 +17,10 @@ depend only on the component sizes along the endpoint path:
   at i2. Only distances between B and the host H = V - B change, so the
   delta is |B| * (D_H(i1) - D_H(i2)), D_H(x) being the total distance
   from x to H; one rooting at i1 gives it for every branch and target.
+  Both relocation scans edit t's adjacency lists for a move on a copy
+  (`_relocated`), never a Tree: the maximality scan sweeps them for the
+  new diameter, and `covers` codes them against the lower tree's code.
+  Each rebuilds only the move it reports, as a check.
 
 A tree covers another when some single branch relocation maps one to the
 other with equal diameter and strictly larger Wiener index. Maximal
@@ -155,6 +159,16 @@ def apply_op2(t: Tree, b_root: int, i1: int, i2: int) -> Tree:
     edges = [e for e in t.edges if e != cut]
     edges.append((i2, b_root))
     return tree_from_edges(t.n, edges)
+
+
+def _relocated(t: Tree, b_root: int, i1: int, i2: int) -> list:
+    """t's adjacency lists with the branch at b_root moved from i1 to i2,
+    edited on a copy, never a Tree: the one op2 edit the scans share."""
+    adjacency = list(t.adjacency)
+    adjacency[i1] = [u for u in adjacency[i1] if u != b_root]
+    adjacency[b_root] = [i2 if u == i1 else u for u in adjacency[b_root]]
+    adjacency[i2] += (b_root,)
+    return adjacency
 
 
 def op2_delta_formula(t: Tree, b_root: int, i1: int, i2: int) -> int:
@@ -340,8 +354,11 @@ class CoverWitness:
 def covers(lower: Tree, upper: Tree) -> CoverWitness | None:
     """Witness that `upper` covers `lower`, or None.
 
-    Decided by rebuilding each relocation of `upper` with the right Wiener
-    delta and testing it against `lower` by canonical code.
+    Each relocation of `upper` with the right Wiener delta is coded on
+    edited adjacency lists (`_relocated`), never a Tree, and compared with
+    `lower`'s code. Only the witness found is rebuilt with `apply_op2`; a
+    rebuild whose code differs from the screened one raises
+    TheoremViolationError.
     """
     if lower.n != upper.n:
         raise InputError("cover comparison needs equal orders")
@@ -354,7 +371,11 @@ def covers(lower: Tree, upper: Tree) -> CoverWitness | None:
     for i1, b_root, i2, delta in _relocations(upper):
         if w_upper - delta != w_lower:
             continue
-        if canonical_code(apply_op2(upper, b_root, i1, i2)) == target:
+        if _code_from_adjacency(_relocated(upper, b_root, i1, i2)) == target:
+            if canonical_code(apply_op2(upper, b_root, i1, i2)) != target:
+                raise TheoremViolationError(
+                    f"cover screen and rebuild disagree on relocation {i1}->{i2}"
+                )
             branch = decompose_path(upper, i1, b_root).components[1]
             return CoverWitness(
                 lower=target,
@@ -374,18 +395,14 @@ def _has_increasing_move(t: Tree, d: int) -> bool:
     """True when some branch relocation raises the Wiener index while
     keeping the diameter at d (i.e. t is covered by something).
 
-    Candidates are screened by a double sweep over t's adjacency with the
-    one edge swapped, never a Tree; the move found is rebuilt with
-    `apply_op2` as an independent check of the screen.
+    Candidates are screened by a double sweep over `_relocated` adjacency
+    lists, never a Tree; the move found is rebuilt with `apply_op2` as an
+    independent check of the screen.
     """
     for i1, b_root, i2, delta in _relocations(t):
         if delta >= 0:
             continue
-        adjacency = list(t.adjacency)
-        adjacency[i1] = [u for u in adjacency[i1] if u != b_root]
-        adjacency[b_root] = [i2 if u == i1 else u for u in adjacency[b_root]]
-        adjacency[i2] += (b_root,)
-        da, far = double_sweep(adjacency)
+        da, far = double_sweep(_relocated(t, b_root, i1, i2))
         if da[far] == d:
             if apply_op2(t, b_root, i1, i2).diameter != d:
                 raise TheoremViolationError(

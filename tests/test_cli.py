@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import kemtree as kt
-from kemtree import cli, invariants, transforms
+from kemtree import cli, enumeration, invariants, transforms
 from kemtree.cli import main
 
 import helpers
@@ -433,6 +433,20 @@ def test_negative_places_is_usage_error(capsys):
     assert code == 1
     assert out == ""
     assert "--places" in err
+
+
+def test_cap_above_the_hard_ceiling_is_a_usage_error(capsys, monkeypatch):
+    def forbidden(n):
+        raise AssertionError("_layer called")
+
+    monkeypatch.setattr(enumeration, "_layer", forbidden)
+    top = enumeration.MAX_ORDER_HARD
+    code, out, err = run(capsys, "--cap", str(top + 1), "enum", "5")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: argument --cap: must be at most {top}, got {top + 1}\n"
+    code, out, err = run(capsys, "--cap", str(top), "enum", str(top + 1))
+    assert (code, out) == (3, "")
 
 
 def test_places_ceiling(capsys):

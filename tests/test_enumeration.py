@@ -135,6 +135,44 @@ def test_enumerate_respects_cap():
         kt.enumerate_trees(0)
 
 
+def test_enumerate_refuses_orders_above_the_hard_ceiling(monkeypatch):
+    def forbidden(n):
+        raise AssertionError("_layer called")
+
+    monkeypatch.setattr(enumeration, "_layer", forbidden)
+    top = enumeration.MAX_ORDER_HARD
+    for cap in (top + 1, 25, 10**6):
+        with pytest.raises(ResourceLimitError, match="hard ceiling"):
+            kt.enumerate_trees(top + 1, cap=cap)
+    with pytest.raises(ResourceLimitError):
+        kt.family(top + 1, 4, cap=top + 1)
+
+
+def _center_code_by_recursion(t):
+    """Canonical code from the recursive `helpers.rooted_code` at the
+    centers `Tree.center` reads off the eccentricities: no leaf peel."""
+    if len(t.center) == 1:
+        (c,) = t.center
+        return helpers.rooted_code(t.adjacency, c)
+    a, b = sorted(t.center)
+    cut = [[u for u in nbrs if {v, u} != {a, b}] for v, nbrs in enumerate(t.adjacency)]
+    half_a, half_b = helpers.rooted_code(cut, a), helpers.rooted_code(cut, b)
+    return min(half_a + half_b, half_b + half_a)
+
+
+def test_canonical_code_matches_recursive_center_code():
+    # the generator, canonical_code and layer_by_full_recode share one leaf
+    # peel; this oracle roots by eccentricity and codes by recursion instead
+    rng = random.Random(1111)
+    trees = [t for n in range(1, 13) for t in kt.enumerate_trees(n).members]
+    trees += [helpers.random_tree(rng, rng.randrange(13, 61)) for _ in range(200)]
+    centers = set()
+    for t in trees:
+        assert kt.canonical_code(t) == _center_code_by_recursion(t)
+        centers.add(len(t.center))
+    assert centers == {1, 2}
+
+
 def test_canonical_code_relabel_invariant_p4():
     a = kt.tree_from_edges(4, [(0, 1), (1, 2), (2, 3)])
     b = kt.tree_from_edges(4, [(2, 0), (0, 3), (3, 1)])  # path 2-0-3-1

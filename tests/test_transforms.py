@@ -5,6 +5,7 @@ import pytest
 
 import kemtree as kt
 from kemtree.errors import InputError, NotABridgeConfigError, PathTooShortError
+from kemtree.errors import TheoremViolationError
 from kemtree import transforms
 from kemtree.transforms import _relocations, _zero_delta_candidates
 
@@ -306,6 +307,66 @@ def test_covers_found_inside_family_10_4():
                 cover_count += 1
                 assert witness.wiener_lower < witness.wiener_upper
     assert cover_count > 0
+
+
+def _relocation_codes_brute(t):
+    """Canonical codes of every branch relocation of t, each rebuilt with
+    apply_op2; branches and targets come from t's edges, not _relocations."""
+    codes = set()
+    for u, v in t.edges:
+        for i1, b_root in ((u, v), (v, u)):
+            branch = kt.decompose_path(t, i1, b_root).components[1]
+            for i2 in range(t.n):
+                if i2 != i1 and i2 not in branch:
+                    codes.add(kt.canonical_code(kt.apply_op2(t, b_root, i1, i2)))
+    return codes
+
+
+def test_covers_matches_brute_force_over_families_of_order_9():
+    found = 0
+    for d in range(1, 9):
+        fam = kt.family(9, d)
+        reach = [_relocation_codes_brute(t) for t in fam.members]
+        for code_lo, lower in fam:
+            for (code_up, upper), codes in zip(fam, reach):
+                expected = wiener(lower) < wiener(upper) and code_lo in codes
+                witness = kt.covers(lower, upper)
+                assert (witness is not None) == expected
+                if witness is not None:
+                    moved = kt.apply_op2(
+                        upper, witness.attachment, witness.i1, witness.i2
+                    )
+                    assert kt.canonical_code(moved) == code_lo == witness.lower
+                    assert witness.upper == code_up
+                    found += 1
+    assert found > 0
+
+
+def test_covers_rebuilds_only_the_witness(monkeypatch):
+    calls = 0
+    real = transforms.apply_op2
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(transforms, "apply_op2", counting)
+    fam = kt.family(12, 5)
+    witnesses = sum(
+        kt.covers(lower, upper) is not None
+        for lower in fam.members
+        for upper in fam.members
+    )
+    assert calls == witnesses == 756
+
+
+def test_covers_rebuild_disagreeing_with_the_screen_raises(monkeypatch):
+    monkeypatch.setattr(transforms, "apply_op2", lambda t, b_root, i1, i2: t)
+    lower = helpers.load_tree("spider_1_6")
+    upper = helpers.load_tree("spider_2_5")
+    with pytest.raises(TheoremViolationError, match="cover screen and rebuild"):
+        kt.covers(lower, upper)
 
 
 def test_maximal_family_10_4():
