@@ -8,9 +8,12 @@ stderr in table mode and into the `runtime_ms` JSON field otherwise.
 
 At fixed order, Kemeny's constant K rises strictly with the Wiener index W
 (`kemeny_from_wiener`), so equal W is the same as equal K: census mates are
-the equal-W pairs, extremal ranks by W, and K is taken once per W printed.
-Census lines print the canonical codes their family carries from the
-generator; only an op1 surgery result is coded afresh.
+the equal-W pairs, extremal ranks by W, and K is taken and formatted once
+per W printed. Families carry each member's code, sorted edges, W and
+diameter from the generator, so `enum`, `extremal` and census `mates`
+build no Tree: census lines format the carried code and edges. Only the op1
+mate scan and `maximal` build Trees, and only an op1 surgery result is
+coded afresh.
 
 A diameter runs from 1 to n - 1, or is 0 for the one-vertex tree
 (`enum 1 --d 0`). `invariants --omega` checks that the graph is a tree
@@ -48,7 +51,6 @@ from .invariants import (
     format_rational,
     kemeny_from_wiener,
     omega_weights,
-    wiener_edge_cut_route,
 )
 from .enumeration import MAX_ORDER_DEFAULT, MAX_ORDER_HARD, census_line
 from .enumeration import enumerate_trees, family
@@ -88,11 +90,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_exact(report: Report, name: str, value, places: int) -> None:
+def _exact_cells(value, places: int) -> tuple[str, str | None]:
+    """The value and decimal cells of an exact value's row."""
     if isinstance(value, Fraction) and value.denominator != 1:
-        report.add(name, format_rational(value), format_exact(value, places))
-    else:
-        report.add(name, format_rational(value))
+        return format_rational(value), format_exact(value, places)
+    return format_rational(value), None
+
+
+def _add_exact(report: Report, name: str, value, places: int) -> None:
+    report.add(name, *_exact_cells(value, places))
 
 
 def cmd_invariants(args) -> Report:
@@ -138,11 +144,11 @@ def _family(args):
 
 def cmd_extremal(args) -> Report:
     fam = _family(args)
-    if not fam.members:
+    if not fam.entries:
         raise InputError(f"no tree of order {args.n} has diameter {args.d}")
-    values = [wiener_edge_cut_route(t) for t in fam.members]
+    values = [e.wiener for e in fam.entries]
     best = min(values) if args.objective == "min" else max(values)
-    attaining = [member for member, v in zip(fam, values) if v == best]
+    attaining = [e for e in fam.entries if e.wiener == best]
     if args.metric == "kemeny":
         best = kemeny_from_wiener(args.n, best)
     report = Report(
@@ -157,8 +163,8 @@ def cmd_extremal(args) -> Report:
     report.add("family_size", len(fam))
     _add_exact(report, f"{args.metric}_{args.objective}", best, args.places)
     report.add("attaining_count", len(attaining))
-    for idx, (code, t) in enumerate(attaining):
-        report.add(f"tree[{idx}]", census_line(code, t))
+    for idx, e in enumerate(attaining):
+        report.add(f"tree[{idx}]", census_line(e.code, e.edges))
     return report
 
 
@@ -166,26 +172,33 @@ def cmd_mates(args) -> Report:
     report = Report(
         command="mates", inputs={"n": args.n, "mode": args.mode}
     )
+    # (wiener cells, kemeny cells, line a, line b) per pair
     if args.mode == "op1":
         pairs = [
-            (p.wiener, p.kemeny)
-            + (census_line(p.code_a, p.tree_a), census_line(p.code_b, p.tree_b))
+            (
+                _exact_cells(p.wiener, args.places),
+                _exact_cells(p.kemeny, args.places),
+                census_line(p.code_a, p.tree_a.edges),
+                census_line(p.code_b, p.tree_b.edges),
+            )
             for p in generate_mates_op1(args.n, cap=args.cap, orders=(args.n,))
         ]
     else:
         buckets: dict[int, list[str]] = {}
-        for code, t in enumerate_trees(args.n, cap=args.cap):
-            w = wiener_edge_cut_route(t)
-            buckets.setdefault(w, []).append(census_line(code, t))
+        for e in enumerate_trees(args.n, cap=args.cap).entries:
+            buckets.setdefault(e.wiener, []).append(census_line(e.code, e.edges))
         pairs = []
         for w, lines in sorted(buckets.items()):
             if len(lines) > 1:
-                kappa = kemeny_from_wiener(args.n, w)
-                pairs += ((w, kappa, a, b) for a, b in itertools.combinations(lines, 2))
+                cells = (
+                    _exact_cells(w, args.places),
+                    _exact_cells(kemeny_from_wiener(args.n, w), args.places),
+                )
+                pairs += (cells + ab for ab in itertools.combinations(lines, 2))
     report.add("pair_count", len(pairs))
-    for idx, (w, kappa, line_a, line_b) in enumerate(pairs):
-        _add_exact(report, f"pair[{idx}].wiener", w, args.places)
-        _add_exact(report, f"pair[{idx}].kemeny", kappa, args.places)
+    for idx, (w_cells, kappa_cells, line_a, line_b) in enumerate(pairs):
+        report.add(f"pair[{idx}].wiener", *w_cells)
+        report.add(f"pair[{idx}].kemeny", *kappa_cells)
         report.add(f"pair[{idx}].a", line_a)
         report.add(f"pair[{idx}].b", line_b)
     return report
@@ -197,19 +210,19 @@ def cmd_maximal(args) -> Report:
     maximal = maximal_elements(fam)
     if args.check_theorem:
         survivor_codes = set(survivors.codes)
-        for code, t in maximal:
-            if code not in survivor_codes:
+        for e in maximal.entries:
+            if e.code not in survivor_codes:
                 raise TheoremViolationError(
-                    f"maximal tree escaped the leaf filter: {census_line(code, t)}"
+                    f"maximal tree escaped the leaf filter: {census_line(e.code, e.edges)}"
                 )
     report = Report(command="maximal", inputs={"n": args.n, "d": args.d})
     report.add("family_size", len(fam))
     report.add("filter_size", len(survivors))
     report.add("maximal_size", len(maximal))
-    for idx, (code, t) in enumerate(survivors):
-        report.add(f"filter[{idx}]", census_line(code, t))
-    wieners = [wiener_edge_cut_route(t) for t in maximal.members]
-    lines = [census_line(code, t) for code, t in maximal]
+    for idx, e in enumerate(survivors.entries):
+        report.add(f"filter[{idx}]", census_line(e.code, e.edges))
+    wieners = [e.wiener for e in maximal.entries]
+    lines = [census_line(e.code, e.edges) for e in maximal.entries]
     for idx, (line, w) in enumerate(zip(lines, wieners)):
         report.add(f"maximal[{idx}].edges", line)
         _add_exact(report, f"maximal[{idx}].wiener", w, args.places)
@@ -227,8 +240,8 @@ def cmd_enum(args) -> Report:
     fam = _family(args)
     report = Report(command="enum", inputs={"n": args.n, "d": args.d})
     report.add("count", len(fam))
-    for idx, (code, t) in enumerate(fam):
-        report.add(f"tree[{idx}]", census_line(code, t))
+    for idx, e in enumerate(fam.entries):
+        report.add(f"tree[{idx}]", census_line(e.code, e.edges))
     return report
 
 

@@ -15,9 +15,12 @@ re-codes only the path from its vertex up to the center, moving the
 center across one edge when the new leaf deepens the tree. Leaves go only
 on the lowest-labelled vertex of each automorphism orbit, since the rest
 of an orbit repeats that vertex's code, so the representatives are those
-of attaching at every vertex. The generator is the one place a family
-member's code is computed: every TreeFamily carries the codes with its
-members, and a census record is `census_line(code, tree)`.
+of attaching at every vertex. The same rooting gives every vertex's total
+distance, so each new tree's Wiener index and diameter follow from its
+parent's. The generator is the one place a family member's code, Wiener
+index and diameter are computed: a TreeFamily carries them with the
+sorted edge list as one TreeEntry per member and builds its Trees only
+when `members` is read. A census record is `census_line(code, edges)`.
 
 `prufer_oracle_count` checks the generator's counts independently. It
 decodes every labeled-tree code sequence of order n, coding each decoded
@@ -29,15 +32,16 @@ code once by the leaf peel.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from bisect import bisect
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import InputError, KemtreeError, ParseError, ResourceLimitError
 from .graphs import Edge, Tree, tree_from_edges
 
 MAX_ORDER_DEFAULT = 16
-# Highest order enumerate_trees builds, whatever the cap: order 18's layers
-# and Trees take about 410 MB, and order 19's layers alone about 234 MB more.
+# Highest order enumerate_trees builds, whatever the cap. Families build no
+# Tree until `members` is read, but op1 mates and `maximal` still build one
+# per member, and order 18's layers and Trees take about 410 MB.
 MAX_ORDER_HARD = 18
 PRUFER_ORACLE_MAX = 9
 
@@ -66,30 +70,56 @@ def canonical_code(t: Tree) -> CanonicalCode:
     return _code_from_adjacency(t.adjacency)
 
 
-@dataclass(frozen=True)
+class TreeEntry(NamedTuple):
+    """One tree as the generator made it."""
+
+    code: CanonicalCode
+    edges: tuple[Edge, ...]  # sorted, each (u, v) with u < v, as Tree.edges
+    wiener: int
+    diameter: int
+
+
 class TreeFamily:
     """Trees of one order (optionally one diameter), canonical-code ascending.
 
-    codes[i] is the canonical code of members[i], carried from the generator
-    that made it; iterating a family yields (code, tree) pairs.
+    entries[i] carries the code, sorted edges, Wiener index and diameter of
+    the i-th member, and codes[i] is its code; reading them builds no Tree.
+    `members` builds the Trees on first read and keeps them. Iterating a
+    family yields (code, tree) pairs.
     """
 
-    n: int
-    diameter: int | None
-    members: tuple[Tree, ...]
-    codes: tuple[CanonicalCode, ...]
+    __slots__ = ("n", "diameter", "entries", "codes", "_members")
+
+    def __init__(
+        self,
+        n: int,
+        diameter: int | None,
+        entries: tuple[TreeEntry, ...],
+        members: tuple[Tree, ...] | None = None,
+    ) -> None:
+        self.n = n
+        self.diameter = diameter
+        self.entries = entries
+        self.codes: tuple[CanonicalCode, ...] = tuple(e.code for e in entries)
+        self._members = members
+
+    @property
+    def members(self) -> tuple[Tree, ...]:
+        if self._members is None:
+            self._members = tuple(tree_from_edges(self.n, e.edges) for e in self.entries)
+        return self._members
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.entries)
 
     def __iter__(self) -> Iterator[tuple[CanonicalCode, Tree]]:
         return zip(self.codes, self.members)
 
     def where(self, keep: Callable[[Tree], bool], diameter: int | None) -> TreeFamily:
-        """The members `keep` accepts, with their codes, as a family of `diameter`."""
-        kept = [(code, t) for code, t in self if keep(t)]
-        members, codes = tuple(t for _, t in kept), tuple(c for c, _ in kept)
-        return TreeFamily(self.n, diameter, members, codes)
+        """The members `keep` accepts, with their entries, as a family of `diameter`."""
+        kept = [(e, t) for e, t in zip(self.entries, self.members) if keep(t)]
+        entries, members = tuple(e for e, _ in kept), tuple(t for _, t in kept)
+        return TreeFamily(self.n, diameter, entries, members)
 
 
 def _center_rooting(adj):
@@ -137,10 +167,15 @@ def _center_rooting(adj):
     return parent, layer + peeled[::-1], code
 
 
-def _leaf_attachments(m: int, edges: tuple[Edge, ...]) -> Iterator[tuple[int, bytes]]:
-    """(v, canonical code of the tree with a new leaf at v), v ascending,
-    for the lowest-labelled vertex v of each automorphism orbit of a tree
-    of order m >= 2.
+def _leaf_attachments(
+    m: int, edges: tuple[Edge, ...]
+) -> Iterator[tuple[int, bytes, int, bool]]:
+    """(v, code, dist, deepens) for the lowest-labelled vertex v of each
+    automorphism orbit of a tree T of order m >= 2, v ascending: `code` is
+    the canonical code of T with a new leaf at v, `dist` is D_T(v), v's
+    total distance in T, and `deepens` tells whether the leaf lengthens
+    T's diameter, which it does by one exactly when v is at the greatest
+    depth from the center. Then W(T + leaf) = W(T) + dist + m.
 
     A vertex's orbit label is its parent's label plus its own subtree code,
     so two vertices share a label exactly when an automorphism maps one to
@@ -153,11 +188,21 @@ def _leaf_attachments(m: int, edges: tuple[Edge, ...]) -> Iterator[tuple[int, by
         adj[v].append(u)
     parent, order, code = _center_rooting(adj)
     bicentral = parent[order[0]] >= 0
-    depth, label = [0] * m, [b""] * m
+    size = [1] * m
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    # Rooted at order[0], D(root) is the sum of all depths, which is the sum
+    # of all other subtree sizes, and a step down to x brings x's subtree one
+    # closer: D(x) = D(parent) + m - 2 size(x). Across a central edge the
+    # second center is order[0]'s child, though both have depth 0.
+    depth, label, dist = [0] * m, code[:], [sum(size) - m] * m
+    if bicentral:
+        dist[order[1]] += m - 2 * size[order[1]]
     for v in order[1 + bicentral :]:
-        depth[v] = depth[parent[v]] + 1
-    for v in order:
-        label[v] = (label[parent[v]] if depth[v] else b"") + code[v]
+        p = parent[v]
+        depth[v] = depth[p] + 1
+        dist[v] = dist[p] + m - 2 * size[v]
+        label[v] = label[p] + code[v]
     height = max(depth)
     join = b"".join
     seen = set()
@@ -184,38 +229,46 @@ def _leaf_attachments(m: int, edges: tuple[Edge, ...]) -> Iterator[tuple[int, by
             half = b"(" + join(parts) + b")"
             if bicentral:
                 other = code[p]
-                yield a, min(half + other, other + half)
+                yield a, min(half + other, other + half), dist[a], False
             else:
-                yield a, half
+                yield a, half, dist[a], False
         elif bicentral:
             # a deepens its half: v becomes the only center
             parts += (new, code[p])
             parts.sort()
-            yield a, b"(" + join(parts) + b")"
+            yield a, b"(" + join(parts) + b")", dist[a], True
         else:
             # a deepens one branch: the central edge becomes v-below
             parts.sort()
             rest = b"(" + join(parts) + b")"
-            yield a, min(rest + new, new + rest)
+            yield a, min(rest + new, new + rest), dist[a], True
 
 
-# order -> ((code, edges), ...) sorted by code; grown lazily and kept for reuse
-_layers: dict[int, tuple[tuple[bytes, tuple[Edge, ...]], ...]] = {}
+# order -> TreeEntry per tree, sorted by code; grown lazily and kept for reuse
+_layers: dict[int, tuple[TreeEntry, ...]] = {}
 
 
-def _layer(n: int) -> tuple[tuple[bytes, tuple[Edge, ...]], ...]:
+def _layer(n: int) -> tuple[TreeEntry, ...]:
     cached = _layers.get(n)
     if cached is not None:
         return cached
     if n <= 2:
-        entries = ((b"()", ()),) if n == 1 else ((b"()()", ((0, 1),)),)
+        entry = TreeEntry(b"()", (), 0, 0) if n == 1 else TreeEntry(b"()()", ((0, 1),), 1, 1)
+        entries: tuple[TreeEntry, ...] = (entry,)
     else:
-        found: dict[bytes, tuple[Edge, ...]] = {}
-        for _, edges in _layer(n - 1):
-            for v, code in _leaf_attachments(n - 1, edges):
+        m = n - 1
+        found: dict[bytes, TreeEntry] = {}
+        for _, edges, wiener, diameter in _layer(m):
+            for v, code, dist, deepens in _leaf_attachments(m, edges):
                 if code not in found:
-                    found[code] = edges + ((v, n - 1),)
-        entries = tuple(sorted(found.items()))
+                    at = bisect(edges, (v, m))
+                    found[code] = TreeEntry(
+                        code,
+                        edges[:at] + ((v, m),) + edges[at:],
+                        wiener + dist + m,
+                        diameter + 1 if deepens else diameter,
+                    )
+        entries = tuple(found[code] for code in sorted(found))
     _layers[n] = entries
     return entries
 
@@ -228,9 +281,7 @@ def enumerate_trees(n: int, cap: int = MAX_ORDER_DEFAULT) -> TreeFamily:
         raise ResourceLimitError(f"order {n} exceeds enumeration cap {cap}")
     if n > MAX_ORDER_HARD:
         raise ResourceLimitError(f"order {n} exceeds hard ceiling {MAX_ORDER_HARD}")
-    layer = _layer(n)
-    members = tuple(tree_from_edges(n, edges) for _, edges in layer)
-    return TreeFamily(n, None, members, tuple(code for code, _ in layer))
+    return TreeFamily(n, None, _layer(n))
 
 
 def family(n: int, d: int, cap: int = MAX_ORDER_DEFAULT) -> TreeFamily:
@@ -240,7 +291,8 @@ def family(n: int, d: int, cap: int = MAX_ORDER_DEFAULT) -> TreeFamily:
     low = min(1, n - 1)
     if not low <= d <= n - 1:
         raise InputError(f"diameter {d} out of range {low}..{n - 1}")
-    return enumerate_trees(n, cap).where(lambda t: t.diameter == d, d)
+    entries = enumerate_trees(n, cap).entries
+    return TreeFamily(n, d, tuple(e for e in entries if e.diameter == d))
 
 
 def _decode_shape(
@@ -335,14 +387,16 @@ def prufer_oracle_count(n: int) -> int:
     return count
 
 
-def census_line(code: CanonicalCode, t: Tree) -> str:
-    """One census record: `code` in hex, then the edge list of `t`.
+def census_line(code: CanonicalCode, edges: tuple[Edge, ...]) -> str:
+    """One census record: `code` in hex, then a tree's sorted edge list
+    (a TreeEntry's `edges`, or `Tree.edges`).
 
-    `code` is t's canonical code as its TreeFamily carries it; nothing here
-    recomputes or checks it. `census_line(*parse_census_line(line)) == line`.
+    `code` is the tree's canonical code as its TreeFamily carries it;
+    nothing here recomputes or checks it. For `code, t =
+    parse_census_line(line)`, `census_line(code, t.edges) == line`.
     """
-    edges = " ".join(f"{u}-{v}" for u, v in t.edges)
-    return f"{code.hex()} {edges}".rstrip()
+    text = " ".join(f"{u}-{v}" for u, v in edges)
+    return f"{code.hex()} {text}".rstrip()
 
 
 def parse_census_line(line: str) -> tuple[CanonicalCode, Tree]:

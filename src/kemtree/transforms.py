@@ -287,28 +287,28 @@ def generate_mates_op1(
     from any tree of order <= n_max (or of the given orders only).
 
     Pairs are deduplicated by their sorted code pair and returned in
-    deterministic order. A source tree's code comes from its family. Its
-    candidates come from one rooting (`_zero_delta_candidates`), and each
-    is screened by `_op1_code` on edited adjacency lists: a result
-    isomorphic to the source, or a pair already found, is dropped unbuilt.
-    Only a new pair is rebuilt with `apply_op1`, and two checks run on the
-    rebuild: its Wiener index must equal the source's, and its canonical
-    code the screened one. Either mismatch raises TheoremViolationError.
+    deterministic order. A source tree's code and Wiener index come from
+    its family. Its candidates come from one rooting
+    (`_zero_delta_candidates`), and each is screened by `_op1_code` on
+    edited adjacency lists: a result isomorphic to the source, or a pair
+    already found, is dropped unbuilt. Only a new pair is rebuilt with
+    `apply_op1`, and two checks run on the rebuild: its Wiener index, taken
+    by the edge-cut route, must equal the source's carried one, and its
+    canonical code the screened one. Either mismatch raises
+    TheoremViolationError.
     """
     if orders is None:
         orders = tuple(range(4, n_max + 1))
     found: dict[tuple[bytes, bytes], MatePair] = {}
     for n in orders:
-        for code_a, tree in enumerate_trees(n, cap):
-            w_a = None
+        fam = enumerate_trees(n, cap)
+        for (code_a, _, w_a, _), tree in zip(fam.entries, fam.members):
             for i1, i2, t_size, d, path in _zero_delta_candidates(tree):
                 code_b = _op1_code(tree, path)
                 key = (min(code_a, code_b), max(code_a, code_b))
                 if code_b == code_a or key in found:
                     continue
                 mate = apply_op1(tree, i1, i2)
-                if w_a is None:
-                    w_a = wiener_edge_cut_route(tree)
                 if wiener_edge_cut_route(mate) != w_a:
                     raise TheoremViolationError(
                         "zero-delta candidate changed the Wiener index"
@@ -358,7 +358,7 @@ def covers(lower: Tree, upper: Tree) -> CoverWitness | None:
     edited adjacency lists (`_relocated`), never a Tree, and compared with
     `lower`'s code. Only the witness found is rebuilt with `apply_op2`; a
     rebuild whose code differs from the screened one raises
-    TheoremViolationError.
+    TheoremViolationError. `upper` is coded only once a witness is found.
     """
     if lower.n != upper.n:
         raise InputError("cover comparison needs equal orders")
@@ -367,7 +367,6 @@ def covers(lower: Tree, upper: Tree) -> CoverWitness | None:
     if w_lower >= w_upper or lower.diameter != upper.diameter:
         return None
     target = canonical_code(lower)
-    upper_code = canonical_code(upper)
     for i1, b_root, i2, delta in _relocations(upper):
         if w_upper - delta != w_lower:
             continue
@@ -379,7 +378,7 @@ def covers(lower: Tree, upper: Tree) -> CoverWitness | None:
             branch = decompose_path(upper, i1, b_root).components[1]
             return CoverWitness(
                 lower=target,
-                upper=upper_code,
+                upper=canonical_code(upper),
                 host_vertices=frozenset(range(upper.n)) - branch,
                 branch_vertices=branch,
                 attachment=b_root,

@@ -268,10 +268,10 @@ def omega_by_path_enumeration(t: kt.Tree) -> dict[tuple[int, int], int]:
 
 @functools.cache
 def layer_by_full_recode(n: int):
-    """Trees of order n as sorted (code, edges) pairs, grown by attaching a
-    leaf at every vertex of every order n-1 tree and coding each result
-    from scratch with the leaf peel; the first edge list found per code is
-    kept. The generator this replaced, kept as the oracle for `_layer`."""
+    """Trees of order n as (code, sorted edges) pairs in code order, grown
+    by attaching a leaf at every vertex of every order n-1 tree and coding
+    each result from scratch with the leaf peel; the first edge list found
+    per code is kept. The generator this replaced, kept as the oracle for `_layer`."""
     if n == 1:
         return ((b"()", ()),)
     found = {}
@@ -286,7 +286,7 @@ def layer_by_full_recode(n: int):
             adj[n - 1][0] = v
             code = _code_from_adjacency(adj)
             if code not in found:
-                found[code] = edges + ((v, n - 1),)
+                found[code] = tuple(sorted(edges + ((v, n - 1),)))
             adj[v].pop()
     return tuple(sorted(found.items()))
 

@@ -149,6 +149,47 @@ def test_omega_builds_the_tree_once(capsys, monkeypatch):
     assert calls == [10]
 
 
+def _count_tree_builds(monkeypatch) -> list:
+    built = []
+    real = kt.Tree.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(kt.Tree, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enum", "12"],
+        ["enum", "12", "--d", "5"],
+        ["extremal", "12", "--objective", "max", "--metric", "kemeny"],
+        ["extremal", "12", "--d", "4", "--objective", "min", "--metric", "wiener"],
+        ["mates", "12", "--mode", "census"],
+    ],
+    ids="-".join,
+)
+def test_census_commands_build_no_tree(capsys, monkeypatch, argv):
+    built = _count_tree_builds(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out
+    assert built == []
+
+
+def test_maximal_builds_trees_only_for_the_diameter_family(capsys, monkeypatch):
+    # one Tree per member of family(12, 5), plus the one rebuild that checks
+    # each non-maximal member's rejecting move
+    fam = kt.family(12, 5)
+    maximal = len(kt.maximal_elements(fam))
+    built = _count_tree_builds(monkeypatch)
+    code, out, err = run(capsys, "maximal", "12", "5", "--check-theorem")
+    assert code == 0
+    assert len(built) == 2 * len(fam) - maximal
+
+
 def test_internal_value_error_is_not_an_input_error(capsys, monkeypatch):
     def broken(code, t):
         raise ValueError("internal bug")
@@ -330,7 +371,8 @@ def test_printed_census_lines_round_trip(capsys, argv):
     assert lines
     for line in lines:
         # parse_census_line rejects a code that is not the edges' own
-        assert kt.census_line(*kt.parse_census_line(line)) == line
+        code, tree = kt.parse_census_line(line)
+        assert kt.census_line(code, tree.edges) == line
 
 
 def _count_calls(monkeypatch, name):

@@ -17,6 +17,7 @@ from kemtree.enumeration import (
     _shape_adjacency,
 )
 from kemtree.errors import InputError, ParseError, ResourceLimitError
+from kemtree.graphs import bfs_distances, double_sweep
 
 import helpers
 
@@ -44,12 +45,24 @@ def test_generator_keeps_every_representative():
     # same codes, and the same first-found edge list for each code, as
     # attaching a leaf at every vertex and coding every result from scratch
     for n in range(1, 15):
-        assert _layer(n) == helpers.layer_by_full_recode(n)
+        got = tuple((code, edges) for code, edges, _, _ in _layer(n))
+        assert got == helpers.layer_by_full_recode(n)
+
+
+def test_layers_carry_the_wiener_index_and_diameter_of_their_trees():
+    for n in range(1, 15):
+        for entry in _layer(n):
+            t = kt.tree_from_edges(n, entry.edges)
+            assert t.edges == entry.edges
+            assert entry.wiener == kt.wiener_edge_cut_route(t)
+            assert entry.diameter == t.diameter
 
 
 def test_attachments_are_orbit_minima_with_their_codes():
+    # with each vertex's total distance from a BFS, and whether the new
+    # leaf lengthens the diameter from the eccentricities
     for n in range(2, 11):
-        for _, edges in _layer(n):
+        for _, edges, _, diameter in _layer(n):
             adj = [[] for _ in range(n + 1)]
             for u, v in edges:
                 adj[u].append(v)
@@ -58,11 +71,14 @@ def test_attachments_are_orbit_minima_with_their_codes():
             for v in range(n):
                 orbits.setdefault(helpers.rooted_code(adj, v), v)
             got = list(_leaf_attachments(n, edges))
-            assert [v for v, _ in got] == sorted(orbits.values())
-            for v, code in got:
+            assert [v for v, *_ in got] == sorted(orbits.values())
+            for v, code, dist, deepens in got:
+                assert dist == sum(bfs_distances(adj[:n], v))
                 adj[v].append(n)
                 adj[n] = [v]
                 assert code == _code_from_adjacency(adj)
+                da, far = double_sweep(adj)
+                assert deepens == (da[far] == diameter + 1)
                 adj[v].pop()
 
 
@@ -71,7 +87,7 @@ def test_attachments_count_rooted_trees():
     # order, so orbit minima over a whole layer number exactly r(n)
     for n in range(2, 16):
         attachments = sum(
-            1 for _, edges in _layer(n) for _ in _leaf_attachments(n, edges)
+            1 for e in _layer(n) for _ in _leaf_attachments(n, e.edges)
         )
         assert attachments == ROOTED_TREE_COUNTS[n]
 
@@ -87,7 +103,7 @@ def test_generator_codes_no_tree_from_scratch(monkeypatch):
 
 def test_layer_codes_are_the_codes_of_their_edges():
     for n in range(1, 17):
-        for code, edges in _layer(n):
+        for code, edges, _, _ in _layer(n):
             adj = [[] for _ in range(n)]
             for u, v in edges:
                 adj[u].append(v)
@@ -101,7 +117,7 @@ def test_layers_satisfy_the_cayley_orbit_identity():
     for n in range(1, 17):
         labelings = sum(
             math.factorial(n) // helpers.automorphism_count(code)
-            for code, _ in _layer(n)
+            for code, *_ in _layer(n)
         )
         assert labelings == (n ** (n - 2) if n > 1 else 1)
 
@@ -290,6 +306,36 @@ def test_families_carry_the_codes_of_their_members():
         for fam in families:
             assert fam.codes == tuple(kt.canonical_code(t) for t in fam.members)
             assert list(fam) == list(zip(fam.codes, fam.members))
+            assert list(fam.entries) == [
+                (code, t.edges, kt.wiener_edge_cut_route(t), t.diameter)
+                for code, t in fam
+            ]
+
+
+def test_family_filters_on_the_carried_diameter():
+    for n in range(1, 13):
+        whole = kt.enumerate_trees(n)
+        for d in range(min(1, n - 1), n):
+            want = tuple(code for code, t in whole if t.diameter == d)
+            assert kt.family(n, d).codes == want
+
+
+def test_family_builds_its_trees_once_and_only_when_read(monkeypatch):
+    built = []
+    real = kt.Tree.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(kt.Tree, "__init__", counting)
+    fam = kt.family(13, 6)
+    assert len(fam) > 0 and len(fam.codes) == len(fam) and built == []
+    members = fam.members
+    assert len(members) == len(built) == len(fam)
+    assert fam.members is members
+    assert list(fam) == list(zip(fam.codes, members))
+    assert len(built) == len(fam)
 
 
 def _assert_decode_shape_matches_naive(seq, n, ids):
@@ -341,18 +387,18 @@ def test_prufer_oracle_cap():
 
 def test_census_round_trip():
     for fam_code, t in kt.enumerate_trees(7):
-        line = kt.census_line(fam_code, t)
+        line = kt.census_line(fam_code, t.edges)
         code, parsed = kt.parse_census_line(line)
         assert code == kt.canonical_code(t)
         assert parsed.edges == t.edges
     single = kt.tree_from_edges(1, [])
-    code, parsed = kt.parse_census_line(kt.census_line(b"()", single))
+    code, parsed = kt.parse_census_line(kt.census_line(b"()", single.edges))
     assert parsed.n == 1 and code == b"()"
 
 
 def _census_line_with_foreign_code():
     a, b = kt.enumerate_trees(6).members[:2]
-    return kt.census_line(kt.canonical_code(a), b)
+    return kt.census_line(kt.canonical_code(a), b.edges)
 
 
 @pytest.mark.parametrize(

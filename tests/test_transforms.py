@@ -6,7 +6,7 @@ import pytest
 import kemtree as kt
 from kemtree.errors import InputError, NotABridgeConfigError, PathTooShortError
 from kemtree.errors import TheoremViolationError
-from kemtree import transforms
+from kemtree import enumeration, transforms
 from kemtree.transforms import _relocations, _zero_delta_candidates
 
 import helpers
@@ -418,6 +418,49 @@ def test_mate_scan_roots_each_tree_once_and_rebuilds_only_new_pairs(monkeypatch)
         monkeypatch.setattr(transforms, name, counting)
     mates = kt.generate_mates_op1(12, orders=(12,))
     assert calls == {"apply_op1": len(mates), "rooted_traversal": len(kt.enumerate_trees(12))}
+
+
+def test_mate_scan_takes_each_source_wiener_index_from_its_family(monkeypatch):
+    measured = []
+    real = transforms.wiener_edge_cut_route
+
+    def counting(t):
+        measured.append(t)
+        return real(t)
+
+    monkeypatch.setattr(transforms, "wiener_edge_cut_route", counting)
+    mates = kt.generate_mates_op1(12, orders=(12,))
+    # only each rebuilt mate is measured, against its source's carried W
+    assert len(measured) == len(mates) > 0
+
+
+def test_mate_scan_checks_rebuilds_against_the_carried_wiener_index(monkeypatch):
+    skewed = tuple(e._replace(wiener=e.wiener + 1) for e in enumeration._layer(7))
+    monkeypatch.setitem(enumeration._layers, 7, skewed)
+    with pytest.raises(TheoremViolationError, match="changed the Wiener index"):
+        kt.generate_mates_op1(7, orders=(7,))
+
+
+def test_covers_codes_upper_only_for_a_witness(monkeypatch):
+    calls = 0
+    real = transforms.canonical_code
+
+    def counting(t):
+        nonlocal calls
+        calls += 1
+        return real(t)
+
+    monkeypatch.setattr(transforms, "canonical_code", counting)
+    fam = kt.family(10, 4)
+    screened = witnesses = 0
+    for lower in fam.members:
+        for upper in fam.members:
+            witnesses += kt.covers(lower, upper) is not None
+            screened += wiener(lower) < wiener(upper)
+    # lower's code for each pair past the W screen (one family, one
+    # diameter), then the rebuild's and upper's for each witness
+    assert witnesses > 0
+    assert calls == screened + 2 * witnesses
 
 
 def _zero_delta_by_decomposition(t):

@@ -74,7 +74,7 @@ def test_extremal_kemeny_matches_a_forest_route_ranking(capsys, n):
             assert rows[f"kemeny_{objective}"] == kt.format_rational(best)
             lines = [rows[f"tree[{i}]"] for i in range(int(rows["attaining_count"]))]
             assert lines == [
-                kt.census_line(kt.canonical_code(t), t)
+                kt.census_line(kt.canonical_code(t), t.edges)
                 for t in members
                 if kappa[t] == best
             ]
@@ -108,6 +108,28 @@ def test_census_mode_converts_once_per_tied_wiener_value(capsys, monkeypatch):
     tied = {w for w in wieners if wieners.count(w) > 1}
     assert int(rows["pair_count"]) > len(tied) > 0
     assert calls == {"census_line": len(wieners), "kemeny_from_wiener": len(tied)}
+
+
+def test_census_mode_formats_once_per_tied_wiener_value(capsys, monkeypatch):
+    calls = {"format_rational": 0, "format_exact": 0}
+
+    def counted(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    rows = _rows(capsys, "mates", "10", "--mode", "census")
+    wieners = [kt.wiener_edge_cut_route(t) for t in kt.enumerate_trees(10).members]
+    tied = {w for w in wieners if wieners.count(w) > 1}
+    assert int(rows["pair_count"]) > len(tied) > 0
+    # a W cell and a K cell per tied W; every K of order 10 is a fraction
+    assert calls == {"format_rational": 2 * len(tied), "format_exact": len(tied)}
 
 
 def test_census_mode_without_pairs_takes_no_kemeny(capsys):
