@@ -15,6 +15,11 @@ build no Tree: census lines format the carried code and edges. Only the op1
 mate scan and `maximal` build Trees, and only an op1 surgery result is
 coded afresh.
 
+A launch imports only what its subcommand runs: `graphs`, `linalg`,
+`invariants` and `enumeration` always, `transforms` only for op1 `mates`
+and `maximal`, `json` or `csv` only for that output, and `hashlib` only for
+`invariants --json`, the one output that prints the input's digest.
+
 A diameter runs from 1 to n - 1, or is 0 for the one-vertex tree
 (`enum 1 --d 0`). `invariants --omega` checks that the graph is a tree
 before any invariant is computed, so a non-tree exits 2 at once.
@@ -30,15 +35,11 @@ value outside is a usage error. A reader that closes stdout early
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import io
 import itertools
-import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,7 +55,6 @@ from .invariants import (
 )
 from .enumeration import MAX_ORDER_DEFAULT, MAX_ORDER_HARD, census_line
 from .enumeration import enumerate_trees, family
-from .transforms import generate_mates_op1, maximal_elements, theorem_leaf_filter
 
 # Python refuses to print an int of more than 4300 digits, and the decimal
 # column scales by 10**places, so display precision is capped well below.
@@ -67,18 +67,20 @@ EXIT_RESOURCE = 3
 EXIT_THEOREM = 4
 
 
-@dataclass
 class Report:
-    command: str
-    inputs: dict
-    rows: list[dict] = field(default_factory=list)
-    runtime_ms: int = 0
+    """One command's result: `rows` of (name, value, decimal or None), and
+    the `inputs` object that only JSON output prints."""
+
+    __slots__ = ("command", "inputs", "rows", "runtime_ms")
+
+    def __init__(self, command: str, inputs: dict | None = None) -> None:
+        self.command = command
+        self.inputs = inputs
+        self.rows: list[tuple[str, str, str | None]] = []
+        self.runtime_ms = 0
 
     def add(self, name: str, value, decimal: str | None = None) -> None:
-        row = {"name": name, "value": str(value)}
-        if decimal is not None:
-            row["decimal"] = decimal
-        self.rows.append(row)
+        self.rows.append((name, str(value), decimal))
 
 
 class _UsageError(Exception):
@@ -114,16 +116,17 @@ def cmd_invariants(args) -> Report:
     g = parse_edge_list(text)
     t = tree_from_graph(g) if args.omega else None
     inv = compute_invariants(g if t is None else t, args.route)
-    report = Report(
-        command="invariants",
-        inputs={
+    report = Report("invariants")
+    if args.json:  # the only output that prints the inputs and their hash
+        import hashlib
+
+        report.inputs = {
             "path": str(args.path),
             "sha256": hashlib.sha256(data).hexdigest(),
             "n": g.n,
             "m": g.m,
             "edges": [list(e) for e in g.edges],
-        },
-    )
+        }
     report.add("n", inv.n)
     report.add("m", inv.m)
     report.add("route", inv.route.value)
@@ -174,6 +177,8 @@ def cmd_mates(args) -> Report:
     )
     # (wiener cells, kemeny cells, line a, line b) per pair
     if args.mode == "op1":
+        from .transforms import generate_mates_op1
+
         pairs = [
             (
                 _exact_cells(p.wiener, args.places),
@@ -205,6 +210,8 @@ def cmd_mates(args) -> Report:
 
 
 def cmd_maximal(args) -> Report:
+    from .transforms import maximal_elements, theorem_leaf_filter
+
     fam = family(args.n, args.d, cap=args.cap)
     survivors = theorem_leaf_filter(fam)
     maximal = maximal_elements(fam)
@@ -296,26 +303,35 @@ def _build_parser() -> _Parser:
 
 def _emit(report: Report, args) -> None:
     if args.json:
+        import json
+
+        rows = []
+        for name, value, decimal in report.rows:
+            row = {"name": name, "value": value}
+            if decimal is not None:
+                row["decimal"] = decimal
+            rows.append(row)
         payload = {
             "command": report.command,
             "inputs": report.inputs,
-            "rows": report.rows,
+            "rows": rows,
             "runtime_ms": report.runtime_ms,
         }
         sys.stdout.write(json.dumps(payload) + "\n")
     elif args.csv:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["name", "value", "decimal"])
-        for row in report.rows:
-            writer.writerow([row["name"], row["value"], row.get("decimal", "")])
+        writer.writerows(report.rows)  # csv writes a None decimal as ""
         sys.stdout.write(buf.getvalue())
     else:
-        width = max((len(r["name"]) for r in report.rows), default=0)
-        for row in report.rows:
-            line = f"{row['name']:<{width}}  {row['value']}"
-            if "decimal" in row:
-                line += f"  ({row['decimal']})"
+        width = max((len(name) for name, _, _ in report.rows), default=0)
+        for name, value, decimal in report.rows:
+            line = f"{name:<{width}}  {value}"
+            if decimal is not None:
+                line += f"  ({decimal})"
             sys.stdout.write(line + "\n")
         sys.stderr.write(f"# runtime_ms {report.runtime_ms}\n")
 

@@ -16,10 +16,9 @@ All values are exact: integers or Fractions, never floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import DisconnectedError, InputError, RouteRequiresTreeError
 from .graphs import DistanceMatrix, Edge, Graph, Tree, all_pairs_distances
@@ -35,8 +34,7 @@ class KemenyRoute(Enum):
     EDGE_CUT = "edgecut"
 
 
-@dataclass(frozen=True)
-class WeightedEdgeMap:
+class WeightedEdgeMap(NamedTuple):
     """Per-edge split weights n1(e) * n2(e) of a tree, plus their total.
 
     The weight of an edge counts the unordered vertex pairs whose unique
@@ -150,8 +148,7 @@ def kemeny_edge_cut_route(t: Tree) -> Fraction:
     return Fraction(acc, 2 * (n - 1))
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     n: int
     m: int
     wiener: int

@@ -32,8 +32,8 @@ filter `theorem_leaf_filter`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InputError, NotABridgeConfigError, PathTooShortError
 from .errors import TheoremViolationError
@@ -50,8 +50,7 @@ from .enumeration import (
 from .invariants import kemeny_from_wiener, wiener_edge_cut_route
 
 
-@dataclass(frozen=True)
-class PathDecomposition:
+class PathDecomposition(NamedTuple):
     """The unique i1-i2 path and the components left by deleting its edges.
 
     components[j] is the vertex set hanging at path vertex j (including
@@ -205,8 +204,7 @@ def _relocations(t: Tree):
                     yield i1, b_root, i2, b * (2 * s[i2] - depth[i2] * (n - b))
 
 
-@dataclass(frozen=True)
-class MatePair:
+class MatePair(NamedTuple):
     """Two non-isomorphic same-order trees with identical Wiener index and
     Kemeny's constant, produced by a zero-delta contract-and-subdivide."""
 
@@ -332,8 +330,7 @@ def generate_mates_op1(
     return tuple(found[key] for key in sorted(found))
 
 
-@dataclass(frozen=True)
-class CoverWitness:
+class CoverWitness(NamedTuple):
     """A single branch relocation mapping `upper` onto `lower`.
 
     upper = host + branch at i1, lower = host + branch at i2 (up to

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -433,6 +434,39 @@ def test_output_deterministic_across_runs(capsys):
     _, tout1, _ = run(capsys, *targs)
     _, tout2, _ = run(capsys, *targs)
     assert tout1 == tout2
+
+
+# sha256 of CSV and JSON stdout with runtime_ms zeroed: frozen bytes, like
+# the table digests in test_wiener_relation.GOLDEN.
+EMIT_GOLDEN = {
+    "--csv mates 10 --mode census": (
+        "cfd5569c9242a9f536848a4b56ae36f3f7825aa9cfaea6ea014ec4744ddcfa04"
+    ),
+    "--json mates 10 --mode census": (
+        "8b4f71adb494092eb874d89582a9ed8f0677425b43ec0f9ae6766b4f46e5d2f8"
+    ),
+    "--csv mates 10 --mode op1": (
+        "1806ae3c16559fb1100815dc1742dac017757cd58865943d841a5cb81a797a50"
+    ),
+    "--json maximal 10 4 --check-theorem": (
+        "cab00b80f4e74c2a0565af24c7ed25c541a666f8cd9e0c5e21e2583084f8b49c"
+    ),
+    "--csv invariants fixtures/spider_2_5.txt --omega": (
+        "e54cc22227f25b28cd3e6a5ce27478e6d2431861fb731d792e773a441872c0f4"
+    ),
+    "--json invariants fixtures/unicycle_balanced.txt": (
+        "036d8f270218127cf7c3e63034e44ef377b771d2af9b5c151fd2d861a87e72ac"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", sorted(EMIT_GOLDEN))
+def test_csv_and_json_stdout_digests_are_frozen(capsys, monkeypatch, args):
+    monkeypatch.chdir(FIXTURES.parent)  # JSON prints the path as given
+    code, out, err = run(capsys, *args.split())
+    assert code == 0
+    out = re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', out)
+    assert hashlib.sha256(out.encode()).hexdigest() == EMIT_GOLDEN[args]
 
 
 def test_table_and_csv_formats(capsys):
