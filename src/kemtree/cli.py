@@ -11,9 +11,10 @@ At fixed order, Kemeny's constant K rises strictly with the Wiener index W
 the equal-W pairs, extremal ranks by W, and K is taken and formatted once
 per W printed. Families carry each member's code, sorted edges, W and
 diameter from the generator, so `enum`, `extremal` and census `mates`
-build no Tree: census lines format the carried code and edges. Only the op1
-mate scan and `maximal` build Trees, and only an op1 surgery result is
-coded afresh.
+build no Tree: census lines format the carried code and edges. The op1
+mate scan and `maximal` read the same entries as adjacency lists and build
+a Tree only for a move they report, its source and its checking rebuild;
+only an op1 surgery result is coded afresh.
 
 A launch imports only what its subcommand runs: `graphs`, `linalg`,
 `invariants` and `enumeration` always, `transforms` only for op1 `mates`
@@ -228,16 +229,14 @@ def cmd_maximal(args) -> Report:
     report.add("maximal_size", len(maximal))
     for idx, e in enumerate(survivors.entries):
         report.add(f"filter[{idx}]", census_line(e.code, e.edges))
-    wieners = [e.wiener for e in maximal.entries]
-    lines = [census_line(e.code, e.edges) for e in maximal.entries]
-    for idx, (line, w) in enumerate(zip(lines, wieners)):
-        report.add(f"maximal[{idx}].edges", line)
-        _add_exact(report, f"maximal[{idx}].wiener", w, args.places)
-        kappa = kemeny_from_wiener(args.n, w)
+    for idx, e in enumerate(maximal.entries):
+        report.add(f"maximal[{idx}].edges", census_line(e.code, e.edges))
+        _add_exact(report, f"maximal[{idx}].wiener", e.wiener, args.places)
+        kappa = kemeny_from_wiener(args.n, e.wiener)
         _add_exact(report, f"maximal[{idx}].kemeny", kappa, args.places)
-    if wieners:
-        best_idx = wieners.index(max(wieners))
-        report.add("argmax_kemeny", lines[best_idx])
+    if maximal.entries:
+        best = max(maximal.entries, key=lambda e: e.wiener)  # the first of equals
+        report.add("argmax_kemeny", census_line(best.code, best.edges))
         if args.check_theorem:
             report.add("theorem_check", "ok")
     return report

@@ -19,8 +19,9 @@ of attaching at every vertex. The same rooting gives every vertex's total
 distance, so each new tree's Wiener index and diameter follow from its
 parent's. The generator is the one place a family member's code, Wiener
 index and diameter are computed: a TreeFamily carries them with the
-sorted edge list as one TreeEntry per member and builds its Trees only
-when `members` is read. A census record is `census_line(code, edges)`.
+sorted edge list as one TreeEntry per member, `where` filters those
+entries, and Trees are built only when `members` is read, which no
+command does. A census record is `census_line(code, edges)`.
 
 `prufer_oracle_count` checks the generator's counts independently. It
 decodes every labeled-tree code sequence of order n, coding each decoded
@@ -36,12 +37,13 @@ from bisect import bisect
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import InputError, KemtreeError, ParseError, ResourceLimitError
-from .graphs import Edge, Tree, tree_from_edges
+from .graphs import Edge, Tree, tree_adjacency, tree_from_edges
 
 MAX_ORDER_DEFAULT = 16
-# Highest order enumerate_trees builds, whatever the cap. Families build no
-# Tree until `members` is read, but op1 mates and `maximal` still build one
-# per member, and order 18's layers and Trees take about 410 MB.
+# Highest order enumerate_trees builds, whatever the cap. No command builds a
+# Tree per family member, but the ceiling stays where per-member Trees set it
+# (order 18's layers and Trees took about 410 MB) until the layers alone are
+# measured at higher orders.
 MAX_ORDER_HARD = 18
 PRUFER_ORACLE_MAX = 9
 
@@ -83,25 +85,21 @@ class TreeFamily:
     """Trees of one order (optionally one diameter), canonical-code ascending.
 
     entries[i] carries the code, sorted edges, Wiener index and diameter of
-    the i-th member, and codes[i] is its code; reading them builds no Tree.
-    `members` builds the Trees on first read and keeps them. Iterating a
-    family yields (code, tree) pairs.
+    the i-th member, and codes[i] is its code; reading them, or filtering
+    them with `where`, builds no Tree. `members` builds the Trees on first
+    read and keeps them. Iterating a family yields (code, tree) pairs.
     """
 
     __slots__ = ("n", "diameter", "entries", "codes", "_members")
 
     def __init__(
-        self,
-        n: int,
-        diameter: int | None,
-        entries: tuple[TreeEntry, ...],
-        members: tuple[Tree, ...] | None = None,
+        self, n: int, diameter: int | None, entries: tuple[TreeEntry, ...]
     ) -> None:
         self.n = n
         self.diameter = diameter
         self.entries = entries
         self.codes: tuple[CanonicalCode, ...] = tuple(e.code for e in entries)
-        self._members = members
+        self._members: tuple[Tree, ...] | None = None
 
     @property
     def members(self) -> tuple[Tree, ...]:
@@ -115,11 +113,9 @@ class TreeFamily:
     def __iter__(self) -> Iterator[tuple[CanonicalCode, Tree]]:
         return zip(self.codes, self.members)
 
-    def where(self, keep: Callable[[Tree], bool], diameter: int | None) -> TreeFamily:
-        """The members `keep` accepts, with their entries, as a family of `diameter`."""
-        kept = [(e, t) for e, t in zip(self.entries, self.members) if keep(t)]
-        entries, members = tuple(e for e, _ in kept), tuple(t for _, t in kept)
-        return TreeFamily(self.n, diameter, entries, members)
+    def where(self, keep: Callable[[TreeEntry], bool], diameter: int | None) -> TreeFamily:
+        """The entries `keep` accepts, as a family of `diameter`."""
+        return TreeFamily(self.n, diameter, tuple(filter(keep, self.entries)))
 
 
 def _center_rooting(adj):
@@ -182,10 +178,7 @@ def _leaf_attachments(
     the other, and attachments within one orbit give the same code. Each
     attachment re-codes only the path from v up to its center.
     """
-    adj: list[list[int]] = [[] for _ in range(m)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = tree_adjacency(m, edges)
     parent, order, code = _center_rooting(adj)
     bicentral = parent[order[0]] >= 0
     size = [1] * m

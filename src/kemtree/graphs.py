@@ -5,6 +5,8 @@ array operation O(1)-indexable. A Graph is immutable. A Tree is a Graph
 validated connected and acyclic at construction; it computes its
 eccentricities, radius, diameter and center on first read. The distance
 matrix of a tree, as of any connected graph, is `all_pairs_distances(g)`.
+The traversals take adjacency lists, a Graph's or `tree_adjacency`'s from
+a sorted edge list, so a scan need not build a Tree to walk one.
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ def parse_edge_list(text: str) -> Graph:
     """
     declared: int | None = None
     header_allowed = True
-    pairs: list[tuple[int, int, int]] = []
+    pairs: list[Edge] = []
     seen: set[Edge] = set()
     max_label = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -143,12 +145,12 @@ def parse_edge_list(text: str) -> Graph:
         if key in seen:
             raise ParseError(f"duplicate edge {key}", lineno)
         seen.add(key)
-        pairs.append((u, v, lineno))
+        pairs.append((u, v))
         max_label = max(max_label, top)
     n = declared if declared is not None else max_label + 1
     if n < 1:
         raise ParseError("input declares no vertices", None)
-    return Graph(n, [(u, v) for u, v, _ in pairs])
+    return Graph(n, pairs)
 
 
 def bfs_distances(adjacency: Sequence[Sequence[int]], source: int) -> list[int]:
@@ -187,15 +189,16 @@ def double_sweep(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     return da, da.index(max(da))
 
 
-def rooted_traversal(t: Tree, root: int) -> tuple[list[int], list[int], list[int]]:
-    """Orient a tree away from `root` with one BFS.
+def rooted_traversal(
+    adjacency: Sequence[Sequence[int]], root: int
+) -> tuple[list[int], list[int], list[int]]:
+    """Orient a tree, given by adjacency lists, away from `root` with one BFS.
 
     Returns (parent, order, size): parent[v] is the neighbour of v towards
     the root (-1 at the root), order lists every parent before its
     children, and size[v] is the vertex count of the subtree below v.
     """
-    adjacency = t.adjacency
-    parent = [-1] * t.n
+    parent = [-1] * len(adjacency)
     order = [root]
     # `order` grows while read; a tree vertex's only visited neighbour is its parent.
     for v in order:
@@ -204,12 +207,30 @@ def rooted_traversal(t: Tree, root: int) -> tuple[list[int], list[int], list[int
             if u != pv:
                 parent[u] = v
                 order.append(u)
-    size = [1] * t.n
+    size = [1] * len(adjacency)
     for v in reversed(order):
         p = parent[v]
         if p >= 0:
             size[p] += size[v]
     return parent, order, size
+
+
+def tree_adjacency(n: int, edges: Iterable[Edge]) -> list[list[int]]:
+    """Adjacency lists of a tree on 0..n-1 from its sorted edge list (a
+    TreeEntry's, or Tree.edges), not re-validated. Each (u, v) has u < v and
+    the list is sorted, so every row comes out ascending, as in a Tree."""
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return adjacency
+
+
+def tree_eccentricities(adjacency: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Every vertex's eccentricity in a tree: its distance to the farther
+    end of a longest path, found by `double_sweep`."""
+    da, b = double_sweep(adjacency)
+    return tuple(map(max, da, bfs_distances(adjacency, b)))
 
 
 def path_from_root(parent: Sequence[int], v: int) -> tuple[int, ...]:
@@ -243,11 +264,10 @@ class Tree(Graph):
         # Runs only while a slot is empty.
         if name not in Tree.__slots__:
             raise AttributeError(name)
-        da, b = double_sweep(self.adjacency)
-        ecc = tuple(map(max, da, bfs_distances(self.adjacency, b)))
+        ecc = tree_eccentricities(self.adjacency)
         self.eccentricities: tuple[int, ...] = ecc
         self.radius: int = min(ecc)
-        self.diameter: int = da[b]
+        self.diameter: int = max(ecc)
         self.center: frozenset[int] = frozenset(
             v for v, e in enumerate(ecc) if e == self.radius
         )
@@ -263,11 +283,11 @@ class Tree(Graph):
 
     def path(self, u: int, v: int) -> tuple[int, ...]:
         """The unique u-v path as a vertex sequence, endpoints included."""
-        return path_from_root(rooted_traversal(self, u)[0], v)
+        return path_from_root(rooted_traversal(self.adjacency, u)[0], v)
 
     def rooted(self, root: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """BFS orientation from `root`: (parent per vertex, visit order)."""
-        parent, order, _ = rooted_traversal(self, root)
+        parent, order, _ = rooted_traversal(self.adjacency, root)
         return tuple(parent), tuple(order)
 
     def __repr__(self) -> str:

@@ -25,8 +25,6 @@ from .graphs import DistanceMatrix, Edge, Graph, Tree, all_pairs_distances
 from .graphs import bfs_distances, rooted_traversal, tree_from_graph
 from .linalg import adjugate_det, delete_rows_cols, laplacian
 
-ExactRational = Fraction
-
 
 class KemenyRoute(Enum):
     FOREST = "forest"
@@ -52,7 +50,7 @@ def _child_split_sizes(t: Tree) -> dict[Edge, int]:
     """For each edge, the size of the component on the child side of a
     traversal rooted at vertex 0. Only the product with (n - size) is ever
     used, so the orientation choice is immaterial."""
-    parent, _, size = rooted_traversal(t, 0)
+    parent, _, size = rooted_traversal(t.adjacency, 0)
     return {
         (min(v, p), max(v, p)): size[v]
         for v, p in enumerate(parent)

@@ -17,17 +17,23 @@ depend only on the component sizes along the endpoint path:
   at i2. Only distances between B and the host H = V - B change, so the
   delta is |B| * (D_H(i1) - D_H(i2)), D_H(x) being the total distance
   from x to H; one rooting at i1 gives it for every branch and target.
-  Both relocation scans edit t's adjacency lists for a move on a copy
+  Both relocation scans edit the adjacency lists for a move on a copy
   (`_relocated`), never a Tree: the maximality scan sweeps them for the
   new diameter, and `covers` codes them against the lower tree's code.
   Each rebuilds only the move it reports, as a check.
+
+The scans over a family (the mate scan, maximality and the leaf filter)
+read its TreeEntry records, on adjacency lists made from each entry's
+sorted edges by `tree_adjacency`; they build a Tree only for the source
+and the result of a move they report, whose rebuild checks the scan.
 
 A tree covers another when some single branch relocation maps one to the
 other with equal diameter and strictly larger Wiener index. Maximal
 elements of a fixed-(order, diameter) family are those admitting no
 Wiener-increasing, diameter-preserving relocation at all; their leaves
 all sit at distance floor(d/2) from the center, which is the executable
-filter `theorem_leaf_filter`.
+filter `theorem_leaf_filter`. As the radius is d - floor(d/2), that is
+every leaf having eccentricity d.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from typing import NamedTuple
 from .errors import InputError, NotABridgeConfigError, PathTooShortError
 from .errors import TheoremViolationError
 from .graphs import Edge, Tree, double_sweep, path_from_root, rooted_traversal
-from .graphs import tree_from_edges
+from .graphs import tree_adjacency, tree_eccentricities, tree_from_edges
 from .enumeration import (
     MAX_ORDER_DEFAULT,
     CanonicalCode,
@@ -82,7 +88,7 @@ def decompose_path(t: Tree, i1: int, i2: int) -> PathDecomposition:
     _check_vertices(t, i1, i2)
     if i1 == i2:
         raise InputError("path endpoints must be distinct")
-    parent, order, _ = rooted_traversal(t, i1)
+    parent, order, _ = rooted_traversal(t.adjacency, i1)
     path = path_from_root(parent, i2)
     index = [-1] * t.n
     for j, v in enumerate(path):
@@ -142,7 +148,7 @@ def _relocation(t: Tree, b_root: int, i1: int, i2: int):
         raise InputError(f"no edge between {i1} and {b_root}")
     if i2 == i1:
         raise InputError("relocation target must differ from the source")
-    parent, _, size = rooted_traversal(t, i1)
+    parent, _, size = rooted_traversal(t.adjacency, i1)
     path = path_from_root(parent, i2)
     if path[1] == b_root:
         raise NotABridgeConfigError(
@@ -160,13 +166,15 @@ def apply_op2(t: Tree, b_root: int, i1: int, i2: int) -> Tree:
     return tree_from_edges(t.n, edges)
 
 
-def _relocated(t: Tree, b_root: int, i1: int, i2: int) -> list:
-    """t's adjacency lists with the branch at b_root moved from i1 to i2,
-    edited on a copy, never a Tree: the one op2 edit the scans share."""
-    adjacency = list(t.adjacency)
-    adjacency[i1] = [u for u in adjacency[i1] if u != b_root]
-    adjacency[b_root] = [i2 if u == i1 else u for u in adjacency[b_root]]
-    adjacency[i2] += (b_root,)
+def _relocated(adj, b_root: int, i1: int, i2: int) -> list:
+    """Adjacency lists `adj` with the branch at b_root moved from i1 to i2,
+    never a Tree: the one op2 edit the scans share. Each edited row is a
+    new list, so `adj` is left as it was, whether its rows are tuples or
+    lists."""
+    adjacency = list(adj)
+    adjacency[i1] = [u for u in adj[i1] if u != b_root]
+    adjacency[b_root] = [i2 if u == i1 else u for u in adj[b_root]]
+    adjacency[i2] = [*adj[i2], b_root]
     return adjacency
 
 
@@ -181,23 +189,24 @@ def op2_delta_formula(t: Tree, b_root: int, i1: int, i2: int) -> int:
     return b * (2 * sum(size[v] for v in path[1:]) - (len(path) - 1) * (t.n - b))
 
 
-def _relocations(t: Tree):
-    """Yield (i1, b_root, i2, W(t) - W(moved)) for every branch relocation.
+def _relocations(adj):
+    """Yield (i1, b_root, i2, W(before) - W(moved)) for every branch
+    relocation of the tree with adjacency lists `adj`.
 
     One rooting per source i1 and one top-down pass give each vertex its
     depth, the child of i1 above it (top), and the subtree sizes summed
     along its path from i1 (s), which is all `op2_delta_formula` reads.
     """
-    n = t.n
+    n = len(adj)
     for i1 in range(n):
-        parent, order, size = rooted_traversal(t, i1)
+        parent, order, size = rooted_traversal(adj, i1)
         depth, top, s = [0] * n, list(range(n)), [0] * n
         for v in order[1:]:
             p = parent[v]
             depth[v], s[v] = depth[p] + 1, s[p] + size[v]
             if p != i1:
                 top[v] = top[p]
-        for b_root in t.adjacency[i1]:
+        for b_root in adj[i1]:
             b = size[b_root]
             for i2 in range(n):
                 if i2 != i1 and top[i2] != b_root:
@@ -220,10 +229,11 @@ class MatePair(NamedTuple):
     path_length: int
 
 
-def _zero_delta_candidates(t: Tree):
-    """Ordered endpoint pairs whose path has all interior components of one
-    size >= 2 and far endpoint component exactly one vertex smaller than
-    the near one. Yields (i1, i2, t_size, d, path), i1-major then i2.
+def _zero_delta_candidates(adjacency):
+    """Ordered endpoint pairs, in the tree with these adjacency lists,
+    whose path has all interior components of one size >= 2 and far
+    endpoint component exactly one vertex smaller than the near one.
+    Yields (i1, i2, t_size, d, path), i1-major then i2.
 
     The tree is rooted once, at vertex 0: the vertex count on v's side of
     an edge u-v is size[v] when parent[v] == u, else n - size[u]. Along a
@@ -233,9 +243,8 @@ def _zero_delta_candidates(t: Tree):
     share one size >= 2 and its side is still at least the wanted far size
     n - side(i1, p1) - 1; it yields the path where the two are equal.
     """
-    n = t.n
-    adjacency = t.adjacency
-    parent, _, size = rooted_traversal(t, 0)
+    n = len(adjacency)
+    parent, _, size = rooted_traversal(adjacency, 0)
     for i1 in range(n):
         hits = []
         for p1 in adjacency[i1]:
@@ -262,12 +271,12 @@ def _zero_delta_candidates(t: Tree):
             yield (i1, *hit)
 
 
-def _op1_code(t: Tree, path: tuple[int, ...]) -> CanonicalCode:
-    """Canonical code of `apply_op1` along `path`, from t's adjacency lists
-    with the one edit made on a copy, never a Tree: i1's other neighbours
-    move onto p1, and i1 subdivides the last path edge."""
+def _op1_code(adj, path: tuple[int, ...]) -> CanonicalCode:
+    """Canonical code of `apply_op1` along `path`, from adjacency lists
+    `adj` with the one edit made on a copy, never a Tree: i1's other
+    neighbours move onto p1, and i1 subdivides the last path edge."""
     i1, p1, last, i2 = path[0], path[1], path[-2], path[-1]
-    adjacency = list(t.adjacency)
+    adjacency = list(adj)
     moved = [u for u in adjacency[i1] if u != p1]
     for u in moved:
         adjacency[u] = [p1 if x == i1 else x for x in adjacency[u]]
@@ -285,27 +294,29 @@ def generate_mates_op1(
     from any tree of order <= n_max (or of the given orders only).
 
     Pairs are deduplicated by their sorted code pair and returned in
-    deterministic order. A source tree's code and Wiener index come from
-    its family. Its candidates come from one rooting
-    (`_zero_delta_candidates`), and each is screened by `_op1_code` on
-    edited adjacency lists: a result isomorphic to the source, or a pair
-    already found, is dropped unbuilt. Only a new pair is rebuilt with
-    `apply_op1`, and two checks run on the rebuild: its Wiener index, taken
-    by the edge-cut route, must equal the source's carried one, and its
-    canonical code the screened one. Either mismatch raises
+    deterministic order. A source's code, sorted edges and Wiener index
+    come from its family entry. Its candidates come from one rooting of
+    the entry's adjacency lists (`_zero_delta_candidates`), and each is
+    screened by `_op1_code` on edited adjacency lists: a result isomorphic
+    to the source, or a pair already found, is dropped unbuilt. Only a new
+    pair is rebuilt with `apply_op1`, from the source's Tree, built once
+    for its first new pair. Two checks run on the rebuild: its Wiener
+    index, taken by the edge-cut route, must equal the source's carried
+    one, and its canonical code the screened one. Either mismatch raises
     TheoremViolationError.
     """
     if orders is None:
         orders = tuple(range(4, n_max + 1))
     found: dict[tuple[bytes, bytes], MatePair] = {}
     for n in orders:
-        fam = enumerate_trees(n, cap)
-        for (code_a, _, w_a, _), tree in zip(fam.entries, fam.members):
-            for i1, i2, t_size, d, path in _zero_delta_candidates(tree):
-                code_b = _op1_code(tree, path)
+        for code_a, edges, w_a, _ in enumerate_trees(n, cap).entries:
+            adj, tree = tree_adjacency(n, edges), None
+            for i1, i2, t_size, d, path in _zero_delta_candidates(adj):
+                code_b = _op1_code(adj, path)
                 key = (min(code_a, code_b), max(code_a, code_b))
                 if code_b == code_a or key in found:
                     continue
+                tree = tree or tree_from_edges(n, edges)
                 mate = apply_op1(tree, i1, i2)
                 if wiener_edge_cut_route(mate) != w_a:
                     raise TheoremViolationError(
@@ -364,10 +375,10 @@ def covers(lower: Tree, upper: Tree) -> CoverWitness | None:
     if w_lower >= w_upper or lower.diameter != upper.diameter:
         return None
     target = canonical_code(lower)
-    for i1, b_root, i2, delta in _relocations(upper):
+    for i1, b_root, i2, delta in _relocations(upper.adjacency):
         if w_upper - delta != w_lower:
             continue
-        if _code_from_adjacency(_relocated(upper, b_root, i1, i2)) == target:
+        if _code_from_adjacency(_relocated(upper.adjacency, b_root, i1, i2)) == target:
             if canonical_code(apply_op2(upper, b_root, i1, i2)) != target:
                 raise TheoremViolationError(
                     f"cover screen and rebuild disagree on relocation {i1}->{i2}"
@@ -387,20 +398,22 @@ def covers(lower: Tree, upper: Tree) -> CoverWitness | None:
     return None
 
 
-def _has_increasing_move(t: Tree, d: int) -> bool:
-    """True when some branch relocation raises the Wiener index while
-    keeping the diameter at d (i.e. t is covered by something).
+def _has_increasing_move(n: int, edges: tuple[Edge, ...], d: int) -> bool:
+    """True when some branch relocation of the tree on these sorted edges
+    raises the Wiener index while keeping the diameter at d (i.e. the tree
+    is covered by something).
 
     Candidates are screened by a double sweep over `_relocated` adjacency
-    lists, never a Tree; the move found is rebuilt with `apply_op2` as an
-    independent check of the screen.
+    lists, never a Tree; the move found is rebuilt with `apply_op2`, on a
+    Tree built for it, as an independent check of the screen.
     """
-    for i1, b_root, i2, delta in _relocations(t):
+    adj = tree_adjacency(n, edges)
+    for i1, b_root, i2, delta in _relocations(adj):
         if delta >= 0:
             continue
-        da, far = double_sweep(_relocated(t, b_root, i1, i2))
+        da, far = double_sweep(_relocated(adj, b_root, i1, i2))
         if da[far] == d:
-            if apply_op2(t, b_root, i1, i2).diameter != d:
+            if apply_op2(tree_from_edges(n, edges), b_root, i1, i2).diameter != d:
                 raise TheoremViolationError(
                     f"diameter sweep and rebuild disagree on relocation {i1}->{i2}"
                 )
@@ -418,14 +431,19 @@ def maximal_elements(fam: TreeFamily) -> TreeFamily:
     if fam.diameter is None:
         raise InputError("maximality needs a diameter-filtered family")
     d = fam.diameter
-    return fam.where(lambda t: not _has_increasing_move(t, d), d)
+    return fam.where(lambda e: not _has_increasing_move(fam.n, e.edges, d), d)
 
 
 def theorem_leaf_filter(fam: TreeFamily) -> TreeFamily:
-    """Members whose leaves all sit at distance floor(d/2) from the center."""
+    """Members whose leaves all sit at distance floor(d/2) from the center,
+    which is every leaf having eccentricity d, as the radius is
+    d - floor(d/2)."""
     if fam.diameter is None:
         raise InputError("leaf filter needs a diameter-filtered family")
-    half = fam.diameter // 2
-    return fam.where(
-        lambda t: all(t.center_distance(v) == half for v in t.leaves), fam.diameter
-    )
+
+    def leaves_at_d(e) -> bool:
+        adj = tree_adjacency(fam.n, e.edges)
+        ecc = tree_eccentricities(adj)
+        return all(ecc[v] == fam.diameter for v, nb in enumerate(adj) if len(nb) == 1)
+
+    return fam.where(leaves_at_d, fam.diameter)

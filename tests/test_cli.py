@@ -181,14 +181,32 @@ def test_census_commands_build_no_tree(capsys, monkeypatch, argv):
 
 
 def test_maximal_builds_trees_only_for_the_diameter_family(capsys, monkeypatch):
-    # one Tree per member of family(12, 5), plus the one rebuild that checks
-    # each non-maximal member's rejecting move
+    # for each non-maximal member of family(12, 5), one Tree of the member
+    # and the one rebuild that checks its rejecting move; nothing else
     fam = kt.family(12, 5)
     maximal = len(kt.maximal_elements(fam))
     built = _count_tree_builds(monkeypatch)
     code, out, err = run(capsys, "maximal", "12", "5", "--check-theorem")
     assert code == 0
-    assert len(built) == 2 * len(fam) - maximal
+    assert len(built) == 2 * (len(fam) - maximal)
+
+
+def test_op1_mates_build_trees_only_for_sources_and_rebuilds(capsys, monkeypatch):
+    # one Tree per source that yields a new pair, plus the rebuild per pair
+    sources = set()
+    real = transforms.apply_op1
+
+    def recording(t, i1, i2):
+        sources.add(t.edges)
+        return real(t, i1, i2)
+
+    monkeypatch.setattr(transforms, "apply_op1", recording)
+    built = _count_tree_builds(monkeypatch)
+    code, out, err = run(capsys, "--json", "mates", "12", "--mode", "op1")
+    assert code == 0
+    pairs = int(json.loads(out)["rows"][0]["value"])
+    assert 0 < len(sources) < pairs < len(kt.enumerate_trees(12))
+    assert len(built) == len(sources) + pairs
 
 
 def test_internal_value_error_is_not_an_input_error(capsys, monkeypatch):

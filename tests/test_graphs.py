@@ -266,6 +266,15 @@ def test_lazy_metrics_match_floyd_warshall():
         assert [list(row) for row in kt.all_pairs_distances(t)] == fw
 
 
+def test_entry_adjacency_matches_tree_adjacency_row_for_row():
+    # neighbour order decides which op1 endpoints and which cover witness
+    # the scans find first, so it is part of the CLI's output
+    for n in range(1, 13):
+        for e in kt.enumerate_trees(n).entries:
+            adj = graphs.tree_adjacency(n, e.edges)
+            assert tuple(map(tuple, adj)) == kt.Tree(n, e.edges).adjacency
+
+
 def test_tree_construction_runs_one_bfs(monkeypatch):
     sources = []
     real = graphs.bfs_distances

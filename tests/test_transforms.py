@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ import kemtree as kt
 from kemtree.errors import InputError, NotABridgeConfigError, PathTooShortError
 from kemtree.errors import TheoremViolationError
 from kemtree import enumeration, transforms
-from kemtree.transforms import _relocations, _zero_delta_candidates
+from kemtree.graphs import tree_adjacency
+from kemtree.transforms import _relocated, _relocations, _zero_delta_candidates
 
 import helpers
 
@@ -220,7 +222,7 @@ def test_op2_adjacent_sign_rule_exhaustive():
     for n in range(4, 10):
         for t in kt.enumerate_trees(n).members:
             dist = kt.all_pairs_distances(t)
-            for i1, b_root, i2, delta in _relocations(t):
+            for i1, b_root, i2, delta in _relocations(t.adjacency):
                 moved = kt.apply_op2(t, b_root, i1, i2)
                 assert delta == kt.op2_delta_formula(t, b_root, i1, i2)
                 assert delta == wiener(t) - wiener(moved)
@@ -246,7 +248,19 @@ def test_relocations_cover_every_branch_and_target():
                         for i2 in range(n)
                         if i2 != i1 and i2 not in branch
                     ]
-            assert [m[:3] for m in _relocations(t)] == expected
+            assert [m[:3] for m in _relocations(t.adjacency)] == expected
+
+
+def test_relocated_leaves_list_rows_untouched():
+    # family scans pass adjacency lists with list rows; the edit must copy
+    # every row it changes rather than extend the caller's row in place
+    for n in range(2, 9):
+        for e in enumeration._layer(n):
+            adj = tree_adjacency(n, e.edges)
+            saved = copy.deepcopy(adj)
+            for i1, b_root, i2, _ in _relocations(adj):
+                _relocated(adj, b_root, i1, i2)
+                assert adj == saved
 
 
 def test_op2_formula_matches_recomputation_random():
@@ -484,7 +498,7 @@ def _zero_delta_by_decomposition(t):
 def test_zero_delta_candidates_match_path_pattern_up_to_10():
     for n in range(1, 11):
         for t in kt.enumerate_trees(n).members:
-            assert list(_zero_delta_candidates(t)) == _zero_delta_by_decomposition(t)
+            assert list(_zero_delta_candidates(t.adjacency)) == _zero_delta_by_decomposition(t)
 
 
 def test_zero_delta_candidates_match_path_pattern_random_11_to_24():
@@ -494,7 +508,7 @@ def test_zero_delta_candidates_match_path_pattern_random_11_to_24():
     for _ in range(200):
         t = helpers.random_tree(rng, rng.randrange(11, 25))
         expected = _zero_delta_by_decomposition(t)
-        assert list(_zero_delta_candidates(t)) == expected
+        assert list(_zero_delta_candidates(t.adjacency)) == expected
         found += len(expected)
     assert found > 100
 
@@ -503,10 +517,10 @@ def test_op1_screen_codes_match_rebuilds_up_to_11():
     checked = 0
     for n in range(1, 12):
         for t in kt.enumerate_trees(n).members:
-            for i1, i2, _, _, path in _zero_delta_candidates(t):
+            for i1, i2, _, _, path in _zero_delta_candidates(t.adjacency):
                 assert path == t.path(i1, i2)
                 rebuilt = kt.apply_op1(t, i1, i2)
-                assert transforms._op1_code(t, path) == kt.canonical_code(rebuilt)
+                assert transforms._op1_code(t.adjacency, path) == kt.canonical_code(rebuilt)
                 checked += 1
     assert checked == 735
 
@@ -566,6 +580,22 @@ def test_leaf_filter_star_passes():
         fam = kt.family(n, 2)
         surv = kt.theorem_leaf_filter(fam)
         assert len(surv) == 1
+
+
+def _leaf_filter_by_center_distance(fam):
+    """Codes of the members whose leaves all sit at distance floor(d/2)
+    from the center, read off each member's Tree."""
+    half = fam.diameter // 2
+    return tuple(
+        code for code, t in fam if all(t.center_distance(v) == half for v in t.leaves)
+    )
+
+
+def test_leaf_filter_matches_center_distance_definition_up_to_12():
+    for n in range(1, 13):
+        for d in range(min(1, n - 1), n):
+            fam = kt.family(n, d)
+            assert kt.theorem_leaf_filter(fam).codes == _leaf_filter_by_center_distance(fam)
 
 
 def test_family_filter_required():
