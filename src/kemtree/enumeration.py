@@ -25,9 +25,11 @@ command does. A census record is `census_line(code, edges)`.
 
 `prufer_oracle_count` checks the generator's counts independently. It
 decodes every labeled-tree code sequence of order n, coding each decoded
-tree as it goes as a rooted shape at vertex n-1 (child-id tuples interned
-as small ints), and gives each of the few distinct shapes its canonical
-code once by the leaf peel.
+tree as it goes as a rooted shape at vertex n-1: each vertex's child
+multiset is the exact integer sum of n**id over its children's shape ids,
+interned as the next id. It gives each of the few distinct shapes its
+canonical code once by the leaf peel, and decodes each order once per
+process.
 """
 
 from __future__ import annotations
@@ -266,8 +268,15 @@ def _layer(n: int) -> tuple[TreeEntry, ...]:
     return entries
 
 
+def _check_int(name: str, value: object) -> None:
+    """InputError unless `value` is an int and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{name} must be an integer, not {type(value).__name__}")
+
+
 def enumerate_trees(n: int, cap: int = MAX_ORDER_DEFAULT) -> TreeFamily:
     """All non-isomorphic trees of order n, one representative per class."""
+    _check_int("order", n)
     if n < 1:
         raise InputError("order must be positive")
     if n > cap:
@@ -279,8 +288,10 @@ def enumerate_trees(n: int, cap: int = MAX_ORDER_DEFAULT) -> TreeFamily:
 
 def family(n: int, d: int, cap: int = MAX_ORDER_DEFAULT) -> TreeFamily:
     """Trees of order n with diameter exactly d (d = 0 only for n = 1)."""
+    _check_int("order", n)
     if n < 1:
         raise InputError("order must be positive")
+    _check_int("diameter", d)
     low = min(1, n - 1)
     if not low <= d <= n - 1:
         raise InputError(f"diameter {d} out of range {low}..{n - 1}")
@@ -288,96 +299,105 @@ def family(n: int, d: int, cap: int = MAX_ORDER_DEFAULT) -> TreeFamily:
     return TreeFamily(n, d, tuple(e for e in entries if e.diameter == d))
 
 
-def _decode_shape(
-    seq: tuple[int, ...], n: int, ids: dict[tuple[int, ...], int]
-) -> tuple[int, ...]:
+def _decode_shape(seq: tuple[int, ...], n: int, ids: dict[int, int]) -> int:
     """Rooted shape of the labeled tree with the given code sequence,
-    rooted at n - 1: the sorted ids of the root's children.
+    rooted at n - 1: the integer key of the root's child multiset.
 
-    The decode removes each vertex after all of its children and joins it
-    to its parent, so each removal interns the vertex's sorted child ids
-    as the next unused id in `ids` (AHU 1974) and hands that id to the
-    parent. Equal shapes mean isomorphic rooted trees when one `ids` is
+    A vertex's key is the sum of n**i over the ids i of its children's
+    shapes. A vertex has fewer than n children, so each base-n digit of
+    its key is the count of children with that id, and equal keys mean
+    equal child multisets. The decode removes each vertex after all of
+    its children and joins it to its parent, so each removal interns the
+    vertex's key as the next unused id (AHU 1974) and adds that id's
+    place value to the parent's key. `ids` maps each interned key to
+    n**id; equal shapes mean isomorphic rooted trees when one `ids` is
     shared by every call.
     """
     deg = [1] * n
     for x in seq:
         deg[x] += 1
-    kids: list[tuple[int, ...]] = [()] * n
+    kids = [0] * n
     ptr = leaf = deg.index(1)
     for v in seq:
         k = kids[leaf]
-        if len(k) > 1:
-            k = tuple(sorted(k))
-        kids[v] += (ids.setdefault(k, len(ids)),)
+        place = ids.get(k)
+        if place is None:
+            place = ids[k] = n ** len(ids)
+        kids[v] += place
         deg[v] -= 1
         if deg[v] == 1 and v < ptr:
             leaf = v
         else:
             ptr = leaf = deg.index(1, ptr + 1)
     k = kids[leaf]
-    if len(k) > 1:
-        k = tuple(sorted(k))
-    return tuple(sorted(kids[n - 1] + (ids.setdefault(k, len(ids)),)))
+    place = ids.get(k)
+    if place is None:
+        place = ids[k] = n ** len(ids)
+    return kids[n - 1] + place
 
 
-def _shape_adjacency(
-    shape: tuple[int, ...], table: list[tuple[int, ...]]
-) -> list[list[int]]:
-    """Adjacency lists of a rooted shape, root at vertex 0, where table[i]
-    is the child-id tuple interned as id i."""
+def _shape_adjacency(shape: int, n: int, table: tuple[int, ...]) -> list[list[int]]:
+    """Adjacency lists of a rooted shape of order n, root at vertex 0,
+    where table[i] is the key interned as id i: digit i of a key in base
+    n counts the children whose shape is table[i]."""
     adj: list[list[int]] = [[]]
     stack = [(0, shape)]
     while stack:
-        v, kids = stack.pop()
-        for i in kids:
-            u = len(adj)
-            adj.append([v])
-            adj[v].append(u)
-            stack.append((u, table[i]))
+        v, key = stack.pop()
+        i = 0
+        while key:
+            key, count = divmod(key, n)
+            for _ in range(count):
+                u = len(adj)
+                adj.append([v])
+                adj[v].append(u)
+                stack.append((u, table[i]))
+            i += 1
     return adj
 
 
-def _decode_shapes(n: int) -> tuple[set[tuple[int, ...]], list[tuple[int, ...]]]:
+# order -> (shapes, table) of `_decode_shapes`; each order is decoded once
+_decoded: dict[int, tuple[frozenset[int], tuple[int, ...]]] = {}
+
+
+def _decode_shapes(n: int) -> tuple[frozenset[int], tuple[int, ...]]:
     """The distinct rooted shapes over all n^(n-2) code sequences (n >= 2),
-    with the id table that expands them."""
-    ids: dict[tuple[int, ...], int] = {}
+    with the table of interned keys, by id, that expands them. Decoded on
+    the first call for each order and kept."""
+    cached = _decoded.get(n)
+    if cached is not None:
+        return cached
+    ids: dict[int, int] = {}
     decode = _decode_shape
-    shapes = {
+    shapes = frozenset(
         decode(seq, n, ids) for seq in itertools.product(range(n), repeat=n - 2)
-    }
-    return shapes, list(ids)
-
-
-_prufer_counts: dict[int, int] = {}
+    )
+    decoded = shapes, tuple(ids)
+    _decoded[n] = decoded
+    return decoded
 
 
 def prufer_oracle_count(n: int) -> int:
     """Distinct canonical codes over all n^(n-2) labeled-tree sequences.
 
-    Every sequence is decoded and its tree coded as a rooted shape during
-    the decode; each distinct shape (one per rooted tree of order n) is then
-    expanded once and given its canonical code by the leaf peel. Independent
-    of the growth generator; capped because the sequence space is
-    exponential.
+    Every sequence is decoded and its tree coded as a rooted shape (an
+    integer key) during the decode; each distinct shape (one per rooted
+    tree of order n) is then expanded once and given its canonical code by
+    the leaf peel. Independent of the growth generator; capped because the
+    sequence space is exponential. The decode of each order is kept for
+    the process (`_decode_shapes`).
     """
+    _check_int("order", n)
     if n < 1:
         raise InputError("order must be positive")
     if n > PRUFER_ORACLE_MAX:
         raise ResourceLimitError(
             f"order {n} exceeds oracle cap {PRUFER_ORACLE_MAX}"
         )
-    cached = _prufer_counts.get(n)
-    if cached is not None:
-        return cached
     if n <= 2:
-        count = 1
-    else:
-        shapes, table = _decode_shapes(n)
-        codes = {_code_from_adjacency(_shape_adjacency(s, table)) for s in shapes}
-        count = len(codes)
-    _prufer_counts[n] = count
-    return count
+        return 1
+    shapes, table = _decode_shapes(n)
+    return len({_code_from_adjacency(_shape_adjacency(s, n, table)) for s in shapes})
 
 
 def census_line(code: CanonicalCode, edges: tuple[Edge, ...]) -> str:

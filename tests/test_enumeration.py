@@ -341,13 +341,14 @@ def test_family_builds_its_trees_once_and_only_when_read(monkeypatch):
 def _assert_decode_shape_matches_naive(seq, n, ids):
     # the shape, expanded, is the naive decode's tree rooted at n - 1
     shape = _decode_shape(seq, n, ids)
-    adj = _shape_adjacency(shape, list(ids))
+    adj = _shape_adjacency(shape, n, tuple(ids))
     naive = [[] for _ in range(n)]
     for u, v in helpers.naive_prufer_decode(seq, n):
         naive[u].append(v)
         naive[v].append(u)
     assert len(adj) == n
     assert helpers.rooted_code(adj, 0) == helpers.rooted_code(naive, n - 1)
+    return shape
 
 
 def test_prufer_decode_matches_naive_exhaustively():
@@ -365,10 +366,40 @@ def test_prufer_decode_matches_naive_random_n9():
         _assert_decode_shape_matches_naive(seq, 9, ids)
 
 
+def test_prufer_decode_stars_reach_the_largest_digit():
+    # a constant sequence decodes to a star; centred at n - 1, the root has
+    # n - 1 leaf children, so its key is the digit n - 1 at the leaf's id 0
+    for n in range(3, 10):
+        ids = {}
+        for v in range(n):
+            shape = _assert_decode_shape_matches_naive((v,) * (n - 2), n, ids)
+            if v == n - 1:
+                assert shape == n - 1 and ids[0] == 1
+
+
+def test_oracle_decodes_every_sequence(monkeypatch):
+    decoded = []
+
+    def counting(seq, n, ids):
+        decoded.append(seq)
+        return _decode_shape(seq, n, ids)
+
+    monkeypatch.setattr(enumeration, "_decoded", {})
+    monkeypatch.setattr(enumeration, "_decode_shape", counting)
+    assert kt.prufer_oracle_count(6) == 6
+    assert sorted(decoded) == list(itertools.product(range(6), repeat=4))
+    kt.prufer_oracle_count(6)
+    assert len(decoded) == 6**4
+
+
 def test_oracle_shapes_count_rooted_trees():
-    for n in range(3, 9):
-        shapes, _ = _decode_shapes(n)
+    # in a full run, order 9 was already decoded by criterion 10's count
+    for n in range(3, 10):
+        decoded = _decode_shapes(n)
+        shapes, table = decoded
         assert len(shapes) == ROOTED_TREE_COUNTS[n]
+        assert isinstance(shapes, frozenset) and isinstance(table, tuple)
+        assert _decode_shapes(n) is decoded
 
 
 def test_prufer_oracle_small_counts():
@@ -383,6 +414,33 @@ def test_prufer_oracle_small_counts():
 def test_prufer_oracle_cap():
     with pytest.raises(ResourceLimitError):
         kt.prufer_oracle_count(10)
+
+
+def test_enumerate_float_order_is_input_error(monkeypatch):
+    monkeypatch.setattr(enumeration, "_layers", {})
+    with pytest.raises(InputError):
+        kt.enumerate_trees(5.0)
+    kt.enumerate_trees(5)
+    with pytest.raises(InputError):
+        kt.enumerate_trees(5.0)
+
+
+def test_family_float_order_or_diameter_is_input_error():
+    kt.enumerate_trees(6)
+    with pytest.raises(InputError):
+        kt.family(6.0, 3)
+    with pytest.raises(InputError):
+        kt.family(6, 3.0)
+
+
+def test_prufer_oracle_bool_order_is_input_error():
+    with pytest.raises(InputError):
+        kt.prufer_oracle_count(True)
+
+
+def test_prufer_oracle_str_order_is_input_error():
+    with pytest.raises(InputError):
+        kt.prufer_oracle_count("8")
 
 
 def test_census_round_trip():
