@@ -9,12 +9,13 @@ stderr in table mode and into the `runtime_ms` JSON field otherwise.
 At fixed order, Kemeny's constant K rises strictly with the Wiener index W
 (`kemeny_from_wiener`), so equal W is the same as equal K: census mates are
 the equal-W pairs, extremal ranks by W, and K is taken and formatted once
-per W printed. Families carry each member's code, sorted edges, W and
-diameter from the generator, so `enum`, `extremal` and census `mates`
+per W printed. Families carry each member's code, attachment sequence, W
+and diameter from the generator, so `enum`, `extremal` and census `mates`
 build no Tree: census lines format the carried code and edges. The op1
 mate scan and `maximal` read the same entries as adjacency lists and build
 a Tree only for a move they report, its source and its checking rebuild;
-only an op1 surgery result is coded afresh.
+only an op1 surgery result is coded afresh. Census `mates` counts its
+pairs before it makes one and exits 3 above MAX_CENSUS_PAIRS.
 
 A launch imports only what its subcommand runs: `graphs`, `linalg`,
 `invariants` and `enumeration` always, `transforms` only for op1 `mates`
@@ -27,7 +28,7 @@ before any invariant is computed, so a non-tree exits 2 at once.
 
 Exit codes: 0 ok, 1 usage, 2 parse/validation (also a path holding a NUL
 byte, and a label or count not in ASCII decimal digits), 3 resource limit
-(--cap, or graphs.MAX_VERTICES in an edge list), 4 theorem violation.
+(--cap, MAX_CENSUS_PAIRS, graphs.MAX_VERTICES), 4 theorem violation.
 `--places` runs from 0 to MAX_PLACES and `--cap` up to MAX_ORDER_HARD; a
 value outside is a usage error. A reader that closes stdout early
 (`kemtree enum 12 | head -1`) ends the run quietly with exit 0.
@@ -60,6 +61,9 @@ from .enumeration import enumerate_trees, family
 # Python refuses to print an int of more than 4300 digits, and the decimal
 # column scales by 10**places, so display precision is capped well below.
 MAX_PLACES = 1000
+# Most pairs census `mates` holds, about 690 bytes each: order 15 has 378,919
+# (262 MB peak); order 16 has 1,014,096, which peaked at 677 MB.
+MAX_CENSUS_PAIRS = 500_000
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -193,6 +197,9 @@ def cmd_mates(args) -> Report:
         buckets: dict[int, list[str]] = {}
         for e in enumerate_trees(args.n, cap=args.cap).entries:
             buckets.setdefault(e.wiener, []).append(census_line(e.code, e.edges))
+        count = sum(len(b) * (len(b) - 1) // 2 for b in buckets.values())
+        if count > MAX_CENSUS_PAIRS:
+            raise ResourceLimitError(f"{count} census pairs exceed the limit {MAX_CENSUS_PAIRS}")
         pairs = []
         for w, lines in sorted(buckets.items()):
             if len(lines) > 1:

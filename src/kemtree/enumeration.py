@@ -18,10 +18,10 @@ of an orbit repeats that vertex's code, so the representatives are those
 of attaching at every vertex. The same rooting gives every vertex's total
 distance, so each new tree's Wiener index and diameter follow from its
 parent's. The generator is the one place a family member's code, Wiener
-index and diameter are computed: a TreeFamily carries them with the
-sorted edge list as one TreeEntry per member, `where` filters those
-entries, and Trees are built only when `members` is read, which no
-command does. A census record is `census_line(code, edges)`.
+index and diameter are computed: a TreeFamily is one TreeEntry per member,
+which `where` filters. An entry holds its tree as bytes attach[k-1] = a_k,
+the vertex a_k < k that vertex k joined; other modules read its `edges` or
+`adjacency()`. A census record is `census_line(code, edges)`.
 
 `prufer_oracle_count` checks the generator's counts independently. It
 decodes every labeled-tree code sequence of order n, coding each decoded
@@ -35,17 +35,17 @@ process.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import InputError, KemtreeError, ParseError, ResourceLimitError
-from .graphs import Edge, Tree, tree_adjacency, tree_from_edges
+from .errors import check_int
+from .graphs import Edge, Tree, tree_from_edges
 
 MAX_ORDER_DEFAULT = 16
-# Highest order enumerate_trees builds, whatever the cap. No command builds a
-# Tree per family member, but the ceiling stays where per-member Trees set it
-# (order 18's layers and Trees took about 410 MB) until the layers alone are
-# measured at higher orders.
+# Highest order enumerate_trees builds, whatever the cap. Layers 1..18 hold
+# 205,004 entries and peak at 74 MB in 7.3 s; `--cap 18 enum 18` peaks at
+# 110 MB in 9.3-9.8 s (2-core Xeon, Python 3.11). The ceiling stays at 18
+# until order 19 is measured.
 MAX_ORDER_HARD = 18
 PRUFER_ORACLE_MAX = 9
 
@@ -75,24 +75,37 @@ def canonical_code(t: Tree) -> CanonicalCode:
 
 
 class TreeEntry(NamedTuple):
-    """One tree as the generator made it."""
+    """One tree as the generator made it: vertex k hangs from attach[k-1] < k."""
 
     code: CanonicalCode
-    edges: tuple[Edge, ...]  # sorted, each (u, v) with u < v, as Tree.edges
+    attach: bytes
     wiener: int
     diameter: int
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The sorted edge list, each (u, v) with u < v, as Tree.edges."""
+        return tuple(sorted(zip(self.attach, range(1, len(self.attach) + 1))))
+
+    def adjacency(self) -> list[list[int]]:
+        """New adjacency lists, never a Tree: row v is v's parent, then its
+        children in label order, so it ascends, as in Tree.adjacency."""
+        adj: list[list[int]] = [[] for _ in range(len(self.attach) + 1)]
+        for k, a in enumerate(self.attach, 1):
+            adj[k].append(a)
+            adj[a].append(k)
+        return adj
 
 
 class TreeFamily:
     """Trees of one order (optionally one diameter), canonical-code ascending.
 
-    entries[i] carries the code, sorted edges, Wiener index and diameter of
-    the i-th member, and codes[i] is its code; reading them, or filtering
-    them with `where`, builds no Tree. `members` builds the Trees on first
-    read and keeps them. Iterating a family yields (code, tree) pairs.
+    entries[i] carries the code, attachment sequence, Wiener index and
+    diameter of the i-th member, and codes[i] is its code; reading them, or
+    filtering them with `where`, builds no Tree.
     """
 
-    __slots__ = ("n", "diameter", "entries", "codes", "_members")
+    __slots__ = ("n", "diameter", "entries", "codes")
 
     def __init__(
         self, n: int, diameter: int | None, entries: tuple[TreeEntry, ...]
@@ -101,19 +114,14 @@ class TreeFamily:
         self.diameter = diameter
         self.entries = entries
         self.codes: tuple[CanonicalCode, ...] = tuple(e.code for e in entries)
-        self._members: tuple[Tree, ...] | None = None
 
     @property
     def members(self) -> tuple[Tree, ...]:
-        if self._members is None:
-            self._members = tuple(tree_from_edges(self.n, e.edges) for e in self.entries)
-        return self._members
+        """Each member as a new Tree; only the benchmark's tests read it."""
+        return tuple(tree_from_edges(self.n, e.edges) for e in self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __iter__(self) -> Iterator[tuple[CanonicalCode, Tree]]:
-        return zip(self.codes, self.members)
 
     def where(self, keep: Callable[[TreeEntry], bool], diameter: int | None) -> TreeFamily:
         """The entries `keep` accepts, as a family of `diameter`."""
@@ -165,22 +173,20 @@ def _center_rooting(adj):
     return parent, layer + peeled[::-1], code
 
 
-def _leaf_attachments(
-    m: int, edges: tuple[Edge, ...]
-) -> Iterator[tuple[int, bytes, int, bool]]:
+def _leaf_attachments(adj):
     """(v, code, dist, deepens) for the lowest-labelled vertex v of each
-    automorphism orbit of a tree T of order m >= 2, v ascending: `code` is
-    the canonical code of T with a new leaf at v, `dist` is D_T(v), v's
-    total distance in T, and `deepens` tells whether the leaf lengthens
-    T's diameter, which it does by one exactly when v is at the greatest
-    depth from the center. Then W(T + leaf) = W(T) + dist + m.
+    automorphism orbit of a tree T of order m >= 2, adjacency lists `adj`,
+    v ascending: `code` is the canonical code of T with a new leaf at v,
+    `dist` is D_T(v), v's total distance in T, and `deepens` tells whether
+    the leaf lengthens T's diameter, which it does by one exactly when v is
+    at the greatest depth from the center. Then W(T + leaf) = W(T) + dist + m.
 
     A vertex's orbit label is its parent's label plus its own subtree code,
     so two vertices share a label exactly when an automorphism maps one to
     the other, and attachments within one orbit give the same code. Each
     attachment re-codes only the path from v up to its center.
     """
-    adj = tree_adjacency(m, edges)
+    m = len(adj)
     parent, order, code = _center_rooting(adj)
     bicentral = parent[order[0]] >= 0
     size = [1] * m
@@ -248,35 +254,29 @@ def _layer(n: int) -> tuple[TreeEntry, ...]:
     if cached is not None:
         return cached
     if n <= 2:
-        entry = TreeEntry(b"()", (), 0, 0) if n == 1 else TreeEntry(b"()()", ((0, 1),), 1, 1)
+        entry = TreeEntry(b"()", b"", 0, 0) if n == 1 else TreeEntry(b"()()", b"\0", 1, 1)
         entries: tuple[TreeEntry, ...] = (entry,)
     else:
         m = n - 1
         found: dict[bytes, TreeEntry] = {}
-        for _, edges, wiener, diameter in _layer(m):
-            for v, code, dist, deepens in _leaf_attachments(m, edges):
+        for entry in _layer(m):
+            for v, code, dist, deepens in _leaf_attachments(entry.adjacency()):
                 if code not in found:
-                    at = bisect(edges, (v, m))
                     found[code] = TreeEntry(
                         code,
-                        edges[:at] + ((v, m),) + edges[at:],
-                        wiener + dist + m,
-                        diameter + 1 if deepens else diameter,
+                        entry.attach + bytes((v,)),
+                        entry.wiener + dist + m,
+                        entry.diameter + 1 if deepens else entry.diameter,
                     )
         entries = tuple(found[code] for code in sorted(found))
     _layers[n] = entries
     return entries
 
 
-def _check_int(name: str, value: object) -> None:
-    """InputError unless `value` is an int and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{name} must be an integer, not {type(value).__name__}")
-
-
 def enumerate_trees(n: int, cap: int = MAX_ORDER_DEFAULT) -> TreeFamily:
     """All non-isomorphic trees of order n, one representative per class."""
-    _check_int("order", n)
+    check_int("order", n)
+    check_int("cap", cap)
     if n < 1:
         raise InputError("order must be positive")
     if n > cap:
@@ -288,15 +288,14 @@ def enumerate_trees(n: int, cap: int = MAX_ORDER_DEFAULT) -> TreeFamily:
 
 def family(n: int, d: int, cap: int = MAX_ORDER_DEFAULT) -> TreeFamily:
     """Trees of order n with diameter exactly d (d = 0 only for n = 1)."""
-    _check_int("order", n)
+    check_int("order", n)
     if n < 1:
         raise InputError("order must be positive")
-    _check_int("diameter", d)
+    check_int("diameter", d)
     low = min(1, n - 1)
     if not low <= d <= n - 1:
         raise InputError(f"diameter {d} out of range {low}..{n - 1}")
-    entries = enumerate_trees(n, cap).entries
-    return TreeFamily(n, d, tuple(e for e in entries if e.diameter == d))
+    return enumerate_trees(n, cap).where(lambda e: e.diameter == d, d)
 
 
 def _decode_shape(seq: tuple[int, ...], n: int, ids: dict[int, int]) -> int:
@@ -387,7 +386,7 @@ def prufer_oracle_count(n: int) -> int:
     sequence space is exponential. The decode of each order is kept for
     the process (`_decode_shapes`).
     """
-    _check_int("order", n)
+    check_int("order", n)
     if n < 1:
         raise InputError("order must be positive")
     if n > PRUFER_ORACLE_MAX:

@@ -11,6 +11,12 @@ class InputError(KemtreeError, ValueError):
     catch ValueError keep working."""
 
 
+def check_int(name: str, value: object) -> None:
+    """InputError unless `value` is an int and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{name} must be an integer, not {type(value).__name__}")
+
+
 class ParseError(KemtreeError):
     """Edge-list input could not be parsed; carries the offending line number."""
 

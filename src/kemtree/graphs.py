@@ -5,8 +5,8 @@ array operation O(1)-indexable. A Graph is immutable. A Tree is a Graph
 validated connected and acyclic at construction; it computes its
 eccentricities, radius, diameter and center on first read. The distance
 matrix of a tree, as of any connected graph, is `all_pairs_distances(g)`.
-The traversals take adjacency lists, a Graph's or `tree_adjacency`'s from
-a sorted edge list, so a scan need not build a Tree to walk one.
+The traversals take adjacency lists, a Graph's or a family entry's
+(`TreeEntry.adjacency`), so a scan need not build a Tree to walk one.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from collections import deque
 from typing import Iterable, Sequence
 
 from .errors import DisconnectedError, InputError, NotATreeError, ParseError
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, check_int
 
 Edge = tuple[int, int]
 DistanceMatrix = tuple[tuple[int, ...], ...]
@@ -35,6 +35,7 @@ class Graph:
     __slots__ = ("n", "edges", "adjacency")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]]) -> None:
+        check_int("vertex count", n)
         if n < 1:
             raise InputError("vertex count must be positive")
         seen: set[Edge] = set()
@@ -213,17 +214,6 @@ def rooted_traversal(
         if p >= 0:
             size[p] += size[v]
     return parent, order, size
-
-
-def tree_adjacency(n: int, edges: Iterable[Edge]) -> list[list[int]]:
-    """Adjacency lists of a tree on 0..n-1 from its sorted edge list (a
-    TreeEntry's, or Tree.edges), not re-validated. Each (u, v) has u < v and
-    the list is sorted, so every row comes out ascending, as in a Tree."""
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    return adjacency
 
 
 def tree_eccentricities(adjacency: Sequence[Sequence[int]]) -> tuple[int, ...]:

@@ -23,9 +23,9 @@ depend only on the component sizes along the endpoint path:
   Each rebuilds only the move it reports, as a check.
 
 The scans over a family (the mate scan, maximality and the leaf filter)
-read its TreeEntry records, on adjacency lists made from each entry's
-sorted edges by `tree_adjacency`; they build a Tree only for the source
-and the result of a move they report, whose rebuild checks the scan.
+read its TreeEntry records, on each entry's adjacency lists
+(`TreeEntry.adjacency`); they build a Tree only for the source and the
+result of a move they report, whose rebuild checks the scan.
 
 A tree covers another when some single branch relocation maps one to the
 other with equal diameter and strictly larger Wiener index. Maximal
@@ -44,7 +44,7 @@ from typing import NamedTuple
 from .errors import InputError, NotABridgeConfigError, PathTooShortError
 from .errors import TheoremViolationError
 from .graphs import Edge, Tree, double_sweep, path_from_root, rooted_traversal
-from .graphs import tree_adjacency, tree_eccentricities, tree_from_edges
+from .graphs import tree_eccentricities, tree_from_edges
 from .enumeration import (
     MAX_ORDER_DEFAULT,
     CanonicalCode,
@@ -294,8 +294,8 @@ def generate_mates_op1(
     from any tree of order <= n_max (or of the given orders only).
 
     Pairs are deduplicated by their sorted code pair and returned in
-    deterministic order. A source's code, sorted edges and Wiener index
-    come from its family entry. Its candidates come from one rooting of
+    deterministic order. A source's code, edges and Wiener index come
+    from its family entry. Its candidates come from one rooting of
     the entry's adjacency lists (`_zero_delta_candidates`), and each is
     screened by `_op1_code` on edited adjacency lists: a result isomorphic
     to the source, or a pair already found, is dropped unbuilt. Only a new
@@ -309,14 +309,15 @@ def generate_mates_op1(
         orders = tuple(range(4, n_max + 1))
     found: dict[tuple[bytes, bytes], MatePair] = {}
     for n in orders:
-        for code_a, edges, w_a, _ in enumerate_trees(n, cap).entries:
-            adj, tree = tree_adjacency(n, edges), None
+        for entry in enumerate_trees(n, cap).entries:
+            code_a, _, w_a, _ = entry
+            adj, tree = entry.adjacency(), None
             for i1, i2, t_size, d, path in _zero_delta_candidates(adj):
                 code_b = _op1_code(adj, path)
                 key = (min(code_a, code_b), max(code_a, code_b))
                 if code_b == code_a or key in found:
                     continue
-                tree = tree or tree_from_edges(n, edges)
+                tree = tree or tree_from_edges(n, entry.edges)
                 mate = apply_op1(tree, i1, i2)
                 if wiener_edge_cut_route(mate) != w_a:
                     raise TheoremViolationError(
@@ -398,22 +399,22 @@ def covers(lower: Tree, upper: Tree) -> CoverWitness | None:
     return None
 
 
-def _has_increasing_move(n: int, edges: tuple[Edge, ...], d: int) -> bool:
-    """True when some branch relocation of the tree on these sorted edges
-    raises the Wiener index while keeping the diameter at d (i.e. the tree
-    is covered by something).
+def _has_increasing_move(entry, d: int) -> bool:
+    """True when some branch relocation of the entry's tree raises the
+    Wiener index while keeping the diameter at d (i.e. the tree is covered
+    by something).
 
     Candidates are screened by a double sweep over `_relocated` adjacency
     lists, never a Tree; the move found is rebuilt with `apply_op2`, on a
     Tree built for it, as an independent check of the screen.
     """
-    adj = tree_adjacency(n, edges)
+    adj = entry.adjacency()
     for i1, b_root, i2, delta in _relocations(adj):
         if delta >= 0:
             continue
         da, far = double_sweep(_relocated(adj, b_root, i1, i2))
         if da[far] == d:
-            if apply_op2(tree_from_edges(n, edges), b_root, i1, i2).diameter != d:
+            if apply_op2(tree_from_edges(len(adj), entry.edges), b_root, i1, i2).diameter != d:
                 raise TheoremViolationError(
                     f"diameter sweep and rebuild disagree on relocation {i1}->{i2}"
                 )
@@ -431,7 +432,7 @@ def maximal_elements(fam: TreeFamily) -> TreeFamily:
     if fam.diameter is None:
         raise InputError("maximality needs a diameter-filtered family")
     d = fam.diameter
-    return fam.where(lambda e: not _has_increasing_move(fam.n, e.edges, d), d)
+    return fam.where(lambda e: not _has_increasing_move(e, d), d)
 
 
 def theorem_leaf_filter(fam: TreeFamily) -> TreeFamily:
@@ -442,7 +443,7 @@ def theorem_leaf_filter(fam: TreeFamily) -> TreeFamily:
         raise InputError("leaf filter needs a diameter-filtered family")
 
     def leaves_at_d(e) -> bool:
-        adj = tree_adjacency(fam.n, e.edges)
+        adj = e.adjacency()
         ecc = tree_eccentricities(adj)
         return all(ecc[v] == fam.diameter for v, nb in enumerate(adj) if len(nb) == 1)
 

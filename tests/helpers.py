@@ -89,6 +89,11 @@ def _wiener_and_diameter_fw(n: int, edges) -> tuple[int, int]:
     return sum(map(sum, dist)) // 2, max(map(max, dist))
 
 
+def members(fam: kt.TreeFamily) -> tuple[kt.Tree, ...]:
+    """Every member of the family as a Tree, built from its entry's edges."""
+    return tuple(kt.tree_from_edges(fam.n, e.edges) for e in fam.entries)
+
+
 def maximal_members_brute(fam: kt.TreeFamily) -> list[kt.Tree]:
     """Members with no Wiener-increasing, diameter-keeping branch relocation.
 
@@ -96,7 +101,7 @@ def maximal_members_brute(fam: kt.TreeFamily) -> list[kt.Tree]:
     read off a Floyd-Warshall matrix.
     """
     kept = []
-    for t in fam.members:
+    for t in members(fam):
         w, _ = _wiener_and_diameter_fw(t.n, t.edges)
         covered = False
         for u, v in t.edges:

@@ -61,9 +61,9 @@ def test_criterion_02_family_10_4_reproduction():
         spider_codes["spider_2_2_2"]: 117,
         spider_codes["spider_1_1_1_2"]: 114,
     }
-    got = {kt.canonical_code(t): kt.wiener_edge_cut_route(t) for t in maxi.members}
+    got = {kt.canonical_code(t): kt.wiener_edge_cut_route(t) for t in helpers.members(maxi)}
     assert got == expected_w
-    argmax = max(maxi.members, key=kt.kemeny_wiener_route)
+    argmax = max(helpers.members(maxi), key=kt.kemeny_wiener_route)
     assert kt.canonical_code(argmax) == spider_codes["spider_2_2_2"]
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
@@ -75,7 +75,7 @@ def test_criterion_03_three_route_agreement():
     census = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
     total = 0
     for n, expected in census.items():
-        members = kt.enumerate_trees(n).members
+        members = helpers.members(kt.enumerate_trees(n))
         assert len(members) == expected
         for t in members:
             a = kt.kemeny_forest_route(t)
@@ -92,7 +92,7 @@ def test_criterion_03_three_route_agreement():
 def test_criterion_04_wiener_route_agreement():
     count = 0
     for n in range(2, 11):
-        for t in kt.enumerate_trees(n).members:
+        for t in helpers.members(kt.enumerate_trees(n)):
             assert kt.wiener_edge_cut_route(t) == kt.wiener_distance_route(
                 kt.all_pairs_distances(t)
             )
@@ -114,7 +114,7 @@ def test_criterion_05_six_vertex_example():
 
 def test_criterion_06_extremal_star_and_path():
     for n in range(3, 11):
-        members = kt.enumerate_trees(n).members
+        members = helpers.members(kt.enumerate_trees(n))
         wieners = [kt.wiener_edge_cut_route(t) for t in members]
         kappas = [kt.kemeny_forest_route(t) for t in members]
         w_min, w_max = min(wieners), max(wieners)
@@ -200,7 +200,7 @@ def test_criterion_07_transformation_oracles():
         checked += 1
     uniform_checked = 0
     for n in range(4, 13):
-        for t in kt.enumerate_trees(n).members:
+        for t in helpers.members(kt.enumerate_trees(n)):
             for i1, i2, t_size, m in _uniform_head_instances(t):
                 pd = kt.decompose_path(t, i1, i2)
                 expected = -(t_size - 1) * (pd.d - 1) * (m + 1)
@@ -255,7 +255,7 @@ def test_criterion_09_maximal_included_in_filter():
     for n in range(5, 12):
         for d in range(2, n):
             fam = kt.family(n, d)
-            if not fam.members:
+            if not fam.entries:
                 continue
             maxi = set(kt.maximal_elements(fam).codes)
             surv = set(kt.theorem_leaf_filter(fam).codes)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -280,6 +281,29 @@ def test_mates_census_n4_empty(capsys):
     code, out, err = run(capsys, "--json", "mates", "4")
     rows = rows_by_name(json.loads(out))
     assert rows["pair_count"]["value"] == "0"
+
+
+def test_mates_census_refuses_more_pairs_than_the_limit(capsys, monkeypatch):
+    fam = kt.enumerate_trees(9)
+    classes = Counter(e.wiener for e in fam.entries)
+    pairs = sum(c * (c - 1) // 2 for c in classes.values())
+    monkeypatch.setattr(cli, "MAX_CENSUS_PAIRS", pairs)
+    code, out, err = run(capsys, "--json", "mates", "9")
+    assert code == 0
+    assert rows_by_name(json.loads(out))["pair_count"]["value"] == str(pairs)
+    monkeypatch.setattr(cli, "MAX_CENSUS_PAIRS", pairs - 1)
+    code, out, err = run(capsys, "mates", "9")
+    assert (code, out) == (3, "")
+    assert err == f"error: {pairs} census pairs exceed the limit {pairs - 1}\n"
+
+
+def test_mates_census_limit_admits_order_15_and_refuses_order_16(capsys):
+    # order 15's pairs peak at about 262 MB, order 16's at about 680 MB
+    classes = Counter(e.wiener for e in kt.enumerate_trees(15).entries)
+    assert sum(c * (c - 1) // 2 for c in classes.values()) <= cli.MAX_CENSUS_PAIRS
+    code, out, err = run(capsys, "mates", "16")
+    assert (code, out) == (3, "")
+    assert err == f"error: 1014096 census pairs exceed the limit {cli.MAX_CENSUS_PAIRS}\n"
 
 
 def _pair_code_sets(rows):

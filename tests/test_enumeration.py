@@ -45,8 +45,18 @@ def test_generator_keeps_every_representative():
     # same codes, and the same first-found edge list for each code, as
     # attaching a leaf at every vertex and coding every result from scratch
     for n in range(1, 15):
-        got = tuple((code, edges) for code, edges, _, _ in _layer(n))
+        got = tuple((e.code, e.edges) for e in _layer(n))
         assert got == helpers.layer_by_full_recode(n)
+
+
+def test_entries_are_attachment_sequences():
+    # vertex k hangs from attach[k - 1] < k, and the sorted edges are the
+    # pairs (a_k, k)
+    for n in range(1, 15):
+        for e in _layer(n):
+            assert isinstance(e.attach, bytes) and len(e.attach) == n - 1
+            assert all(a < k for k, a in enumerate(e.attach, 1))
+            assert e.edges == tuple(sorted((a, k) for k, a in enumerate(e.attach, 1)))
 
 
 def test_layers_carry_the_wiener_index_and_diameter_of_their_trees():
@@ -62,15 +72,15 @@ def test_attachments_are_orbit_minima_with_their_codes():
     # with each vertex's total distance from a BFS, and whether the new
     # leaf lengthens the diameter from the eccentricities
     for n in range(2, 11):
-        for _, edges, _, diameter in _layer(n):
+        for e in _layer(n):
             adj = [[] for _ in range(n + 1)]
-            for u, v in edges:
+            for u, v in e.edges:
                 adj[u].append(v)
                 adj[v].append(u)
             orbits = {}
             for v in range(n):
                 orbits.setdefault(helpers.rooted_code(adj, v), v)
-            got = list(_leaf_attachments(n, edges))
+            got = list(_leaf_attachments(e.adjacency()))
             assert [v for v, *_ in got] == sorted(orbits.values())
             for v, code, dist, deepens in got:
                 assert dist == sum(bfs_distances(adj[:n], v))
@@ -78,7 +88,7 @@ def test_attachments_are_orbit_minima_with_their_codes():
                 adj[n] = [v]
                 assert code == _code_from_adjacency(adj)
                 da, far = double_sweep(adj)
-                assert deepens == (da[far] == diameter + 1)
+                assert deepens == (da[far] == e.diameter + 1)
                 adj[v].pop()
 
 
@@ -87,7 +97,7 @@ def test_attachments_count_rooted_trees():
     # order, so orbit minima over a whole layer number exactly r(n)
     for n in range(2, 16):
         attachments = sum(
-            1 for e in _layer(n) for _ in _leaf_attachments(n, e.edges)
+            1 for e in _layer(n) for _ in _leaf_attachments(e.adjacency())
         )
         assert attachments == ROOTED_TREE_COUNTS[n]
 
@@ -103,12 +113,12 @@ def test_generator_codes_no_tree_from_scratch(monkeypatch):
 
 def test_layer_codes_are_the_codes_of_their_edges():
     for n in range(1, 17):
-        for code, edges, _, _ in _layer(n):
+        for e in _layer(n):
             adj = [[] for _ in range(n)]
-            for u, v in edges:
+            for u, v in e.edges:
                 adj[u].append(v)
                 adj[v].append(u)
-            assert _code_from_adjacency(adj) == code
+            assert _code_from_adjacency(adj) == e.code
 
 
 def test_layers_satisfy_the_cayley_orbit_identity():
@@ -138,7 +148,7 @@ def test_enumerate_members_are_valid_and_sorted():
         codes = fam.codes
         assert len(set(codes)) == len(codes)
         assert list(codes) == sorted(codes)
-        for t in fam.members:
+        for t in helpers.members(fam):
             assert t.n == n and t.m == n - 1
 
 
@@ -180,7 +190,7 @@ def test_canonical_code_matches_recursive_center_code():
     # the generator, canonical_code and layer_by_full_recode share one leaf
     # peel; this oracle roots by eccentricity and codes by recursion instead
     rng = random.Random(1111)
-    trees = [t for n in range(1, 13) for t in kt.enumerate_trees(n).members]
+    trees = [t for n in range(1, 13) for t in helpers.members(kt.enumerate_trees(n))]
     trees += [helpers.random_tree(rng, rng.randrange(13, 61)) for _ in range(200)]
     centers = set()
     for t in trees:
@@ -223,7 +233,7 @@ def test_double_stars_not_isomorphic():
 
 
 def test_code_equality_matches_brute_force_isomorphism_n6():
-    members = kt.enumerate_trees(6).members
+    members = helpers.members(kt.enumerate_trees(6))
     for a, b in itertools.combinations(members, 2):
         assert kt.canonical_code(a) != kt.canonical_code(b)
         assert not helpers.brute_force_isomorphic(a, b)
@@ -250,10 +260,10 @@ def test_family_path_and_star():
     for n in range(3, 9):
         paths = kt.family(n, n - 1)
         assert len(paths) == 1
-        assert paths.members[0].degrees.count(2) == n - 2
+        assert helpers.members(paths)[0].degrees.count(2) == n - 2
         stars = kt.family(n, 2)
         assert len(stars) == 1
-        assert max(stars.members[0].degrees) == n - 1
+        assert max(helpers.members(stars)[0].degrees) == n - 1
 
 
 def test_family_diameters_partition():
@@ -304,11 +314,11 @@ def test_families_carry_the_codes_of_their_members():
             fam = kt.family(n, d)
             families += [fam, kt.maximal_elements(fam), kt.theorem_leaf_filter(fam)]
         for fam in families:
-            assert fam.codes == tuple(kt.canonical_code(t) for t in fam.members)
-            assert list(fam) == list(zip(fam.codes, fam.members))
-            assert list(fam.entries) == [
+            trees = helpers.members(fam)
+            assert fam.codes == tuple(kt.canonical_code(t) for t in trees)
+            assert [(e.code, e.edges, e.wiener, e.diameter) for e in fam.entries] == [
                 (code, t.edges, kt.wiener_edge_cut_route(t), t.diameter)
-                for code, t in fam
+                for code, t in zip(fam.codes, trees)
             ]
 
 
@@ -316,11 +326,15 @@ def test_family_filters_on_the_carried_diameter():
     for n in range(1, 13):
         whole = kt.enumerate_trees(n)
         for d in range(min(1, n - 1), n):
-            want = tuple(code for code, t in whole if t.diameter == d)
+            want = tuple(
+                code
+                for code, t in zip(whole.codes, helpers.members(whole))
+                if t.diameter == d
+            )
             assert kt.family(n, d).codes == want
 
 
-def test_family_builds_its_trees_once_and_only_when_read(monkeypatch):
+def test_enumerate_family_and_where_build_no_tree(monkeypatch):
     built = []
     real = kt.Tree.__init__
 
@@ -329,13 +343,15 @@ def test_family_builds_its_trees_once_and_only_when_read(monkeypatch):
         real(self, *args, **kwargs)
 
     monkeypatch.setattr(kt.Tree, "__init__", counting)
+    monkeypatch.setattr(enumeration, "_layers", {})
+    whole = kt.enumerate_trees(13)
     fam = kt.family(13, 6)
-    assert len(fam) > 0 and len(fam.codes) == len(fam) and built == []
-    members = fam.members
-    assert len(members) == len(built) == len(fam)
-    assert fam.members is members
-    assert list(fam) == list(zip(fam.codes, members))
-    assert len(built) == len(fam)
+    kept = fam.where(lambda e: e.wiener % 3 == 0, 6)
+    assert 0 < len(kept) < len(fam) < len(whole)
+    assert len(fam.codes) == len(fam) and kept.n == 13 and kept.diameter == 6
+    for e in kept.entries:  # reading an entry builds none either
+        assert len(e.edges) == 12 and len(e.adjacency()) == 13
+    assert built == []
 
 
 def _assert_decode_shape_matches_naive(seq, n, ids):
@@ -433,6 +449,13 @@ def test_family_float_order_or_diameter_is_input_error():
         kt.family(6, 3.0)
 
 
+def test_enumerate_str_cap_is_input_error():
+    with pytest.raises(InputError, match="^cap must be an integer, not str$"):
+        kt.enumerate_trees(5, "9")
+    with pytest.raises(InputError, match="^cap must be an integer, not bool$"):
+        kt.family(5, 2, True)
+
+
 def test_prufer_oracle_bool_order_is_input_error():
     with pytest.raises(InputError):
         kt.prufer_oracle_count(True)
@@ -444,7 +467,8 @@ def test_prufer_oracle_str_order_is_input_error():
 
 
 def test_census_round_trip():
-    for fam_code, t in kt.enumerate_trees(7):
+    fam = kt.enumerate_trees(7)
+    for fam_code, t in zip(fam.codes, helpers.members(fam)):
         line = kt.census_line(fam_code, t.edges)
         code, parsed = kt.parse_census_line(line)
         assert code == kt.canonical_code(t)
@@ -455,7 +479,7 @@ def test_census_round_trip():
 
 
 def _census_line_with_foreign_code():
-    a, b = kt.enumerate_trees(6).members[:2]
+    a, b = helpers.members(kt.enumerate_trees(6))[:2]
     return kt.census_line(kt.canonical_code(a), b.edges)
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import kemtree as kt
 from kemtree import graphs
-from kemtree.errors import DisconnectedError, NotATreeError, ParseError
+from kemtree.errors import DisconnectedError, InputError, NotATreeError, ParseError
 from kemtree.errors import ResourceLimitError
 
 import helpers
@@ -246,7 +246,7 @@ def test_eccentricity_properties(n, rng):
 
 
 def test_lazy_metrics_match_floyd_warshall():
-    trees = [t for n in range(1, 11) for t in kt.enumerate_trees(n).members]
+    trees = [t for n in range(1, 11) for t in helpers.members(kt.enumerate_trees(n))]
     trees += [
         helpers.load_tree(f.stem)
         for f in sorted(helpers.FIXTURES.glob("*.txt"))
@@ -271,7 +271,7 @@ def test_entry_adjacency_matches_tree_adjacency_row_for_row():
     # the scans find first, so it is part of the CLI's output
     for n in range(1, 13):
         for e in kt.enumerate_trees(n).entries:
-            adj = graphs.tree_adjacency(n, e.edges)
+            adj = e.adjacency()
             assert tuple(map(tuple, adj)) == kt.Tree(n, e.edges).adjacency
 
 
@@ -293,7 +293,7 @@ def test_tree_construction_runs_one_bfs(monkeypatch):
 
 def test_center_parity_all_trees_up_to_10():
     for n in range(1, 11):
-        for t in kt.enumerate_trees(n).members:
+        for t in helpers.members(kt.enumerate_trees(n)):
             if t.diameter % 2 == 0:
                 assert len(t.center) == 1
             else:
@@ -311,3 +311,13 @@ def test_graph_rejects_bad_edges():
         kt.Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         kt.Graph(0, [])
+
+
+def test_float_vertex_count_is_input_error():
+    with pytest.raises(InputError, match="^vertex count must be an integer, not float$"):
+        kt.tree_from_edges(2.0, [(0, 1)])
+
+
+def test_bool_vertex_count_is_input_error():
+    with pytest.raises(InputError, match="^vertex count must be an integer, not bool$"):
+        kt.tree_from_edges(True, [])

@@ -82,7 +82,7 @@ def test_omega_mates15_marked_edges():
 
 def test_omega_matches_path_enumeration_up_to_8():
     for n in range(2, 9):
-        for t in kt.enumerate_trees(n).members:
+        for t in helpers.members(kt.enumerate_trees(n)):
             assert kt.omega_weights(t).weights == helpers.omega_by_path_enumeration(t)
 
 
@@ -123,7 +123,7 @@ def test_kemeny_forest_unicycles():
 def test_forest_route_matches_determinant_formula_on_fixtures_and_trees():
     cases = [helpers.load_graph(p.stem) for p in sorted(helpers.FIXTURES.glob("*.txt"))]
     assert len(cases) == 13
-    cases += [t for n in range(2, 9) for t in kt.enumerate_trees(n).members]
+    cases += [t for n in range(2, 9) for t in helpers.members(kt.enumerate_trees(n))]
     for g in cases:
         assert kt.kemeny_forest_route(g) == helpers.kemeny_forest_determinants(g)
 
@@ -166,7 +166,7 @@ def test_kemeny_edge_cut_small_cases():
 
 def test_three_routes_agree_up_to_8():
     for n in range(2, 9):
-        for t in kt.enumerate_trees(n).members:
+        for t in helpers.members(kt.enumerate_trees(n)):
             a = kt.kemeny_forest_route(t)
             b = kt.kemeny_wiener_route(t)
             c = kt.kemeny_edge_cut_route(t)
@@ -187,7 +187,7 @@ def test_degree_distance_identity_on_trees_up_to_9():
     # column sums: deg^T F == 1^T (2F - (n-1) I) entrywise when F is the
     # tree distance matrix
     for n in range(2, 10):
-        for t in kt.enumerate_trees(n).members:
+        for t in helpers.members(kt.enumerate_trees(n)):
             deg = t.degrees
             d = kt.all_pairs_distances(t)
             for j in range(n):
@@ -242,7 +242,7 @@ def test_compute_invariants_route_selection():
 
 
 def test_compute_invariants_matches_distance_matrix_oracle():
-    cases = [t for n in range(2, 11) for t in kt.enumerate_trees(n).members]
+    cases = [t for n in range(2, 11) for t in helpers.members(kt.enumerate_trees(n))]
     cases += [helpers.load_graph(p.stem) for p in sorted(helpers.FIXTURES.glob("*.txt"))]
     for g in cases:
         d = kt.all_pairs_distances(g)

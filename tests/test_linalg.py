@@ -73,7 +73,7 @@ def test_petersen_spanning_trees():
 
 def test_tree_has_one_spanning_tree():
     for n in range(1, 9):
-        for t in kt.enumerate_trees(n).members:
+        for t in helpers.members(kt.enumerate_trees(n)):
             assert kt.spanning_tree_count(t) == 1
 
 
@@ -132,7 +132,7 @@ def test_two_forest_symmetric():
 
 def test_two_forest_on_trees_is_distance():
     for n in range(2, 11):
-        for t in kt.enumerate_trees(n).members:
+        for t in helpers.members(kt.enumerate_trees(n)):
             d = kt.all_pairs_distances(t)
             for i in range(n):
                 for j in range(i + 1, n):

@@ -8,7 +8,6 @@ import kemtree as kt
 from kemtree.errors import InputError, NotABridgeConfigError, PathTooShortError
 from kemtree.errors import TheoremViolationError
 from kemtree import enumeration, transforms
-from kemtree.graphs import tree_adjacency
 from kemtree.transforms import _relocated, _relocations, _zero_delta_candidates
 
 import helpers
@@ -108,7 +107,7 @@ def test_op1_uniform_interior_with_matching_head_reduces():
     # size t + m: delta collapses to -(t-1)(d-1)(m+1)
     found = 0
     for n in range(5, 11):
-        for t in kt.enumerate_trees(n).members:
+        for t in helpers.members(kt.enumerate_trees(n)):
             dist = kt.all_pairs_distances(t)
             for i1 in range(n):
                 for i2 in range(n):
@@ -138,7 +137,7 @@ def test_op1_uniform_interior_with_matching_head_reduces():
 
 def test_op1_uniform_t1_gives_isomorphic_trees():
     for n in range(4, 9):
-        for t in kt.enumerate_trees(n).members:
+        for t in helpers.members(kt.enumerate_trees(n)):
             dist = kt.all_pairs_distances(t)
             for i1 in range(n):
                 for i2 in range(n):
@@ -220,7 +219,7 @@ def test_op2_adjacent_sign_rule_exhaustive():
     # index rises exactly when the far host component is bigger than the
     # near one
     for n in range(4, 10):
-        for t in kt.enumerate_trees(n).members:
+        for t in helpers.members(kt.enumerate_trees(n)):
             dist = kt.all_pairs_distances(t)
             for i1, b_root, i2, delta in _relocations(t.adjacency):
                 moved = kt.apply_op2(t, b_root, i1, i2)
@@ -236,7 +235,7 @@ def test_op2_adjacent_sign_rule_exhaustive():
 
 def test_relocations_cover_every_branch_and_target():
     for n in range(2, 9):
-        for t in kt.enumerate_trees(n).members:
+        for t in helpers.members(kt.enumerate_trees(n)):
             expected = []
             for i1 in range(n):
                 for b_root in t.adjacency[i1]:
@@ -256,7 +255,7 @@ def test_relocated_leaves_list_rows_untouched():
     # every row it changes rather than extend the caller's row in place
     for n in range(2, 9):
         for e in enumeration._layer(n):
-            adj = tree_adjacency(n, e.edges)
+            adj = e.adjacency()
             saved = copy.deepcopy(adj)
             for i1, b_root, i2, _ in _relocations(adj):
                 _relocated(adj, b_root, i1, i2)
@@ -310,10 +309,10 @@ def test_covers_negative_cases():
 
 
 def test_covers_found_inside_family_10_4():
-    fam = kt.family(10, 4)
+    trees = helpers.members(kt.family(10, 4))
     cover_count = 0
-    for lower in fam.members:
-        for upper in fam.members:
+    for lower in trees:
+        for upper in trees:
             if lower is upper:
                 continue
             witness = kt.covers(lower, upper)
@@ -340,9 +339,10 @@ def test_covers_matches_brute_force_over_families_of_order_9():
     found = 0
     for d in range(1, 9):
         fam = kt.family(9, d)
-        reach = [_relocation_codes_brute(t) for t in fam.members]
-        for code_lo, lower in fam:
-            for (code_up, upper), codes in zip(fam, reach):
+        pairs = list(zip(fam.codes, helpers.members(fam)))
+        reach = [_relocation_codes_brute(t) for _, t in pairs]
+        for code_lo, lower in pairs:
+            for (code_up, upper), codes in zip(pairs, reach):
                 expected = wiener(lower) < wiener(upper) and code_lo in codes
                 witness = kt.covers(lower, upper)
                 assert (witness is not None) == expected
@@ -366,11 +366,9 @@ def test_covers_rebuilds_only_the_witness(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(transforms, "apply_op2", counting)
-    fam = kt.family(12, 5)
+    trees = helpers.members(kt.family(12, 5))
     witnesses = sum(
-        kt.covers(lower, upper) is not None
-        for lower in fam.members
-        for upper in fam.members
+        kt.covers(lower, upper) is not None for lower in trees for upper in trees
     )
     assert calls == witnesses == 756
 
@@ -392,7 +390,7 @@ def test_maximal_family_10_4():
         kt.canonical_code(helpers.load_tree("spider_1_1_1_2")),
     }
     assert set(maxi.codes) == expected
-    assert sorted(wiener(t) for t in maxi.members) == [112, 114, 117]
+    assert sorted(wiener(t) for t in helpers.members(maxi)) == [112, 114, 117]
 
 
 def test_maximal_elements_match_brute_force_oracle_up_to_9():
@@ -465,10 +463,10 @@ def test_covers_codes_upper_only_for_a_witness(monkeypatch):
         return real(t)
 
     monkeypatch.setattr(transforms, "canonical_code", counting)
-    fam = kt.family(10, 4)
+    trees = helpers.members(kt.family(10, 4))
     screened = witnesses = 0
-    for lower in fam.members:
-        for upper in fam.members:
+    for lower in trees:
+        for upper in trees:
             witnesses += kt.covers(lower, upper) is not None
             screened += wiener(lower) < wiener(upper)
     # lower's code for each pair past the W screen (one family, one
@@ -497,7 +495,7 @@ def _zero_delta_by_decomposition(t):
 
 def test_zero_delta_candidates_match_path_pattern_up_to_10():
     for n in range(1, 11):
-        for t in kt.enumerate_trees(n).members:
+        for t in helpers.members(kt.enumerate_trees(n)):
             assert list(_zero_delta_candidates(t.adjacency)) == _zero_delta_by_decomposition(t)
 
 
@@ -516,7 +514,7 @@ def test_zero_delta_candidates_match_path_pattern_random_11_to_24():
 def test_op1_screen_codes_match_rebuilds_up_to_11():
     checked = 0
     for n in range(1, 12):
-        for t in kt.enumerate_trees(n).members:
+        for t in helpers.members(kt.enumerate_trees(n)):
             for i1, i2, _, _, path in _zero_delta_candidates(t.adjacency):
                 assert path == t.path(i1, i2)
                 rebuilt = kt.apply_op1(t, i1, i2)
@@ -587,7 +585,9 @@ def _leaf_filter_by_center_distance(fam):
     from the center, read off each member's Tree."""
     half = fam.diameter // 2
     return tuple(
-        code for code, t in fam if all(t.center_distance(v) == half for v in t.leaves)
+        code
+        for code, t in zip(fam.codes, helpers.members(fam))
+        if all(t.center_distance(v) == half for v in t.leaves)
     )
 
 
@@ -610,7 +610,7 @@ def test_maximal_subset_of_filter_up_to_9():
     for n in range(5, 10):
         for d in range(2, n):
             fam = kt.family(n, d)
-            if not fam.members:
+            if not fam.entries:
                 continue
             maxi = set(kt.maximal_elements(fam).codes)
             surv = set(kt.theorem_leaf_filter(fam).codes)

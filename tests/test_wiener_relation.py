@@ -49,7 +49,7 @@ def test_census_pairs_are_the_equal_forest_route_pairs(capsys, n):
         )
         for i in range(int(rows["pair_count"]))
     ]
-    trees = kt.enumerate_trees(n).members
+    trees = helpers.members(kt.enumerate_trees(n))
     scored = [
         (kt.canonical_code(t).hex(), kt.kemeny_forest_route(t)) for t in trees
     ]
@@ -63,7 +63,7 @@ def test_census_pairs_are_the_equal_forest_route_pairs(capsys, n):
 
 @pytest.mark.parametrize("n", range(3, 10))
 def test_extremal_kemeny_matches_a_forest_route_ranking(capsys, n):
-    trees = kt.enumerate_trees(n).members
+    trees = helpers.members(kt.enumerate_trees(n))
     kappa = {t: kt.kemeny_forest_route(t) for t in trees}
     for d in [None, *range(2, n)]:
         members = [t for t in trees if d is None or t.diameter == d]
@@ -104,7 +104,7 @@ def test_census_mode_converts_once_per_tied_wiener_value(capsys, monkeypatch):
     for name in calls:
         monkeypatch.setattr(cli, name, counted(name))
     rows = _rows(capsys, "mates", "10", "--mode", "census")
-    wieners = [kt.wiener_edge_cut_route(t) for t in kt.enumerate_trees(10).members]
+    wieners = [kt.wiener_edge_cut_route(t) for t in helpers.members(kt.enumerate_trees(10))]
     tied = {w for w in wieners if wieners.count(w) > 1}
     assert int(rows["pair_count"]) > len(tied) > 0
     assert calls == {"census_line": len(wieners), "kemeny_from_wiener": len(tied)}
@@ -125,7 +125,7 @@ def test_census_mode_formats_once_per_tied_wiener_value(capsys, monkeypatch):
     for name in calls:
         monkeypatch.setattr(cli, name, counted(name))
     rows = _rows(capsys, "mates", "10", "--mode", "census")
-    wieners = [kt.wiener_edge_cut_route(t) for t in kt.enumerate_trees(10).members]
+    wieners = [kt.wiener_edge_cut_route(t) for t in helpers.members(kt.enumerate_trees(10))]
     tied = {w for w in wieners if wieners.count(w) > 1}
     assert int(rows["pair_count"]) > len(tied) > 0
     # a W cell and a K cell per tied W; every K of order 10 is a fraction
