@@ -28,7 +28,9 @@ before any invariant is computed, so a non-tree exits 2 at once.
 
 Exit codes: 0 ok, 1 usage, 2 parse/validation (also a path holding a NUL
 byte, and a label or count not in ASCII decimal digits), 3 resource limit
-(--cap, MAX_CENSUS_PAIRS, graphs.MAX_VERTICES), 4 theorem violation.
+(--cap, MAX_CENSUS_PAIRS, graphs.MAX_VERTICES, and
+invariants.MAX_DENSE_VERTICES for a cyclic graph or `--route forest`), 4
+theorem violation.
 `--places` runs from 0 to MAX_PLACES and `--cap` up to MAX_ORDER_HARD; a
 value outside is a usage error. A reader that closes stdout early
 (`kemtree enum 12 | head -1`) ends the run quietly with exit 0.
@@ -61,8 +63,9 @@ from .enumeration import enumerate_trees, family
 # Python refuses to print an int of more than 4300 digits, and the decimal
 # column scales by 10**places, so display precision is capped well below.
 MAX_PLACES = 1000
-# Most pairs census `mates` holds, about 690 bytes each: order 15 has 378,919
-# (262 MB peak); order 16 has 1,014,096, which peaked at 677 MB.
+# Most pairs census `mates` holds, about 630 bytes each: order 15 has 378,919
+# (228 MB peak); order 16 has 1,014,096, which peaked at 677 MB when each
+# pair was also held apart from its rows.
 MAX_CENSUS_PAIRS = 500_000
 
 EXIT_OK = 0
@@ -180,19 +183,22 @@ def cmd_mates(args) -> Report:
     report = Report(
         command="mates", inputs={"n": args.n, "mode": args.mode}
     )
-    # (wiener cells, kemeny cells, line a, line b) per pair
+    # (wiener cells, kemeny cells, line a, line b) per pair, made as its rows
+    # are added
     if args.mode == "op1":
         from .transforms import generate_mates_op1
 
-        pairs = [
+        mates = generate_mates_op1(args.n, cap=args.cap, orders=(args.n,))
+        count = len(mates)
+        pairs = (
             (
                 _exact_cells(p.wiener, args.places),
                 _exact_cells(p.kemeny, args.places),
                 census_line(p.code_a, p.tree_a.edges),
                 census_line(p.code_b, p.tree_b.edges),
             )
-            for p in generate_mates_op1(args.n, cap=args.cap, orders=(args.n,))
-        ]
+            for p in mates
+        )
     else:
         buckets: dict[int, list[str]] = {}
         for e in enumerate_trees(args.n, cap=args.cap).entries:
@@ -200,15 +206,18 @@ def cmd_mates(args) -> Report:
         count = sum(len(b) * (len(b) - 1) // 2 for b in buckets.values())
         if count > MAX_CENSUS_PAIRS:
             raise ResourceLimitError(f"{count} census pairs exceed the limit {MAX_CENSUS_PAIRS}")
-        pairs = []
-        for w, lines in sorted(buckets.items()):
-            if len(lines) > 1:
-                cells = (
-                    _exact_cells(w, args.places),
-                    _exact_cells(kemeny_from_wiener(args.n, w), args.places),
-                )
-                pairs += (cells + ab for ab in itertools.combinations(lines, 2))
-    report.add("pair_count", len(pairs))
+
+        def census_pairs():
+            for w, lines in sorted(buckets.items()):
+                if len(lines) > 1:
+                    cells = (
+                        _exact_cells(w, args.places),
+                        _exact_cells(kemeny_from_wiener(args.n, w), args.places),
+                    )
+                    yield from (cells + ab for ab in itertools.combinations(lines, 2))
+
+        pairs = census_pairs()
+    report.add("pair_count", count)
     for idx, (w_cells, kappa_cells, line_a, line_b) in enumerate(pairs):
         report.add(f"pair[{idx}].wiener", *w_cells)
         report.add(f"pair[{idx}].kemeny", *kappa_cells)

@@ -2,10 +2,13 @@
 
 Kemeny's constant is available through three independent routes:
 
-* forest route (any connected graph): deg^T F deg / (4 m tau), where F
-  counts separating spanning 2-forests and tau counts spanning trees. Both
-  come from one fraction-free adjugate of the grounded Laplacian
-  (`linalg.adjugate_det`), in O(n^3) big-integer steps;
+* forest route (any connected graph): (2m sum_i d_i A_ii - d^T A d) /
+  (2m tau), where A is the adjugate and tau the determinant of the
+  Laplacian grounded at vertex 0, both from one fraction-free pass
+  (`linalg.adjugate_det`) in O(n^3) big-integer steps. It contracts the
+  resistance form sum_{i<j} d_i d_j (A_ii + A_jj - 2 A_ij) / (2m tau),
+  since sum_j d_j = 2m. The route, and the distance matrix of a cyclic
+  graph, refuse graphs above MAX_DENSE_VERTICES vertices;
 * Wiener relation (trees only): `kemeny_from_wiener`, from W and n;
 * edge-cut route (trees only): sum over edges of
   (2 n1 - 1)(2 n2 - 1) / (2 (n - 1)), with n1, n2 the component sizes
@@ -18,12 +21,23 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, NamedTuple
 
-from .errors import DisconnectedError, InputError, RouteRequiresTreeError
+from .errors import DisconnectedError, InputError, ResourceLimitError
+from .errors import RouteRequiresTreeError
 from .graphs import DistanceMatrix, Edge, Graph, Tree, all_pairs_distances
 from .graphs import bfs_distances, rooted_traversal, tree_from_graph
 from .linalg import adjugate_det, delete_rows_cols, laplacian
+
+# Most vertices of a graph that gets an n x n matrix: the distance matrix
+# of a cyclic graph, and the grounded Laplacian and its adjugate on the
+# forest route. On a random connected graph with m = 1.1n, `invariants
+# --route forest` took 0.4 s at n = 100, 6.7 s at 300 and 39 s at 500
+# (peak RSS 38 MB), one fresh process each on a 2-core Xeon under Python
+# 3.11; n = 1000 did not finish in 490 s. Entries grow with the edge count,
+# so a denser graph costs more: n = 500 with m = 3n took 498 s (72 MB).
+MAX_DENSE_VERTICES = 500
 
 
 class KemenyRoute(Enum):
@@ -94,32 +108,34 @@ def _require_connected(g: Graph) -> None:
             raise DisconnectedError(0, v)
 
 
+def _require_dense_size(n: int) -> None:
+    if n > MAX_DENSE_VERTICES:
+        raise ResourceLimitError(
+            f"{n} vertices exceed the dense-route limit {MAX_DENSE_VERTICES}"
+        )
+
+
 def kemeny_forest_route(g: Graph) -> Fraction:
     """Kemeny's constant of the random walk on any connected graph.
 
     Evaluates the resistance form sum_{i<j} d_i d_j r_ij / (2m) (Klein and
     Randic 1993). With L0 the Laplacian grounded at vertex 0, tau = det L0
-    counts spanning trees and adj = tau * L0^-1, both from one
-    `adjugate_det` pass. tau * r_ij is the 2-forest count F(i, j): adj_jj
-    when i = 0, else adj_ii + adj_jj - 2 adj_ij. The older formula
-    deg^T F deg / (4 m tau), with one determinant per entry of F, is kept
-    in the tests as an oracle.
+    and A = tau * L0^-1 come from one `adjugate_det` pass, and tau * r_ij =
+    A_ii + A_jj - 2 A_ij with A zero in row and column 0. As sum_j d_j = 2m,
+    the pair sum contracts to K = (2m sum_i d_i A_ii - d^T A d) / (2m tau).
+    The older formula deg^T F deg / (4 m tau), one determinant per entry of
+    the 2-forest matrix F, is kept in the tests as an oracle. Above
+    MAX_DENSE_VERTICES vertices it raises ResourceLimitError first.
     """
-    n = g.n
-    if n < 2:
+    if g.n < 2:
         raise InputError("Kemeny's constant needs at least two vertices")
     _require_connected(g)
+    _require_dense_size(g.n)
     tau, adj = adjugate_det(delete_rows_cols(laplacian(g), {0}))
-    # Border adj with a zero row and column for the grounded vertex 0, so
-    # that a[i][j] is tau times the grounded Green's function of (i, j).
-    a = [[0] * n] + [[0] + row for row in adj]
-    deg = g.degrees
-    quad = 0
-    for i in range(n):
-        row = a[i]
-        for j in range(i + 1, n):
-            quad += deg[i] * deg[j] * (row[i] + a[j][j] - 2 * row[j])
-    return Fraction(quad, 2 * g.m * tau)
+    deg = g.degrees[1:]
+    diag = sum(d * row[i] for i, (d, row) in enumerate(zip(deg, adj)))
+    form = sum(d * sum(map(mul, deg, row)) for d, row in zip(deg, adj))
+    return Fraction(2 * g.m * diag - form, 2 * g.m * tau)
 
 
 def kemeny_from_wiener(n: int, w: int) -> Fraction:
@@ -160,29 +176,32 @@ def compute_invariants(g: Graph, route: KemenyRoute | str = "auto") -> Invariant
 
     `route` picks how Kemeny's constant is computed; "auto" uses the
     edge-cut route on trees and the forest route otherwise. Tree-only
-    routes on graphs with cycles raise RouteRequiresTreeError. On a tree,
-    W is the edge-cut sum and Gut = 4W - (n-1)(2n-1), so only cyclic graphs
-    build the distance matrix. A `Tree` is used as it is; a plain Graph
-    with m = n - 1 is validated as a tree here.
+    routes on graphs with cycles raise RouteRequiresTreeError before any
+    value is computed. On a tree, W is the edge-cut sum and
+    Gut = 4W - (n-1)(2n-1), so only cyclic graphs build the distance matrix,
+    and above MAX_DENSE_VERTICES they raise ResourceLimitError instead. A
+    `Tree` is used as it is; a plain Graph with m = n - 1 is validated as a
+    tree here.
     """
     _require_connected(g)
     if isinstance(g, Tree):
         tree = g
     else:
         tree = tree_from_graph(g) if g.m == g.n - 1 else None
+    if route == "auto":
+        route = KemenyRoute.EDGE_CUT if tree is not None else KemenyRoute.FOREST
+    chosen = KemenyRoute(route)
+    if tree is None and chosen is not KemenyRoute.FOREST:
+        raise RouteRequiresTreeError(f"route {chosen.value!r} is defined only on trees")
     if tree is not None:
         wiener = wiener_edge_cut_route(tree)
         gutman = 4 * wiener - (g.n - 1) * (2 * g.n - 1)
     else:
+        _require_dense_size(g.n)
         d = all_pairs_distances(g)
         wiener, gutman = wiener_distance_route(d), gutman_index(g, d)
-    if route == "auto":
-        route = KemenyRoute.EDGE_CUT if tree is not None else KemenyRoute.FOREST
-    chosen = KemenyRoute(route)
     if chosen is KemenyRoute.FOREST:
         kappa = kemeny_forest_route(g)
-    elif tree is None:
-        raise RouteRequiresTreeError(f"route {chosen.value!r} is defined only on trees")
     elif chosen is KemenyRoute.WIENER:
         kappa = kemeny_from_wiener(g.n, wiener)
     else:

@@ -99,6 +99,16 @@ def test_invariants_vertex_ceiling_exits_3(capsys, tmp_path, text, line):
     assert out == "" and err.startswith(f"error: line {line}: ")
 
 
+def test_invariants_dense_limit_exits_3(capsys, tmp_path):
+    limit = invariants.MAX_DENSE_VERTICES
+    n = limit + 1
+    f = tmp_path / "cycle.txt"
+    f.write_text("".join(f"{v} {(v + 1) % n}\n" for v in range(n)))
+    code, out, err = run(capsys, "invariants", str(f))
+    assert code == 3
+    assert out == "" and err == f"error: {n} vertices exceed the dense-route limit {limit}\n"
+
+
 def test_invariants_non_utf8_exits_2(capsys, tmp_path):
     f = tmp_path / "latin1.txt"
     f.write_bytes(b"0 1\n1 2 # caf\xe9\n")

@@ -5,7 +5,7 @@ import pytest
 
 import kemtree as kt
 from kemtree import graphs, invariants
-from kemtree.errors import DisconnectedError, RouteRequiresTreeError
+from kemtree.errors import DisconnectedError, ResourceLimitError, RouteRequiresTreeError
 from kemtree.invariants import KemenyRoute
 
 import helpers
@@ -275,6 +275,43 @@ def test_compute_invariants_builds_no_distance_matrix_on_trees(monkeypatch):
         with pytest.raises(DisconnectedError) as exc:
             kt.compute_invariants(g)
         assert exc.value.pair == pair
+
+
+def _forbid_dense_matrices(monkeypatch):
+    def built(*args):
+        raise AssertionError("a dense matrix was built")
+
+    for name in ("laplacian", "all_pairs_distances"):
+        monkeypatch.setattr(invariants, name, built)
+
+
+def test_tree_only_route_on_a_cycle_is_refused_before_any_distance(monkeypatch):
+    _forbid_dense_matrices(monkeypatch)
+    for route in ("wiener", "edgecut"):
+        with pytest.raises(RouteRequiresTreeError):
+            kt.compute_invariants(helpers.cycle_graph(4), route)
+
+
+def test_dense_limit_is_checked_before_any_matrix(monkeypatch):
+    limit = invariants.MAX_DENSE_VERTICES
+    _forbid_dense_matrices(monkeypatch)
+    above = helpers.cycle_graph(limit + 1)
+    message = f"^{limit + 1} vertices exceed the dense-route limit {limit}$"
+    for call in (
+        lambda: kt.kemeny_forest_route(above),
+        lambda: kt.compute_invariants(above),
+        lambda: kt.compute_invariants(helpers.path_graph(limit + 1), "forest"),
+    ):
+        with pytest.raises(ResourceLimitError, match=message):
+            call()
+    # at the limit both checks admit the graph and the patched builders run
+    at = helpers.cycle_graph(limit)
+    for call in (lambda: kt.kemeny_forest_route(at), lambda: kt.compute_invariants(at)):
+        with pytest.raises(AssertionError, match="a dense matrix was built"):
+            call()
+    # trees on their own routes build no dense matrix, so no limit applies
+    path = helpers.path_graph(limit + 1)
+    assert kt.compute_invariants(path).wiener == (limit + 2) * (limit + 1) * limit // 6
 
 
 def test_format_exact_rounding():
