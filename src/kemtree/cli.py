@@ -39,7 +39,6 @@ value outside is a usage error. A reader that closes stdout early
 from __future__ import annotations
 
 import argparse
-import io
 import itertools
 import os
 import sys
@@ -63,9 +62,11 @@ from .enumeration import enumerate_trees, family
 # Python refuses to print an int of more than 4300 digits, and the decimal
 # column scales by 10**places, so display precision is capped well below.
 MAX_PLACES = 1000
-# Most pairs census `mates` holds, about 630 bytes each: order 15 has 378,919
-# (228 MB peak); order 16 has 1,014,096, which peaked at 677 MB when each
-# pair was also held apart from its rows.
+# Most pairs census `mates` holds. Order 15 has 378,919: a fresh process
+# peaks at 228.8 MB in table output and 228.5 MB in CSV (about 600 bytes a
+# pair), but at 845.3 MB in JSON (about 2.2 KB a pair). Order 16 has
+# 1,014,096, which peaked at 677 MB in table output when each pair was also
+# held apart from its rows.
 MAX_CENSUS_PAIRS = 500_000
 
 EXIT_OK = 0
@@ -180,6 +181,7 @@ def cmd_extremal(args) -> Report:
 
 
 def cmd_mates(args) -> Report:
+    fam = enumerate_trees(args.n, cap=args.cap)
     report = Report(
         command="mates", inputs={"n": args.n, "mode": args.mode}
     )
@@ -188,7 +190,7 @@ def cmd_mates(args) -> Report:
     if args.mode == "op1":
         from .transforms import generate_mates_op1
 
-        mates = generate_mates_op1(args.n, cap=args.cap, orders=(args.n,))
+        mates = generate_mates_op1(fam)
         count = len(mates)
         pairs = (
             (
@@ -201,7 +203,7 @@ def cmd_mates(args) -> Report:
         )
     else:
         buckets: dict[int, list[str]] = {}
-        for e in enumerate_trees(args.n, cap=args.cap).entries:
+        for e in fam.entries:
             buckets.setdefault(e.wiener, []).append(census_line(e.code, e.edges))
         count = sum(len(b) * (len(b) - 1) // 2 for b in buckets.values())
         if count > MAX_CENSUS_PAIRS:
@@ -336,11 +338,9 @@ def _emit(report: Report, args) -> None:
     elif args.csv:
         import csv
 
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(sys.stdout)
         writer.writerow(["name", "value", "decimal"])
         writer.writerows(report.rows)  # csv writes a None decimal as ""
-        sys.stdout.write(buf.getvalue())
     else:
         width = max((len(name) for name, _, _ in report.rows), default=0)
         for name, value, decimal in report.rows:

@@ -30,7 +30,11 @@ def _normalize(u: int, v: int) -> Edge:
 
 
 class Graph:
-    """Simple undirected graph on vertices 0..n-1 with sorted adjacency lists."""
+    """Simple undirected graph on vertices 0..n-1 with sorted adjacency lists.
+
+    Each edge is a pair of int labels; an edge that is not a pair, or a
+    label that is a bool or not an int, raises InputError.
+    """
 
     __slots__ = ("n", "edges", "adjacency")
 
@@ -40,7 +44,15 @@ class Graph:
             raise InputError("vertex count must be positive")
         seen: set[Edge] = set()
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise InputError(f"edge {edge!r} is not a pair of vertex labels") from None
+            # one test for int labels: every surgery rebuild runs this loop
+            if not type(u) is type(v) is int:
+                check_int("vertex label", u)
+                check_int("vertex label", v)
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
             if u == v:

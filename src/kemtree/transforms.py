@@ -23,9 +23,10 @@ depend only on the component sizes along the endpoint path:
   Each rebuilds only the move it reports, as a check.
 
 The scans over a family (the mate scan, maximality and the leaf filter)
-read its TreeEntry records, on each entry's adjacency lists
-(`TreeEntry.adjacency`); they build a Tree only for the source and the
-result of a move they report, whose rebuild checks the scan.
+take a TreeFamily, which `enumeration` builds, and read only its TreeEntry
+records, on each entry's adjacency lists (`TreeEntry.adjacency`); they
+build a Tree only for the source and the result of a move they report,
+whose rebuild checks the scan.
 
 A tree covers another when some single branch relocation maps one to the
 other with equal diameter and strictly larger Wiener index. Maximal
@@ -45,14 +46,7 @@ from .errors import InputError, NotABridgeConfigError, PathTooShortError
 from .errors import TheoremViolationError
 from .graphs import Edge, Tree, double_sweep, path_from_root, rooted_traversal
 from .graphs import tree_eccentricities, tree_from_edges
-from .enumeration import (
-    MAX_ORDER_DEFAULT,
-    CanonicalCode,
-    TreeFamily,
-    _code_from_adjacency,
-    canonical_code,
-    enumerate_trees,
-)
+from .enumeration import CanonicalCode, TreeFamily, _code_from_adjacency, canonical_code
 from .invariants import kemeny_from_wiener, wiener_edge_cut_route
 
 
@@ -224,16 +218,13 @@ class MatePair(NamedTuple):
     tree_b: Tree
     wiener: int
     kemeny: Fraction
-    endpoints: tuple[int, int]
-    interior_size: int
-    path_length: int
 
 
 def _zero_delta_candidates(adjacency):
     """Ordered endpoint pairs, in the tree with these adjacency lists,
     whose path has all interior components of one size >= 2 and far
     endpoint component exactly one vertex smaller than the near one.
-    Yields (i1, i2, t_size, d, path), i1-major then i2.
+    Yields (i1, i2, path), i1-major then i2.
 
     The tree is rooted once, at vertex 0: the vertex count on v's side of
     an edge u-v is size[v] when parent[v] == u, else n - size[u]. Along a
@@ -263,7 +254,7 @@ def _zero_delta_candidates(adjacency):
                     if s_w < want or interior < 2 or common not in (0, interior):
                         continue
                     if s_w == want:
-                        hits.append((w, interior, len(path), path + (w,)))
+                        hits.append((w, path + (w,)))
                     else:
                         stack.append((path + (w,), s_w, interior))
         hits.sort()
@@ -287,11 +278,9 @@ def _op1_code(adj, path: tuple[int, ...]) -> CanonicalCode:
     return _code_from_adjacency(adjacency)
 
 
-def generate_mates_op1(
-    n_max: int, cap: int = MAX_ORDER_DEFAULT, orders: tuple[int, ...] | None = None
-) -> tuple[MatePair, ...]:
+def generate_mates_op1(fam: TreeFamily) -> tuple[MatePair, ...]:
     """All mate pairs reachable by one zero-delta contract-and-subdivide
-    from any tree of order <= n_max (or of the given orders only).
+    from a member of `fam`; the scan reads only the family's entries.
 
     Pairs are deduplicated by their sorted code pair and returned in
     deterministic order. A source's code, edges and Wiener index come
@@ -305,40 +294,35 @@ def generate_mates_op1(
     one, and its canonical code the screened one. Either mismatch raises
     TheoremViolationError.
     """
-    if orders is None:
-        orders = tuple(range(4, n_max + 1))
+    n = fam.n
     found: dict[tuple[bytes, bytes], MatePair] = {}
-    for n in orders:
-        for entry in enumerate_trees(n, cap).entries:
-            code_a, _, w_a, _ = entry
-            adj, tree = entry.adjacency(), None
-            for i1, i2, t_size, d, path in _zero_delta_candidates(adj):
-                code_b = _op1_code(adj, path)
-                key = (min(code_a, code_b), max(code_a, code_b))
-                if code_b == code_a or key in found:
-                    continue
-                tree = tree or tree_from_edges(n, entry.edges)
-                mate = apply_op1(tree, i1, i2)
-                if wiener_edge_cut_route(mate) != w_a:
-                    raise TheoremViolationError(
-                        "zero-delta candidate changed the Wiener index"
-                    )
-                if canonical_code(mate) != code_b:
-                    raise TheoremViolationError(
-                        f"op1 screen and rebuild disagree on candidate {i1}->{i2}"
-                    )
-                found[key] = MatePair(
-                    order=n,
-                    code_a=key[0],
-                    code_b=key[1],
-                    tree_a=tree if code_a == key[0] else mate,
-                    tree_b=mate if code_a == key[0] else tree,
-                    wiener=w_a,
-                    kemeny=kemeny_from_wiener(n, w_a),
-                    endpoints=(i1, i2),
-                    interior_size=t_size,
-                    path_length=d,
+    for entry in fam.entries:
+        code_a, _, w_a, _ = entry
+        adj, tree = entry.adjacency(), None
+        for i1, i2, path in _zero_delta_candidates(adj):
+            code_b = _op1_code(adj, path)
+            key = (min(code_a, code_b), max(code_a, code_b))
+            if code_b == code_a or key in found:
+                continue
+            tree = tree or tree_from_edges(n, entry.edges)
+            mate = apply_op1(tree, i1, i2)
+            if wiener_edge_cut_route(mate) != w_a:
+                raise TheoremViolationError(
+                    "zero-delta candidate changed the Wiener index"
                 )
+            if canonical_code(mate) != code_b:
+                raise TheoremViolationError(
+                    f"op1 screen and rebuild disagree on candidate {i1}->{i2}"
+                )
+            found[key] = MatePair(
+                order=n,
+                code_a=key[0],
+                code_b=key[1],
+                tree_a=tree if code_a == key[0] else mate,
+                tree_b=mate if code_a == key[0] else tree,
+                wiener=w_a,
+                kemeny=kemeny_from_wiener(n, w_a),
+            )
     return tuple(found[key] for key in sorted(found))
 
 

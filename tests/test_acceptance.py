@@ -220,7 +220,7 @@ def test_criterion_07_transformation_oracles():
 
 def test_criterion_08_mate_generation_to_15():
     start = time.perf_counter()
-    mates = kt.generate_mates_op1(15)
+    mates = [p for n in range(4, 16) for p in kt.generate_mates_op1(kt.enumerate_trees(n))]
     assert mates
     for pair in mates:
         assert pair.code_a != pair.code_b

@@ -598,20 +598,22 @@ def test_json_and_csv_together_is_usage_error(capsys):
 
 def test_closed_stdout_pipe_exits_quietly():
     # enum 13 prints about 150 kB, more than a pipe buffer holds, so the
-    # command is still writing when the reader goes away.
+    # command is still writing when the reader goes away; CSV rows go
+    # straight to stdout, so that writer fails mid-stream too.
     src = str(Path(kt.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "kemtree.cli", "enum", "13"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    )
-    assert proc.stdout.readline().startswith(b"count")
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=120)
-    assert b"Traceback" not in err
-    assert proc.returncode == 0
+    for fmt, header in [((), b"count"), (("--csv",), b"name,value,decimal")]:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "kemtree.cli", *fmt, "enum", "13"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline().startswith(header)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert b"Traceback" not in err
+        assert proc.returncode == 0
 
 
 def test_internal_check_failure_exits_4_without_traceback(capsys, monkeypatch):

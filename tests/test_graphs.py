@@ -311,6 +311,18 @@ def test_graph_rejects_bad_edges():
         kt.Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         kt.Graph(0, [])
+    # a label must be an int and not a bool, and an edge a pair of labels
+    for n, edges, message in [
+        (2, [(0, "1")], "^vertex label must be an integer, not str$"),
+        (2, [(0.0, 1)], "^vertex label must be an integer, not float$"),
+        (2, [(True, 0)], "^vertex label must be an integer, not bool$"),
+        (2, [(1, False)], "^vertex label must be an integer, not bool$"),
+        (3, [(0, 1, 2)], r"^edge \(0, 1, 2\) is not a pair of vertex labels$"),
+        (2, [0], "^edge 0 is not a pair of vertex labels$"),
+    ]:
+        with pytest.raises(InputError, match=message) as exc:
+            kt.Graph(n, edges)
+        assert type(exc.value) is InputError
 
 
 def test_float_vertex_count_is_input_error():

@@ -165,10 +165,11 @@ def test_op1_balanced_shape_yields_isomorphic_pair():
 
 
 def test_generate_mates_smallest_order_is_7():
-    mates = kt.generate_mates_op1(7)
+    for n in range(4, 7):
+        assert kt.generate_mates_op1(kt.enumerate_trees(n)) == ()
+    mates = kt.generate_mates_op1(kt.enumerate_trees(7))
     assert {p.order for p in mates} == {7}
     assert len(mates) == 1
-    assert kt.generate_mates_op1(6) == ()
     pair = mates[0]
     assert pair.wiener == 46
     assert pair.code_a != pair.code_b
@@ -176,7 +177,7 @@ def test_generate_mates_smallest_order_is_7():
 
 
 def test_generate_mates_pairs_are_exact_mates_up_to_10():
-    mates = kt.generate_mates_op1(10)
+    mates = [p for n in range(4, 11) for p in kt.generate_mates_op1(kt.enumerate_trees(n))]
     assert mates
     seen = set()
     for pair in mates:
@@ -428,7 +429,7 @@ def test_mate_scan_roots_each_tree_once_and_rebuilds_only_new_pairs(monkeypatch)
             return _real(*args)
 
         monkeypatch.setattr(transforms, name, counting)
-    mates = kt.generate_mates_op1(12, orders=(12,))
+    mates = kt.generate_mates_op1(kt.enumerate_trees(12))
     assert calls == {"apply_op1": len(mates), "rooted_traversal": len(kt.enumerate_trees(12))}
 
 
@@ -441,16 +442,37 @@ def test_mate_scan_takes_each_source_wiener_index_from_its_family(monkeypatch):
         return real(t)
 
     monkeypatch.setattr(transforms, "wiener_edge_cut_route", counting)
-    mates = kt.generate_mates_op1(12, orders=(12,))
+    mates = kt.generate_mates_op1(kt.enumerate_trees(12))
     # only each rebuilt mate is measured, against its source's carried W
     assert len(measured) == len(mates) > 0
+
+
+def test_mate_scan_reads_only_the_family_it_is_given(monkeypatch):
+    fam = kt.enumerate_trees(12)
+    full = {(p.code_a, p.code_b) for p in kt.generate_mates_op1(fam)}
+
+    def no_layer(n):
+        raise AssertionError(f"the scan enumerated order {n}")
+
+    monkeypatch.setattr(enumeration, "_layer", no_layer)
+    with pytest.raises(AssertionError):
+        kt.enumerate_trees(12)
+    part = fam.where(lambda e: e.wiener % 3 == 0, None)
+    assert 0 < len(part) < len(fam)
+    codes = set(part.codes)
+    mates = kt.generate_mates_op1(part)
+    assert mates
+    for pair in mates:
+        assert pair.order == 12
+        assert pair.code_a in codes or pair.code_b in codes
+        assert (pair.code_a, pair.code_b) in full
 
 
 def test_mate_scan_checks_rebuilds_against_the_carried_wiener_index(monkeypatch):
     skewed = tuple(e._replace(wiener=e.wiener + 1) for e in enumeration._layer(7))
     monkeypatch.setitem(enumeration._layers, 7, skewed)
     with pytest.raises(TheoremViolationError, match="changed the Wiener index"):
-        kt.generate_mates_op1(7, orders=(7,))
+        kt.generate_mates_op1(kt.enumerate_trees(7))
 
 
 def test_covers_codes_upper_only_for_a_witness(monkeypatch):
@@ -486,10 +508,9 @@ def _zero_delta_by_decomposition(t):
             pd = kt.decompose_path(t, i1, i2)
             sizes, d = pd.sizes, pd.d
             interior = set(sizes[1:d])
-            if d >= 2 and len(interior) == 1 and sizes[d] == sizes[0] - 1:
-                (t_size,) = interior
-                if t_size >= 2:
-                    expected.append((i1, i2, t_size, d, pd.path))
+            if d >= 2 and len(interior) == 1 and min(interior) >= 2:
+                if sizes[d] == sizes[0] - 1:
+                    expected.append((i1, i2, pd.path))
     return expected
 
 
@@ -515,7 +536,7 @@ def test_op1_screen_codes_match_rebuilds_up_to_11():
     checked = 0
     for n in range(1, 12):
         for t in helpers.members(kt.enumerate_trees(n)):
-            for i1, i2, _, _, path in _zero_delta_candidates(t.adjacency):
+            for i1, i2, path in _zero_delta_candidates(t.adjacency):
                 assert path == t.path(i1, i2)
                 rebuilt = kt.apply_op1(t, i1, i2)
                 assert transforms._op1_code(t.adjacency, path) == kt.canonical_code(rebuilt)
