@@ -185,8 +185,8 @@ def cmd_mates(args) -> Report:
     report = Report(
         command="mates", inputs={"n": args.n, "mode": args.mode}
     )
-    # (wiener cells, kemeny cells, line a, line b) per pair, made as its rows
-    # are added
+    # Both modes yield (W, line a, line b) per pair: at one order, equal W is
+    # equal K, so W fixes a pair's wiener and kemeny cells.
     if args.mode == "op1":
         from .transforms import generate_mates_op1
 
@@ -194,8 +194,7 @@ def cmd_mates(args) -> Report:
         count = len(mates)
         pairs = (
             (
-                _exact_cells(p.wiener, args.places),
-                _exact_cells(p.kemeny, args.places),
+                p.wiener,
                 census_line(p.code_a, p.tree_a.edges),
                 census_line(p.code_b, p.tree_b.edges),
             )
@@ -208,19 +207,18 @@ def cmd_mates(args) -> Report:
         count = sum(len(b) * (len(b) - 1) // 2 for b in buckets.values())
         if count > MAX_CENSUS_PAIRS:
             raise ResourceLimitError(f"{count} census pairs exceed the limit {MAX_CENSUS_PAIRS}")
-
-        def census_pairs():
-            for w, lines in sorted(buckets.items()):
-                if len(lines) > 1:
-                    cells = (
-                        _exact_cells(w, args.places),
-                        _exact_cells(kemeny_from_wiener(args.n, w), args.places),
-                    )
-                    yield from (cells + ab for ab in itertools.combinations(lines, 2))
-
-        pairs = census_pairs()
+        pairs = (
+            (w, line_a, line_b)
+            for w, lines in sorted(buckets.items())
+            for line_a, line_b in itertools.combinations(lines, 2)
+        )
     report.add("pair_count", count)
-    for idx, (w_cells, kappa_cells, line_a, line_b) in enumerate(pairs):
+    cells: dict[int, tuple] = {}  # W -> (wiener cells, kemeny cells)
+    for idx, (w, line_a, line_b) in enumerate(pairs):
+        if w not in cells:
+            kappa = kemeny_from_wiener(args.n, w)
+            cells[w] = (_exact_cells(w, args.places), _exact_cells(kappa, args.places))
+        w_cells, kappa_cells = cells[w]
         report.add(f"pair[{idx}].wiener", *w_cells)
         report.add(f"pair[{idx}].kemeny", *kappa_cells)
         report.add(f"pair[{idx}].a", line_a)

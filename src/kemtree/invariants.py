@@ -25,9 +25,9 @@ from operator import mul
 from typing import Mapping, NamedTuple
 
 from .errors import DisconnectedError, InputError, ResourceLimitError
-from .errors import RouteRequiresTreeError
+from .errors import RouteRequiresTreeError, check_int
 from .graphs import DistanceMatrix, Edge, Graph, Tree, all_pairs_distances
-from .graphs import bfs_distances, rooted_traversal, tree_from_graph
+from .graphs import _as_tree, bfs_distances, rooted_traversal
 from .linalg import adjugate_det, delete_rows_cols, laplacian
 
 # Most vertices of a graph that gets an n x n matrix: the distance matrix
@@ -63,8 +63,9 @@ class WeightedEdgeMap(NamedTuple):
 def _child_split_sizes(t: Tree) -> dict[Edge, int]:
     """For each edge, the size of the component on the child side of a
     traversal rooted at vertex 0. Only the product with (n - size) is ever
-    used, so the orientation choice is immaterial."""
-    parent, _, size = rooted_traversal(t.adjacency, 0)
+    used, so the orientation choice is immaterial. A Graph that is not a
+    tree raises NotATreeError."""
+    parent, _, size = rooted_traversal(_as_tree(t).adjacency, 0)
     return {
         (min(v, p), max(v, p)): size[v]
         for v, p in enumerate(parent)
@@ -141,6 +142,8 @@ def kemeny_forest_route(g: Graph) -> Fraction:
 def kemeny_from_wiener(n: int, w: int) -> Fraction:
     """Kemeny's constant 2 w / (n - 1) - n + 1/2 of a tree of order n and
     Wiener index w; at fixed n it rises strictly with w."""
+    check_int("order", n)
+    check_int("Wiener index", w)
     if n < 2:
         raise InputError("Kemeny's constant needs at least two vertices")
     return Fraction(2 * w, n - 1) - n + Fraction(1, 2)
@@ -181,16 +184,18 @@ def compute_invariants(g: Graph, route: KemenyRoute | str = "auto") -> Invariant
     Gut = 4W - (n-1)(2n-1), so only cyclic graphs build the distance matrix,
     and above MAX_DENSE_VERTICES they raise ResourceLimitError instead. A
     `Tree` is used as it is; a plain Graph with m = n - 1 is validated as a
-    tree here.
+    tree here. A route that is not one of auto, forest, wiener and edgecut
+    raises InputError.
     """
     _require_connected(g)
-    if isinstance(g, Tree):
-        tree = g
-    else:
-        tree = tree_from_graph(g) if g.m == g.n - 1 else None
+    tree = _as_tree(g) if g.m == g.n - 1 else None
     if route == "auto":
         route = KemenyRoute.EDGE_CUT if tree is not None else KemenyRoute.FOREST
-    chosen = KemenyRoute(route)
+    try:
+        chosen = KemenyRoute(route)
+    except ValueError:
+        names = ", ".join(["auto", *(r.value for r in KemenyRoute)])
+        raise InputError(f"unknown route {route!r}; the routes are {names}") from None
     if tree is None and chosen is not KemenyRoute.FOREST:
         raise RouteRequiresTreeError(f"route {chosen.value!r} is defined only on trees")
     if tree is not None:

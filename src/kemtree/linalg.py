@@ -13,7 +13,7 @@ rounded. Rational results appear only downstream (invariants module).
 from __future__ import annotations
 
 from .errors import InputError
-from .graphs import Graph
+from .graphs import Graph, _check_labels
 
 BigIntMatrix = list[list[int]]
 
@@ -123,8 +123,10 @@ def two_forest_count(g: Graph, i: int, j: int) -> int:
 
     Computed as the determinant of the Laplacian with rows and columns
     {i, j} deleted; symmetric in (i, j). The caller is responsible for
-    passing a connected graph.
+    passing a connected graph. A label that is not an int vertex of `g`
+    raises InputError.
     """
+    _check_labels(g, i, j)
     if i == j:
         raise InputError("two-forest count needs two distinct vertices")
     return det_exact(delete_rows_cols(laplacian(g), {i, j}))

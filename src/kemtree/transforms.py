@@ -45,7 +45,7 @@ from typing import NamedTuple
 from .errors import InputError, NotABridgeConfigError, PathTooShortError
 from .errors import TheoremViolationError
 from .graphs import Edge, Tree, double_sweep, path_from_root, rooted_traversal
-from .graphs import tree_eccentricities, tree_from_edges
+from .graphs import _as_tree, _check_labels, tree_eccentricities, tree_from_edges
 from .enumeration import CanonicalCode, TreeFamily, _code_from_adjacency, canonical_code
 from .invariants import kemeny_from_wiener, wiener_edge_cut_route
 
@@ -70,16 +70,17 @@ class PathDecomposition(NamedTuple):
         return tuple(len(c) for c in self.components)
 
 
-def _check_vertices(t: Tree, *labels: int) -> None:
-    for v in labels:
-        if not 0 <= v < t.n:
-            raise InputError(f"vertex {v} outside vertex range 0..{t.n - 1}")
+def _check_vertices(t: Tree, *labels: int) -> Tree:
+    """Check each label is an int vertex of `t`; return `t` as a Tree
+    (`graphs._as_tree`), so a Graph that is not a tree raises NotATreeError."""
+    _check_labels(t, *labels)
+    return _as_tree(t)
 
 
 def decompose_path(t: Tree, i1: int, i2: int) -> PathDecomposition:
     """Split the tree along its unique i1-i2 path. Rooted at i1, a vertex
     off the path hangs where its parent hangs."""
-    _check_vertices(t, i1, i2)
+    t = _check_vertices(t, i1, i2)
     if i1 == i2:
         raise InputError("path endpoints must be distinct")
     parent, order, _ = rooted_traversal(t.adjacency, i1)
@@ -120,7 +121,7 @@ def apply_op1(t: Tree, i1: int, i2: int) -> Tree:
     The order is preserved: the contracted endpoint label is recycled as
     the new subdivision vertex.
     """
-    _check_vertices(t, i1, i2)
+    t = _check_vertices(t, i1, i2)
     path = t.path(i1, i2)
     d = len(path) - 1
     if d < 2:
@@ -137,7 +138,7 @@ def apply_op1(t: Tree, i1: int, i2: int) -> Tree:
 
 def _relocation(t: Tree, b_root: int, i1: int, i2: int):
     """Check a branch relocation; return (subtree sizes rooted at i1, i1-i2 path)."""
-    _check_vertices(t, b_root, i1, i2)
+    t = _check_vertices(t, b_root, i1, i2)
     if not t.has_edge(i1, b_root):
         raise InputError(f"no edge between {i1} and {b_root}")
     if i2 == i1:
@@ -352,7 +353,9 @@ def covers(lower: Tree, upper: Tree) -> CoverWitness | None:
     `lower`'s code. Only the witness found is rebuilt with `apply_op2`; a
     rebuild whose code differs from the screened one raises
     TheoremViolationError. `upper` is coded only once a witness is found.
+    Either argument may be a plain Graph, which is validated as a tree.
     """
+    lower, upper = _as_tree(lower), _as_tree(upper)
     if lower.n != upper.n:
         raise InputError("cover comparison needs equal orders")
     w_lower = wiener_edge_cut_route(lower)

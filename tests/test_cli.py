@@ -87,6 +87,27 @@ def test_invariants_parse_error_exit_code(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_invariants_negative_label_exits_2(capsys, tmp_path):
+    f = tmp_path / "negative.txt"
+    f.write_text("0 1\n-1 2\n")
+    code, out, err = run(capsys, "invariants", str(f))
+    assert code == 2
+    assert out == "" and err == "error: line 2: labels must be nonnegative\n"
+
+
+def test_invariants_routes_print_one_kemeny(capsys):
+    path = str(FIXTURES / "spider_2_5.txt")
+    values = set()
+    for route in ("auto", "forest", "wiener", "edgecut"):
+        code, out, err = run(capsys, "--json", "invariants", path, "--route", route)
+        assert code == 0
+        rows = rows_by_name(json.loads(out))
+        assert rows["route"]["value"] == ("edgecut" if route == "auto" else route)
+        values.add(rows["kemeny"]["value"])
+    tree = helpers.load_tree("spider_2_5")
+    assert values == {kt.format_rational(kt.kemeny_forest_route(tree))}
+
+
 @pytest.mark.parametrize(
     "text, line",
     [("0 1\n1 1000000000\n", 2), ("n 1000000000\n0 1\n", 1)],
@@ -340,6 +361,26 @@ def test_mates_census_and_op1_n7(capsys):
     assert op1_pairs <= census_pairs
 
 
+@pytest.mark.parametrize("mode, pairs, wieners", [("op1", 147, 59), ("census", 1843, 90)])
+def test_mates_formats_each_wiener_index_once(capsys, monkeypatch, mode, pairs, wieners):
+    calls = []
+    real = cli._exact_cells
+
+    def counting(value, places):
+        calls.append(value)
+        return real(value, places)
+
+    monkeypatch.setattr(cli, "_exact_cells", counting)
+    code, out, err = run(capsys, "--json", "mates", "12", "--mode", mode)
+    assert code == 0
+    rows = rows_by_name(json.loads(out))
+    assert rows["pair_count"]["value"] == str(pairs)
+    # one W cell and one K cell per distinct W among the pairs
+    assert len(calls) == 2 * wieners
+    printed = {rows[f"pair[{i}].wiener"]["value"] for i in range(pairs)}
+    assert len(printed) == wieners
+
+
 def test_maximal_10_4_report(capsys):
     code, out, err = run(
         capsys, "--json", "maximal", "10", "4", "--check-theorem"
@@ -353,6 +394,28 @@ def test_maximal_10_4_report(capsys):
     assert rows["argmax_kemeny"]["value"].split()[0] == best.hex()
     wieners = {rows[f"maximal[{i}].wiener"]["value"] for i in range(3)}
     assert wieners == {"112", "117", "114"}
+
+
+def test_maximal_rebuild_disagreeing_with_the_sweep_exits_4(capsys, monkeypatch):
+    # a rebuild of another diameter: only the maximality scan's check sees it
+    def wrong_diameter(t, b_root, i1, i2):
+        return kt.tree_from_graph(helpers.path_graph(t.n))
+
+    monkeypatch.setattr(transforms, "apply_op2", wrong_diameter)
+    code, out, err = run(capsys, "maximal", "8", "4")
+    assert (code, out) == (4, "")
+    assert "diameter sweep and rebuild disagree" in err and "Traceback" not in err
+
+
+def test_maximal_tree_escaping_the_leaf_filter_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(
+        transforms, "theorem_leaf_filter", lambda fam: fam.where(lambda e: False, fam.diameter)
+    )
+    code, out, err = run(capsys, "maximal", "8", "4")
+    assert code == 0
+    code, out, err = run(capsys, "maximal", "8", "4", "--check-theorem")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: maximal tree escaped the leaf filter: ")
 
 
 def test_maximal_11_4_theorem_check_passes(capsys):

@@ -427,6 +427,11 @@ def test_prufer_oracle_small_counts():
         assert kt.prufer_oracle_count(n) == len(kt.enumerate_trees(n))
 
 
+def test_prufer_oracle_order_zero_is_input_error():
+    with pytest.raises(InputError, match="^order must be positive$"):
+        kt.prufer_oracle_count(0)
+
+
 def test_prufer_oracle_cap():
     with pytest.raises(ResourceLimitError):
         kt.prufer_oracle_count(10)

@@ -215,6 +215,49 @@ def test_leaf_center_distances_star6():
     assert kt.leaf_center_distances(t) == tuple((v, 1) for v in range(1, 6))
 
 
+PATH4 = kt.tree_from_graph(helpers.path_graph(4))
+# Each call is a tree-only function with arguments that are valid on a
+# 4-vertex tree; a Graph that is not a tree must be refused before any walk.
+TREE_ONLY = {
+    "omega_weights": lambda g: kt.omega_weights(g),
+    "wiener_edge_cut_route": lambda g: kt.wiener_edge_cut_route(g),
+    "kemeny_edge_cut_route": lambda g: kt.kemeny_edge_cut_route(g),
+    "kemeny_wiener_route": lambda g: kt.kemeny_wiener_route(g),
+    "decompose_path": lambda g: kt.decompose_path(g, 0, 2),
+    "canonical_code": lambda g: kt.canonical_code(g),
+    "apply_op1": lambda g: kt.apply_op1(g, 0, 2),
+    "apply_op2": lambda g: kt.apply_op2(g, 0, 1, 2),
+    "op2_delta_formula": lambda g: kt.op2_delta_formula(g, 0, 1, 2),
+    "covers_upper": lambda g: kt.covers(PATH4, g),
+    "covers_lower": lambda g: kt.covers(g, PATH4),
+    "leaf_center_distances": lambda g: kt.leaf_center_distances(g),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TREE_ONLY))
+@pytest.mark.parametrize(
+    "graph, reason",
+    [
+        (helpers.cycle_graph(4), "cyclic"),
+        (kt.Graph(4, [(0, 1), (2, 3)]), "disconnected"),
+    ],
+    ids=["cycle4", "forest"],
+)
+def test_tree_only_functions_refuse_a_graph_that_is_not_a_tree(name, graph, reason):
+    # A traversal that skips only a vertex's parent never ends on a cycle, so
+    # the check must come before it.
+    with pytest.raises(NotATreeError) as info:
+        TREE_ONLY[name](graph)
+    assert info.value.reason == reason
+
+
+@pytest.mark.parametrize("name", sorted(TREE_ONLY))
+def test_tree_only_functions_read_a_tree_shaped_graph_as_its_tree(name):
+    graph = helpers.path_graph(4)
+    assert type(graph) is kt.Graph
+    assert TREE_ONLY[name](graph) == TREE_ONLY[name](PATH4)
+
+
 def test_leaf_center_distances_spider_fixture():
     t = helpers.load_tree("spider_1_6")
     dists = dict(kt.leaf_center_distances(t))

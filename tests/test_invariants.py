@@ -5,7 +5,8 @@ import pytest
 
 import kemtree as kt
 from kemtree import graphs, invariants
-from kemtree.errors import DisconnectedError, ResourceLimitError, RouteRequiresTreeError
+from kemtree.errors import DisconnectedError, InputError, ResourceLimitError
+from kemtree.errors import RouteRequiresTreeError
 from kemtree.invariants import KemenyRoute
 
 import helpers
@@ -239,6 +240,27 @@ def test_compute_invariants_route_selection():
         kt.compute_invariants(helpers.cycle_graph(4), "wiener")
     with pytest.raises(RouteRequiresTreeError):
         kt.compute_invariants(helpers.cycle_graph(4), "edgecut")
+
+
+def test_compute_invariants_unknown_route_is_an_input_error():
+    message = "^unknown route 'bogus'; the routes are auto, forest, wiener, edgecut$"
+    with pytest.raises(InputError, match=message) as info:
+        kt.compute_invariants(helpers.cycle_graph(4), "bogus")
+    assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "n, w, message",
+    [
+        (4.0, 10, "^order must be an integer, not float$"),
+        (4, "10", "^Wiener index must be an integer, not str$"),
+        (True, 10, "^order must be an integer, not bool$"),
+    ],
+    ids=["float-order", "str-wiener", "bool-order"],
+)
+def test_kemeny_from_wiener_rejects_arguments_that_are_not_ints(n, w, message):
+    with pytest.raises(InputError, match=message):
+        kt.kemeny_from_wiener(n, w)
 
 
 def test_compute_invariants_matches_distance_matrix_oracle():

@@ -110,6 +110,22 @@ def test_two_forest_rejects_equal_vertices():
         kt.two_forest_count(helpers.path_graph(3), 1, 1)
 
 
+@pytest.mark.parametrize(
+    "i, j, message",
+    [
+        (0, 7, r"^vertex 7 outside vertex range 0\.\.3$"),
+        (0, -1, r"^vertex -1 outside vertex range 0\.\.3$"),
+        (0, 1.0, r"^vertex label must be an integer, not float$"),
+        (True, 2, r"^vertex label must be an integer, not bool$"),
+    ],
+    ids=["above", "negative", "float", "bool"],
+)
+def test_two_forest_rejects_labels_that_are_not_vertices(i, j, message):
+    # an unheld label once dropped nothing and counted the spanning trees (4)
+    with pytest.raises(kt.InputError, match=message):
+        kt.two_forest_count(helpers.cycle_graph(4), i, j)
+
+
 def test_two_forest_single_edge():
     assert kt.two_forest_count(kt.Graph(2, [(0, 1)]), 0, 1) == 1
 

@@ -404,6 +404,16 @@ def test_maximal_elements_match_brute_force_oracle_up_to_9():
             assert kt.maximal_elements(fam).codes == expected
 
 
+def test_maximal_scan_rebuild_disagreeing_with_the_sweep_raises(monkeypatch):
+    # a rebuild of another diameter: only the rebuild check sees it
+    def wrong_diameter(t, b_root, i1, i2):
+        return kt.tree_from_graph(helpers.path_graph(t.n))
+
+    monkeypatch.setattr(transforms, "apply_op2", wrong_diameter)
+    with pytest.raises(TheoremViolationError, match="diameter sweep and rebuild disagree"):
+        kt.maximal_elements(kt.family(8, 4))
+
+
 def test_maximal_scan_rebuilds_only_the_rejecting_move(monkeypatch):
     calls = {"apply_op2": 0, "op2_delta_formula": 0}
     for name in calls:
@@ -552,11 +562,18 @@ def test_op1_screen_codes_match_rebuilds_up_to_11():
         ("decompose_path", (0, 9), 9),
         ("op2_delta_formula", (1, 0, 9), 9),
         ("apply_op2", (1, 0, -2), -2),
+        ("apply_op1", ("0", 3), "0"),
+        ("decompose_path", (0, 3.0), 3.0),
+        ("apply_op2", (True, 0, 2), True),
     ],
 )
 def test_surgery_rejects_vertex_labels_out_of_range(name, args, label):
     t = kt.tree_from_graph(helpers.path_graph(5))
-    with pytest.raises(InputError, match=rf"^vertex {label} outside vertex range 0\.\.4$") as info:
+    if type(label) is int:
+        message = rf"^vertex {label} outside vertex range 0\.\.4$"
+    else:
+        message = rf"^vertex label must be an integer, not {type(label).__name__}$"
+    with pytest.raises(InputError, match=message) as info:
         getattr(kt, name)(t, *args)
     assert type(info.value) is InputError
 
