@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple
 
 from .errors import InputError, KemtreeError, ParseError, ResourceLimitError
 from .errors import check_int
-from .graphs import Edge, Tree, _as_tree, tree_from_edges
+from .graphs import Edge, Tree, tree_from_edges, tree_from_graph
 
 MAX_ORDER_DEFAULT = 16
 # Highest order enumerate_trees builds, whatever the cap. Layers 1..18 hold
@@ -73,7 +73,7 @@ def canonical_code(t: Tree) -> CanonicalCode:
     """Order-invariant byte string identifying the tree up to isomorphism.
     A Graph that is not a tree raises NotATreeError; the leaf peel would
     never end on a cycle."""
-    return _code_from_adjacency(_as_tree(t).adjacency)
+    return _code_from_adjacency(tree_from_graph(t).adjacency)
 
 
 class TreeEntry(NamedTuple):

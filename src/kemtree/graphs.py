@@ -8,7 +8,7 @@ matrix of a tree, as of any connected graph, is `all_pairs_distances(g)`.
 The traversals take adjacency lists, a Graph's or a family entry's
 (`TreeEntry.adjacency`), so a scan need not build a Tree to walk one.
 A rooted traversal of a graph with a cycle would never end, so a public
-tree-only function takes its argument through `_as_tree` first.
+tree-only function takes its argument through `tree_from_graph` first.
 """
 
 from __future__ import annotations
@@ -299,8 +299,10 @@ class Tree(Graph):
 
 
 def tree_from_graph(g: Graph) -> Tree:
-    """Validate `g` as a tree."""
-    return Tree(g.n, g.edges)
+    """`g` itself if it is a Tree, else `g` validated as a tree: a
+    tree-only query calls this first, so a cyclic or disconnected graph
+    raises NotATreeError instead of reaching a rooted traversal."""
+    return g if isinstance(g, Tree) else Tree(g.n, g.edges)
 
 
 def _check_labels(g: Graph, *labels: int) -> None:
@@ -311,20 +313,13 @@ def _check_labels(g: Graph, *labels: int) -> None:
             raise InputError(f"vertex {v} outside vertex range 0..{g.n - 1}")
 
 
-def _as_tree(g: Graph) -> Tree:
-    """`g` itself if it is a Tree, else `g` validated by `tree_from_graph`:
-    a tree-only query calls this first, so a cyclic or disconnected graph
-    raises NotATreeError instead of reaching a rooted traversal."""
-    return g if isinstance(g, Tree) else tree_from_graph(g)
-
-
 def tree_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Tree:
     return Tree(n, edges)
 
 
 def leaf_center_distances(t: Tree) -> tuple[tuple[int, int], ...]:
     """(leaf, distance to center set) for every degree-1 vertex; needs n >= 2."""
-    t = _as_tree(t)
+    t = tree_from_graph(t)
     if t.n < 2:
         raise InputError("leaf distances need at least two vertices")
     return tuple((v, t.center_distance(v)) for v in t.leaves)

@@ -27,7 +27,7 @@ from typing import Mapping, NamedTuple
 from .errors import DisconnectedError, InputError, ResourceLimitError
 from .errors import RouteRequiresTreeError, check_int
 from .graphs import DistanceMatrix, Edge, Graph, Tree, all_pairs_distances
-from .graphs import _as_tree, bfs_distances, rooted_traversal
+from .graphs import bfs_distances, rooted_traversal, tree_from_graph
 from .linalg import adjugate_det, delete_rows_cols, laplacian
 
 # Most vertices of a graph that gets an n x n matrix: the distance matrix
@@ -65,7 +65,7 @@ def _child_split_sizes(t: Tree) -> dict[Edge, int]:
     traversal rooted at vertex 0. Only the product with (n - size) is ever
     used, so the orientation choice is immaterial. A Graph that is not a
     tree raises NotATreeError."""
-    parent, _, size = rooted_traversal(_as_tree(t).adjacency, 0)
+    parent, _, size = rooted_traversal(tree_from_graph(t).adjacency, 0)
     return {
         (min(v, p), max(v, p)): size[v]
         for v, p in enumerate(parent)
@@ -188,7 +188,7 @@ def compute_invariants(g: Graph, route: KemenyRoute | str = "auto") -> Invariant
     raises InputError.
     """
     _require_connected(g)
-    tree = _as_tree(g) if g.m == g.n - 1 else None
+    tree = tree_from_graph(g) if g.m == g.n - 1 else None
     if route == "auto":
         route = KemenyRoute.EDGE_CUT if tree is not None else KemenyRoute.FOREST
     try:
@@ -221,12 +221,29 @@ def compute_invariants(g: Graph, route: KemenyRoute | str = "auto") -> Invariant
     )
 
 
+def _exact(value: Fraction | int) -> Fraction:
+    """`value` as a Fraction; InputError unless it is an int (not a bool)
+    or a Fraction, so a float is never printed as if it were exact."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(
+            f"exact value must be an int or a Fraction, not {type(value).__name__}"
+        )
+    return Fraction(value)
+
+
 def format_exact(value: Fraction | int, places: int = 4) -> str:
     """Fixed-point decimal rendering of an exact value, round-half-even.
 
-    Display only; the exact value is never stored rounded.
+    Display only; the exact value is never stored rounded. A value that is
+    not an int or a Fraction, or `places` that is not an int >= 0, raises
+    InputError.
     """
-    f = Fraction(value)
+    f = _exact(value)
+    check_int("places", places)
+    if places < 0:
+        raise InputError(f"places must be nonnegative, not {places}")
     sign = "-" if f < 0 else ""
     num, den = abs(f.numerator), f.denominator
     scale = 10**places
@@ -241,8 +258,9 @@ def format_exact(value: Fraction | int, places: int = 4) -> str:
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Exact "p/q" rendering (plain integer when the denominator is 1)."""
-    f = Fraction(value)
+    """Exact "p/q" rendering (plain integer when the denominator is 1). A
+    value that is not an int or a Fraction raises InputError."""
+    f = _exact(value)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"

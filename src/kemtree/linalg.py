@@ -7,7 +7,9 @@ elimination) powers `spanning_tree_count` and `two_forest_count`, which
 count spanning trees and separating 2-forests one minor at a time.
 
 Everything here is integer arithmetic on Python ints; no value is ever
-rounded. Rational results appear only downstream (invariants module).
+rounded, and a matrix entry that is not an int (a float, a bool, a str)
+raises InputError before any step. Rational results appear only
+downstream (invariants module).
 """
 
 from __future__ import annotations
@@ -34,20 +36,36 @@ def delete_rows_cols(m: BigIntMatrix, drop: set[int]) -> BigIntMatrix:
     return [[m[i][j] for j in keep] for i in keep]
 
 
+def _int_rows(m) -> BigIntMatrix:
+    """`m` copied as a list of row lists. InputError unless `m` is a square
+    sequence of rows of ints, checked before any elimination step, so no
+    float, bool or str entry is ever divided or rounded."""
+    try:
+        a = [list(row) for row in m]
+    except TypeError:
+        raise InputError("matrix must be a sequence of rows") from None
+    if any(len(row) != len(a) for row in a):
+        raise InputError("matrix must be square")
+    for row in a:
+        for x in row:
+            if type(x) is not int:
+                raise InputError(f"matrix entries must be ints, not {type(x).__name__}")
+    return a
+
+
 def det_exact(m: BigIntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
     Every intermediate entry stays an integer: the division by the previous
     pivot is always exact, and entries are bounded by minors of the input
     rather than blowing up exponentially as in naive elimination over Q.
-    The 0x0 matrix has determinant 1 by convention.
+    The 0x0 matrix has determinant 1 by convention. A matrix that is not
+    square, or has an entry that is not an int, raises InputError.
     """
-    k = len(m)
+    a = _int_rows(m)
+    k = len(a)
     if k == 0:
         return 1
-    a = [row[:] for row in m]
-    if any(len(row) != k for row in a):
-        raise InputError("matrix must be square")
     sign = 1
     prev = 1
     for col in range(k - 1):
@@ -78,12 +96,14 @@ def adjugate_det(m: BigIntMatrix) -> tuple[int, BigIntMatrix]:
     left block ends as det * I and the right block as adj = det * m^-1.
     There is no pivoting, so a zero pivot (a singular leading principal
     minor) raises InputError; the grounded Laplacian of a connected graph is
-    positive definite and never has one. The 0x0 matrix gives (1, []).
+    positive definite and never has one. The 0x0 matrix gives (1, []). A
+    matrix that is not square, or has an entry that is not an int, raises
+    InputError.
     """
-    k = len(m)
-    if any(len(row) != k for row in m):
-        raise InputError("matrix must be square")
-    a = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(m)]
+    a = _int_rows(m)
+    k = len(a)
+    for i, row in enumerate(a):
+        row += [int(i == j) for j in range(k)]
     prev = 1
     for c in range(k):
         pivot_row = a[c]

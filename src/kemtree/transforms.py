@@ -10,16 +10,16 @@ depend only on the component sizes along the endpoint path:
   delta is zero, which is where co-Kemeny mate pairs come from. The mate
   scan roots each tree once, reads every component size off that rooting,
   and walks from each endpoint only the paths that can still qualify.
-  Each candidate is coded on edited adjacency lists, and only a result
-  that is a new pair is rebuilt as a Tree and checked.
+  Each candidate is coded after three branch relocations (`_op1_code`),
+  and only a result that is a new pair is rebuilt as a Tree and checked.
 
 * branch relocation: detach a branch B from attachment i1 and rejoin it
   at i2. Only distances between B and the host H = V - B change, so the
   delta is |B| * (D_H(i1) - D_H(i2)), D_H(x) being the total distance
   from x to H; one rooting at i1 gives it for every branch and target.
-  Both relocation scans edit the adjacency lists for a move on a copy
-  (`_relocated`), never a Tree: the maximality scan sweeps them for the
-  new diameter, and `covers` codes them against the lower tree's code.
+  Every surgery screen edits adjacency lists only through `_relocated`,
+  on a copy, never a Tree: the maximality scan sweeps them for the new
+  diameter, and `covers` codes them against the lower tree's code.
   Each rebuilds only the move it reports, as a check.
 
 The scans over a family (the mate scan, maximality and the leaf filter)
@@ -39,15 +39,14 @@ every leaf having eccentricity d.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InputError, NotABridgeConfigError, PathTooShortError
 from .errors import TheoremViolationError
 from .graphs import Edge, Tree, double_sweep, path_from_root, rooted_traversal
-from .graphs import _as_tree, _check_labels, tree_eccentricities, tree_from_edges
+from .graphs import _check_labels, tree_eccentricities, tree_from_edges, tree_from_graph
 from .enumeration import CanonicalCode, TreeFamily, _code_from_adjacency, canonical_code
-from .invariants import kemeny_from_wiener, wiener_edge_cut_route
+from .invariants import wiener_edge_cut_route
 
 
 class PathDecomposition(NamedTuple):
@@ -72,9 +71,9 @@ class PathDecomposition(NamedTuple):
 
 def _check_vertices(t: Tree, *labels: int) -> Tree:
     """Check each label is an int vertex of `t`; return `t` as a Tree
-    (`graphs._as_tree`), so a Graph that is not a tree raises NotATreeError."""
+    (`tree_from_graph`), so a Graph that is not a tree raises NotATreeError."""
     _check_labels(t, *labels)
-    return _as_tree(t)
+    return tree_from_graph(t)
 
 
 def decompose_path(t: Tree, i1: int, i2: int) -> PathDecomposition:
@@ -163,9 +162,9 @@ def apply_op2(t: Tree, b_root: int, i1: int, i2: int) -> Tree:
 
 def _relocated(adj, b_root: int, i1: int, i2: int) -> list:
     """Adjacency lists `adj` with the branch at b_root moved from i1 to i2,
-    never a Tree: the one op2 edit the scans share. Each edited row is a
-    new list, so `adj` is left as it was, whether its rows are tuples or
-    lists."""
+    never a Tree: the one adjacency edit of every surgery screen. Each
+    edited row is a new list, so `adj` is left as it was, whether its rows
+    are tuples or lists."""
     adjacency = list(adj)
     adjacency[i1] = [u for u in adj[i1] if u != b_root]
     adjacency[b_root] = [i2 if u == i1 else u for u in adj[b_root]]
@@ -209,8 +208,9 @@ def _relocations(adj):
 
 
 class MatePair(NamedTuple):
-    """Two non-isomorphic same-order trees with identical Wiener index and
-    Kemeny's constant, produced by a zero-delta contract-and-subdivide."""
+    """Two non-isomorphic same-order trees with identical Wiener index, so
+    identical Kemeny's constant `kemeny_from_wiener(order, wiener)`,
+    produced by a zero-delta contract-and-subdivide."""
 
     order: int
     code_a: CanonicalCode
@@ -218,7 +218,6 @@ class MatePair(NamedTuple):
     tree_a: Tree
     tree_b: Tree
     wiener: int
-    kemeny: Fraction
 
 
 def _zero_delta_candidates(adjacency):
@@ -265,18 +264,16 @@ def _zero_delta_candidates(adjacency):
 
 def _op1_code(adj, path: tuple[int, ...]) -> CanonicalCode:
     """Canonical code of `apply_op1` along `path`, from adjacency lists
-    `adj` with the one edit made on a copy, never a Tree: i1's other
-    neighbours move onto p1, and i1 subdivides the last path edge."""
+    `adj`, never a Tree, by three `_relocated` moves: i1's other branches
+    onto p1, the leaf i1 onto the last interior vertex (unless that is p1),
+    then i2's branch onto i1."""
     i1, p1, last, i2 = path[0], path[1], path[-2], path[-1]
-    adjacency = list(adj)
-    moved = [u for u in adjacency[i1] if u != p1]
-    for u in moved:
-        adjacency[u] = [p1 if x == i1 else x for x in adjacency[u]]
-    adjacency[p1] = [x for x in adjacency[p1] if x != i1] + moved
-    adjacency[last] = [i1 if x == i2 else x for x in adjacency[last]]
-    adjacency[i2] = [i1 if x == last else x for x in adjacency[i2]]
-    adjacency[i1] = [last, i2]
-    return _code_from_adjacency(adjacency)
+    for u in adj[i1]:
+        if u != p1:
+            adj = _relocated(adj, u, i1, p1)
+    if last != p1:
+        adj = _relocated(adj, i1, p1, last)
+    return _code_from_adjacency(_relocated(adj, i2, last, i1))
 
 
 def generate_mates_op1(fam: TreeFamily) -> tuple[MatePair, ...]:
@@ -287,7 +284,7 @@ def generate_mates_op1(fam: TreeFamily) -> tuple[MatePair, ...]:
     deterministic order. A source's code, edges and Wiener index come
     from its family entry. Its candidates come from one rooting of
     the entry's adjacency lists (`_zero_delta_candidates`), and each is
-    screened by `_op1_code` on edited adjacency lists: a result isomorphic
+    screened by `_op1_code` on relocated adjacency lists: a result isomorphic
     to the source, or a pair already found, is dropped unbuilt. Only a new
     pair is rebuilt with `apply_op1`, from the source's Tree, built once
     for its first new pair. Two checks run on the rebuild: its Wiener
@@ -322,7 +319,6 @@ def generate_mates_op1(fam: TreeFamily) -> tuple[MatePair, ...]:
                 tree_a=tree if code_a == key[0] else mate,
                 tree_b=mate if code_a == key[0] else tree,
                 wiener=w_a,
-                kemeny=kemeny_from_wiener(n, w_a),
             )
     return tuple(found[key] for key in sorted(found))
 
@@ -355,7 +351,7 @@ def covers(lower: Tree, upper: Tree) -> CoverWitness | None:
     TheoremViolationError. `upper` is coded only once a witness is found.
     Either argument may be a plain Graph, which is validated as a tree.
     """
-    lower, upper = _as_tree(lower), _as_tree(upper)
+    lower, upper = tree_from_graph(lower), tree_from_graph(upper)
     if lower.n != upper.n:
         raise InputError("cover comparison needs equal orders")
     w_lower = wiener_edge_cut_route(lower)

@@ -233,7 +233,7 @@ def test_criterion_08_mate_generation_to_15():
         assert (
             kt.kemeny_wiener_route(pair.tree_a)
             == kt.kemeny_wiener_route(pair.tree_b)
-            == pair.kemeny
+            == kt.kemeny_from_wiener(pair.order, pair.wiener)
         )
     ma = helpers.load_tree("mates15_a")
     mb = helpers.load_tree("mates15_b")

@@ -350,3 +350,19 @@ def test_format_rational():
     assert kt.format_rational(Fraction(65, 12)) == "65/12"
     assert kt.format_rational(Fraction(4, 2)) == "2"
     assert kt.format_rational(3) == "3"
+
+
+@pytest.mark.parametrize("value", [0.1, 1.0, True, "1/3", None])
+def test_formatters_take_only_exact_values(value):
+    with pytest.raises(InputError, match="int or a Fraction"):
+        kt.format_exact(value, 4)
+    with pytest.raises(InputError, match="int or a Fraction"):
+        kt.format_rational(value)
+
+
+@pytest.mark.parametrize(
+    "places, message", [(-1, "nonnegative"), (True, "not bool"), (2.0, "not float")]
+)
+def test_format_exact_places_is_an_int_at_least_0(places, message):
+    with pytest.raises(InputError, match=message):
+        kt.format_exact(Fraction(1, 3), places)

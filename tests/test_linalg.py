@@ -44,6 +44,35 @@ def test_det_rejects_non_square():
         kt.det_exact([[1, 2, 3], [4, 5, 6]])
 
 
+@pytest.mark.parametrize("solve", [kt.det_exact, adjugate_det])
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[0.5, 1], [1, 3]], "not float"),
+        ([[1, 0], [0, 1.0]], "not float"),
+        ([[True, 0], [0, True]], "not bool"),
+        ([["1", 0], [0, 1]], "not str"),
+        ([[1, 2], [3, Fraction(1, 2)]], "not Fraction"),
+        (["ab", "cd"], "not str"),
+        (5, "sequence of rows"),
+        ([1, 2], "sequence of rows"),
+        ([[1, 2], [3]], "square"),
+    ],
+)
+def test_matrix_entries_must_be_ints(solve, matrix, message):
+    with pytest.raises(kt.InputError, match=message):
+        solve(matrix)
+
+
+def test_matrix_rows_may_be_tuples_and_are_left_unchanged():
+    assert kt.det_exact(((2, -1), (-1, 2))) == 3
+    assert adjugate_det(((2, -1), (-1, 2))) == (3, [[2, 1], [1, 2]])
+    rows = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
+    for solve in (kt.det_exact, adjugate_det):
+        solve(rows)
+        assert rows == [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 6).flatmap(
     lambda k: st.lists(

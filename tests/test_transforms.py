@@ -189,7 +189,7 @@ def test_generate_mates_pairs_are_exact_mates_up_to_10():
         assert wiener(pair.tree_a) == wiener(pair.tree_b) == pair.wiener
         ka = kt.kemeny_forest_route(pair.tree_a)
         kb = kt.kemeny_forest_route(pair.tree_b)
-        assert ka == kb == pair.kemeny
+        assert ka == kb == kt.kemeny_from_wiener(pair.order, pair.wiener)
 
 
 def test_op2_apply_and_errors():
@@ -542,6 +542,14 @@ def test_zero_delta_candidates_match_path_pattern_random_11_to_24():
     assert found > 100
 
 
+def _long_paths(t):
+    """Every ordered endpoint pair of `t` whose path has length >= 2."""
+    for i1 in range(t.n):
+        for i2 in range(t.n):
+            if i1 != i2 and len(path := t.path(i1, i2)) > 2:
+                yield i1, i2, path
+
+
 def test_op1_screen_codes_match_rebuilds_up_to_11():
     checked = 0
     for n in range(1, 12):
@@ -552,6 +560,37 @@ def test_op1_screen_codes_match_rebuilds_up_to_11():
                 assert transforms._op1_code(t.adjacency, path) == kt.canonical_code(rebuilt)
                 checked += 1
     assert checked == 735
+    # every path, not only zero-delta ones: d = 2 (last == p1), a leaf i1
+    checked = 0
+    for n in range(1, 10):
+        for t in helpers.members(kt.enumerate_trees(n)):
+            for i1, i2, path in _long_paths(t):
+                rebuilt = kt.apply_op1(t, i1, i2)
+                assert transforms._op1_code(t.adjacency, path) == kt.canonical_code(rebuilt)
+                checked += 1
+    assert checked == 4098
+
+
+def test_op1_is_three_relocations():
+    # contract-and-subdivide is i1's other branches moved onto p1, the leaf
+    # i1 moved onto the last interior vertex, then i2 moved onto i1
+    checked = 0
+    for n in range(3, 9):
+        for t in helpers.members(kt.enumerate_trees(n)):
+            for i1, i2, path in _long_paths(t):
+                p1, last = path[1], path[-2]
+                steps = [(u, i1, p1) for u in t.adjacency[i1] if u != p1]
+                if last != p1:
+                    steps.append((i1, p1, last))
+                steps.append((i2, last, i1))
+                moved, delta = t, 0
+                for b_root, a, b in steps:
+                    delta += kt.op2_delta_formula(moved, b_root, a, b)
+                    moved = kt.apply_op2(moved, b_root, a, b)
+                assert moved == kt.apply_op1(t, i1, i2)
+                assert delta == kt.op1_delta_formula(kt.decompose_path(t, i1, i2))
+                checked += 1
+    assert checked == 1466
 
 
 @pytest.mark.parametrize(
