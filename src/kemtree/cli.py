@@ -3,8 +3,10 @@ census, maximality reports, and census export.
 
 Exact values are always printed as "p/q"; the decimal column is a
 formatting of the exact value at emit time. Output on stdout is
-deterministic for fixed inputs and flags; wall-clock timing goes to
-stderr in table mode and into the `runtime_ms` JSON field otherwise.
+deterministic for fixed inputs and flags. Each command returns its JSON
+inputs and its rows; `main` times it and writes them, with the command's
+name and the wall-clock timing, which goes to stderr as `# runtime_ms N`
+after table or CSV rows and into the `runtime_ms` JSON field.
 
 At fixed order, Kemeny's constant K rises strictly with the Wiener index W
 (`kemeny_from_wiener`), so equal W is the same as equal K: census mates are
@@ -31,8 +33,8 @@ byte, and a label or count not in ASCII decimal digits), 3 resource limit
 (--cap, MAX_CENSUS_PAIRS, graphs.MAX_VERTICES, and
 invariants.MAX_DENSE_VERTICES for a cyclic graph or `--route forest`), 4
 theorem violation.
-`--places` runs from 0 to MAX_PLACES and `--cap` up to MAX_ORDER_HARD; a
-value outside is a usage error. A reader that closes stdout early
+`--places` runs from 0 to MAX_PLACES and `--cap` from 1 to MAX_ORDER_HARD;
+a value outside is a usage error. A reader that closes stdout early
 (`kemtree enum 12 | head -1`) ends the run quietly with exit 0.
 """
 
@@ -76,20 +78,8 @@ EXIT_RESOURCE = 3
 EXIT_THEOREM = 4
 
 
-class Report:
-    """One command's result: `rows` of (name, value, decimal or None), and
-    the `inputs` object that only JSON output prints."""
-
-    __slots__ = ("command", "inputs", "rows", "runtime_ms")
-
-    def __init__(self, command: str, inputs: dict | None = None) -> None:
-        self.command = command
-        self.inputs = inputs
-        self.rows: list[tuple[str, str, str | None]] = []
-        self.runtime_ms = 0
-
-    def add(self, name: str, value, decimal: str | None = None) -> None:
-        self.rows.append((name, str(value), decimal))
+# A command's rows: (name, value, decimal or None).
+Rows = list[tuple[str, str, str | None]]
 
 
 class _UsageError(Exception):
@@ -108,11 +98,20 @@ def _exact_cells(value, places: int) -> tuple[str, str | None]:
     return format_rational(value), None
 
 
-def _add_exact(report: Report, name: str, value, places: int) -> None:
-    report.add(name, *_exact_cells(value, places))
+def _row(name: str, value) -> tuple[str, str, None]:
+    return name, str(value), None
 
 
-def cmd_invariants(args) -> Report:
+def _exact_row(name: str, value, places: int) -> tuple[str, str, str | None]:
+    return (name, *_exact_cells(value, places))
+
+
+def _census_rows(name: str, entries):
+    """A `name[i]` row holding each entry's census line."""
+    return (_row(f"{name}[{i}]", census_line(e.code, e.edges)) for i, e in enumerate(entries))
+
+
+def cmd_invariants(args) -> tuple[dict | None, Rows]:
     try:
         data = Path(args.path).read_bytes()
     except ValueError as exc:  # a NUL byte in the path
@@ -125,27 +124,29 @@ def cmd_invariants(args) -> Report:
     g = parse_edge_list(text)
     t = tree_from_graph(g) if args.omega else None
     inv = compute_invariants(g if t is None else t, args.route)
-    report = Report("invariants")
+    inputs = None
     if args.json:  # the only output that prints the inputs and their hash
         import hashlib
 
-        report.inputs = {
+        inputs = {
             "path": str(args.path),
             "sha256": hashlib.sha256(data).hexdigest(),
             "n": g.n,
             "m": g.m,
             "edges": [list(e) for e in g.edges],
         }
-    report.add("n", inv.n)
-    report.add("m", inv.m)
-    report.add("route", inv.route.value)
-    _add_exact(report, "wiener", inv.wiener, args.places)
-    _add_exact(report, "gutman", inv.gutman, args.places)
-    _add_exact(report, "kemeny", inv.kemeny, args.places)
+    rows = [
+        _row("n", inv.n),
+        _row("m", inv.m),
+        _row("route", inv.route.value),
+        _exact_row("wiener", inv.wiener, args.places),
+        _exact_row("gutman", inv.gutman, args.places),
+        _exact_row("kemeny", inv.kemeny, args.places),
+    ]
     if t is not None:
-        for (u, v), w in sorted(omega_weights(t).weights.items()):
-            report.add(f"omega[{u}-{v}]", w)
-    return report
+        weights = sorted(omega_weights(t).weights.items())
+        rows += (_row(f"omega[{u}-{v}]", w) for (u, v), w in weights)
+    return inputs, rows
 
 
 def _family(args):
@@ -154,7 +155,7 @@ def _family(args):
     return family(args.n, args.d, cap=args.cap)
 
 
-def cmd_extremal(args) -> Report:
+def cmd_extremal(args) -> tuple[dict, Rows]:
     fam = _family(args)
     if not fam.entries:
         raise InputError(f"no tree of order {args.n} has diameter {args.d}")
@@ -163,28 +164,17 @@ def cmd_extremal(args) -> Report:
     attaining = [e for e in fam.entries if e.wiener == best]
     if args.metric == "kemeny":
         best = kemeny_from_wiener(args.n, best)
-    report = Report(
-        command="extremal",
-        inputs={
-            "n": args.n,
-            "d": args.d,
-            "objective": args.objective,
-            "metric": args.metric,
-        },
-    )
-    report.add("family_size", len(fam))
-    _add_exact(report, f"{args.metric}_{args.objective}", best, args.places)
-    report.add("attaining_count", len(attaining))
-    for idx, e in enumerate(attaining):
-        report.add(f"tree[{idx}]", census_line(e.code, e.edges))
-    return report
+    inputs = {"n": args.n, "d": args.d, "objective": args.objective, "metric": args.metric}
+    return inputs, [
+        _row("family_size", len(fam)),
+        _exact_row(f"{args.metric}_{args.objective}", best, args.places),
+        _row("attaining_count", len(attaining)),
+        *_census_rows("tree", attaining),
+    ]
 
 
-def cmd_mates(args) -> Report:
+def cmd_mates(args) -> tuple[dict, Rows]:
     fam = enumerate_trees(args.n, cap=args.cap)
-    report = Report(
-        command="mates", inputs={"n": args.n, "mode": args.mode}
-    )
     # Both modes yield (W, line a, line b) per pair: at one order, equal W is
     # equal K, so W fixes a pair's wiener and kemeny cells.
     if args.mode == "op1":
@@ -212,21 +202,23 @@ def cmd_mates(args) -> Report:
             for w, lines in sorted(buckets.items())
             for line_a, line_b in itertools.combinations(lines, 2)
         )
-    report.add("pair_count", count)
+    rows = [_row("pair_count", count)]
     cells: dict[int, tuple] = {}  # W -> (wiener cells, kemeny cells)
     for idx, (w, line_a, line_b) in enumerate(pairs):
         if w not in cells:
             kappa = kemeny_from_wiener(args.n, w)
             cells[w] = (_exact_cells(w, args.places), _exact_cells(kappa, args.places))
         w_cells, kappa_cells = cells[w]
-        report.add(f"pair[{idx}].wiener", *w_cells)
-        report.add(f"pair[{idx}].kemeny", *kappa_cells)
-        report.add(f"pair[{idx}].a", line_a)
-        report.add(f"pair[{idx}].b", line_b)
-    return report
+        rows += (
+            (f"pair[{idx}].wiener", *w_cells),
+            (f"pair[{idx}].kemeny", *kappa_cells),
+            (f"pair[{idx}].a", line_a, None),
+            (f"pair[{idx}].b", line_b, None),
+        )
+    return {"n": args.n, "mode": args.mode}, rows
 
 
-def cmd_maximal(args) -> Report:
+def cmd_maximal(args) -> tuple[dict, Rows]:
     from .transforms import maximal_elements, theorem_leaf_filter
 
     fam = family(args.n, args.d, cap=args.cap)
@@ -239,32 +231,31 @@ def cmd_maximal(args) -> Report:
                 raise TheoremViolationError(
                     f"maximal tree escaped the leaf filter: {census_line(e.code, e.edges)}"
                 )
-    report = Report(command="maximal", inputs={"n": args.n, "d": args.d})
-    report.add("family_size", len(fam))
-    report.add("filter_size", len(survivors))
-    report.add("maximal_size", len(maximal))
-    for idx, e in enumerate(survivors.entries):
-        report.add(f"filter[{idx}]", census_line(e.code, e.edges))
+    rows = [
+        _row("family_size", len(fam)),
+        _row("filter_size", len(survivors)),
+        _row("maximal_size", len(maximal)),
+        *_census_rows("filter", survivors.entries),
+    ]
     for idx, e in enumerate(maximal.entries):
-        report.add(f"maximal[{idx}].edges", census_line(e.code, e.edges))
-        _add_exact(report, f"maximal[{idx}].wiener", e.wiener, args.places)
         kappa = kemeny_from_wiener(args.n, e.wiener)
-        _add_exact(report, f"maximal[{idx}].kemeny", kappa, args.places)
+        rows += (
+            _row(f"maximal[{idx}].edges", census_line(e.code, e.edges)),
+            _exact_row(f"maximal[{idx}].wiener", e.wiener, args.places),
+            _exact_row(f"maximal[{idx}].kemeny", kappa, args.places),
+        )
     if maximal.entries:
         best = max(maximal.entries, key=lambda e: e.wiener)  # the first of equals
-        report.add("argmax_kemeny", census_line(best.code, best.edges))
+        rows.append(_row("argmax_kemeny", census_line(best.code, best.edges)))
         if args.check_theorem:
-            report.add("theorem_check", "ok")
-    return report
+            rows.append(_row("theorem_check", "ok"))
+    return {"n": args.n, "d": args.d}, rows
 
 
-def cmd_enum(args) -> Report:
+def cmd_enum(args) -> tuple[dict, Rows]:
     fam = _family(args)
-    report = Report(command="enum", inputs={"n": args.n, "d": args.d})
-    report.add("count", len(fam))
-    for idx, e in enumerate(fam.entries):
-        report.add(f"tree[{idx}]", census_line(e.code, e.edges))
-    return report
+    rows = [_row("count", len(fam)), *_census_rows("tree", fam.entries)]
+    return {"n": args.n, "d": args.d}, rows
 
 
 def _build_parser() -> _Parser:
@@ -316,37 +307,38 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(report: Report, args) -> None:
+def _emit(args, inputs: dict | None, rows: Rows, runtime_ms: int) -> None:
     if args.json:
         import json
 
-        rows = []
-        for name, value, decimal in report.rows:
+        objects = []
+        for name, value, decimal in rows:
             row = {"name": name, "value": value}
             if decimal is not None:
                 row["decimal"] = decimal
-            rows.append(row)
+            objects.append(row)
         payload = {
-            "command": report.command,
-            "inputs": report.inputs,
-            "rows": rows,
-            "runtime_ms": report.runtime_ms,
+            "command": args.command,
+            "inputs": inputs,
+            "rows": objects,
+            "runtime_ms": runtime_ms,
         }
         sys.stdout.write(json.dumps(payload) + "\n")
-    elif args.csv:
+        return
+    if args.csv:
         import csv
 
         writer = csv.writer(sys.stdout)
         writer.writerow(["name", "value", "decimal"])
-        writer.writerows(report.rows)  # csv writes a None decimal as ""
+        writer.writerows(rows)  # csv writes a None decimal as ""
     else:
-        width = max((len(name) for name, _, _ in report.rows), default=0)
-        for name, value, decimal in report.rows:
+        width = max((len(name) for name, _, _ in rows), default=0)
+        for name, value, decimal in rows:
             line = f"{name:<{width}}  {value}"
             if decimal is not None:
                 line += f"  ({decimal})"
             sys.stdout.write(line + "\n")
-        sys.stderr.write(f"# runtime_ms {report.runtime_ms}\n")
+    sys.stderr.write(f"# runtime_ms {runtime_ms}\n")
 
 
 def main(argv=None) -> int:
@@ -357,6 +349,8 @@ def main(argv=None) -> int:
             parser.error(
                 f"argument --places: must be in 0..{MAX_PLACES}, got {args.places}"
             )
+        if args.cap < 1:
+            parser.error(f"argument --cap: must be at least 1, got {args.cap}")
         if args.cap > MAX_ORDER_HARD:
             parser.error(
                 f"argument --cap: must be at most {MAX_ORDER_HARD}, got {args.cap}"
@@ -366,15 +360,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     start = time.perf_counter()
     try:
-        report = args.fn(args)
+        inputs, rows = args.fn(args)
     except (KemtreeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         if isinstance(exc, ResourceLimitError):
             return EXIT_RESOURCE
         return EXIT_THEOREM if isinstance(exc, TheoremViolationError) else EXIT_INPUT
-    report.runtime_ms = int((time.perf_counter() - start) * 1000)
+    runtime_ms = int((time.perf_counter() - start) * 1000)
     try:
-        _emit(report, args)
+        _emit(args, inputs, rows, runtime_ms)
         sys.stdout.flush()
     except BrokenPipeError:
         # Point stdout at the null device so the flush at interpreter exit

@@ -38,7 +38,7 @@ import itertools
 from typing import Callable, NamedTuple
 
 from .errors import InputError, KemtreeError, ParseError, ResourceLimitError
-from .errors import check_int
+from .errors import check_int, check_type
 from .graphs import Edge, Tree, tree_from_edges, tree_from_graph
 
 MAX_ORDER_DEFAULT = 16
@@ -415,7 +415,9 @@ def census_line(code: CanonicalCode, edges: tuple[Edge, ...]) -> str:
 
 def parse_census_line(line: str) -> tuple[CanonicalCode, Tree]:
     """Inverse of `census_line`; ParseError unless the hex code is the
-    canonical code of the tree the edges build."""
+    canonical code of the tree the edges build, InputError unless `line`
+    is a str."""
+    check_type("census line", line, str)
     tokens = line.split()
     try:
         code = bytes.fromhex(tokens[0])

@@ -17,6 +17,12 @@ def check_int(name: str, value: object) -> None:
         raise InputError(f"{name} must be an integer, not {type(value).__name__}")
 
 
+def check_type(name: str, value: object, kind: type) -> None:
+    """InputError unless `value` is an instance of `kind`."""
+    if not isinstance(value, kind):
+        raise InputError(f"{name} must be a {kind.__name__}, not {type(value).__name__}")
+
+
 class ParseError(KemtreeError):
     """Edge-list input could not be parsed; carries the offending line number."""
 
@@ -44,9 +50,12 @@ class NotATreeError(KemtreeError):
 
 
 class ResourceLimitError(KemtreeError):
-    """A request exceeds a size limit that is checked before any memory is
-    allocated: the enumeration or oracle order cap, or the vertex ceiling
-    of an edge list (then the message names the line)."""
+    """A request exceeds a size limit that is checked before the work it
+    bounds is done: the enumeration or oracle order cap, the vertex ceiling
+    of an edge list (then the message names the line), the pair limit of
+    census `mates`, the vertex limit of the dense routes
+    (`invariants.MAX_DENSE_VERTICES`), or Python's limit on the digits of
+    a formatted integer (`sys.get_int_max_str_digits()`)."""
 
 
 class PathTooShortError(KemtreeError):

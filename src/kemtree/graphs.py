@@ -17,7 +17,7 @@ from collections import deque
 from typing import Iterable, Sequence
 
 from .errors import DisconnectedError, InputError, NotATreeError, ParseError
-from .errors import ResourceLimitError, check_int
+from .errors import ResourceLimitError, check_int, check_type
 
 Edge = tuple[int, int]
 DistanceMatrix = tuple[tuple[int, ...], ...]
@@ -115,8 +115,10 @@ def parse_edge_list(text: str) -> Graph:
     Labels and the count are written in ASCII decimal digits only.
     Lines starting with '#' and blank lines are ignored. Without a header,
     the vertex count is inferred as 1 + the largest label seen. A count, or
-    a label's need, over MAX_VERTICES raises ResourceLimitError naming the line.
+    a label's need, over MAX_VERTICES raises ResourceLimitError naming the
+    line; text that is not a str raises InputError.
     """
+    check_type("edge-list text", text, str)
     declared: int | None = None
     header_allowed = True
     pairs: list[Edge] = []
@@ -301,12 +303,17 @@ class Tree(Graph):
 def tree_from_graph(g: Graph) -> Tree:
     """`g` itself if it is a Tree, else `g` validated as a tree: a
     tree-only query calls this first, so a cyclic or disconnected graph
-    raises NotATreeError instead of reaching a rooted traversal."""
-    return g if isinstance(g, Tree) else Tree(g.n, g.edges)
+    raises NotATreeError instead of reaching a rooted traversal, and an
+    argument that is not a Graph raises InputError."""
+    if isinstance(g, Tree):
+        return g
+    check_type("graph", g, Graph)
+    return Tree(g.n, g.edges)
 
 
 def _check_labels(g: Graph, *labels: int) -> None:
-    """InputError unless each label is an int vertex of `g`."""
+    """InputError unless `g` is a Graph and each label an int vertex of it."""
+    check_type("graph", g, Graph)
     for v in labels:
         check_int("vertex label", v)
         if not 0 <= v < g.n:

@@ -19,6 +19,7 @@ All values are exact: integers or Fractions, never floats.
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 from fractions import Fraction
 from operator import mul
@@ -75,8 +76,8 @@ def _child_split_sizes(t: Tree) -> dict[Edge, int]:
 
 def omega_weights(t: Tree) -> WeightedEdgeMap:
     """Split weight n1(e) * n2(e) for every edge of the tree."""
-    n = t.n
-    weights = {e: s * (n - s) for e, s in _child_split_sizes(t).items()}
+    sizes = _child_split_sizes(t)  # validates t first
+    weights = {e: s * (t.n - s) for e, s in sizes.items()}
     return WeightedEdgeMap(weights=weights, total=sum(weights.values()))
 
 
@@ -233,17 +234,36 @@ def _exact(value: Fraction | int) -> Fraction:
     return Fraction(value)
 
 
+def _digits(k: int) -> str:
+    """str(k), or ResourceLimitError where Python refuses that many digits."""
+    try:
+        return str(k)
+    except ValueError:  # only str(int)'s digit limit raises it
+        raise ResourceLimitError(
+            f"an integer of {k.bit_length()} bits exceeds Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits for integer formatting"
+        ) from None
+
+
 def format_exact(value: Fraction | int, places: int = 4) -> str:
     """Fixed-point decimal rendering of an exact value, round-half-even.
 
     Display only; the exact value is never stored rounded. A value that is
     not an int or a Fraction, or `places` that is not an int >= 0, raises
-    InputError.
+    InputError. Python prints no int of more than
+    `sys.get_int_max_str_digits()` digits (0 means no limit), so `places`
+    above that limit raises ResourceLimitError before 10**places is built,
+    as does an integer part too long to print.
     """
     f = _exact(value)
     check_int("places", places)
     if places < 0:
         raise InputError(f"places must be nonnegative, not {places}")
+    limit = sys.get_int_max_str_digits()
+    if limit and places > limit:
+        raise ResourceLimitError(
+            f"{places} places exceed Python's limit of {limit} digits for integer formatting"
+        )
     sign = "-" if f < 0 else ""
     num, den = abs(f.numerator), f.denominator
     scale = 10**places
@@ -252,15 +272,17 @@ def format_exact(value: Fraction | int, places: int = 4) -> str:
     if double > den or (double == den and q % 2 == 1):
         q += 1
     if places == 0:
-        return f"{sign}{q}"
+        return f"{sign}{_digits(q)}"
     whole, frac = divmod(q, scale)
-    return f"{sign}{whole}.{frac:0{places}d}"
+    return f"{sign}{_digits(whole)}.{_digits(frac).zfill(places)}"
 
 
 def format_rational(value: Fraction | int) -> str:
     """Exact "p/q" rendering (plain integer when the denominator is 1). A
-    value that is not an int or a Fraction raises InputError."""
+    value that is not an int or a Fraction raises InputError, and a
+    numerator or denominator of more digits than Python prints
+    (`sys.get_int_max_str_digits()`) raises ResourceLimitError."""
     f = _exact(value)
     if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+        return _digits(f.numerator)
+    return f"{_digits(f.numerator)}/{_digits(f.denominator)}"

@@ -23,7 +23,8 @@ depend only on the component sizes along the endpoint path:
   Each rebuilds only the move it reports, as a check.
 
 The scans over a family (the mate scan, maximality and the leaf filter)
-take a TreeFamily, which `enumeration` builds, and read only its TreeEntry
+take a TreeFamily, which `enumeration` builds (anything else raises
+InputError), and read only its TreeEntry
 records, on each entry's adjacency lists (`TreeEntry.adjacency`); they
 build a Tree only for the source and the result of a move they report,
 whose rebuild checks the scan.
@@ -42,7 +43,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InputError, NotABridgeConfigError, PathTooShortError
-from .errors import TheoremViolationError
+from .errors import TheoremViolationError, check_type
 from .graphs import Edge, Tree, double_sweep, path_from_root, rooted_traversal
 from .graphs import _check_labels, tree_eccentricities, tree_from_edges, tree_from_graph
 from .enumeration import CanonicalCode, TreeFamily, _code_from_adjacency, canonical_code
@@ -292,6 +293,7 @@ def generate_mates_op1(fam: TreeFamily) -> tuple[MatePair, ...]:
     one, and its canonical code the screened one. Either mismatch raises
     TheoremViolationError.
     """
+    check_type("family", fam, TreeFamily)
     n = fam.n
     found: dict[tuple[bytes, bytes], MatePair] = {}
     for entry in fam.entries:
@@ -412,6 +414,7 @@ def maximal_elements(fam: TreeFamily) -> TreeFamily:
     the same (order, diameter) family, so maximality reduces to the
     absence of a Wiener-increasing, diameter-preserving move.
     """
+    check_type("family", fam, TreeFamily)
     if fam.diameter is None:
         raise InputError("maximality needs a diameter-filtered family")
     d = fam.diameter
@@ -422,6 +425,7 @@ def theorem_leaf_filter(fam: TreeFamily) -> TreeFamily:
     """Members whose leaves all sit at distance floor(d/2) from the center,
     which is every leaf having eccentricity d, as the radius is
     d - floor(d/2)."""
+    check_type("family", fam, TreeFamily)
     if fam.diameter is None:
         raise InputError("leaf filter needs a diameter-filtered family")
 

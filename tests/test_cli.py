@@ -597,6 +597,13 @@ def test_table_and_csv_formats(capsys):
     assert any(line.startswith("kemeny,57/10,5.7000") for line in lines)
 
 
+def test_csv_writes_its_runtime_to_stderr_after_the_rows(capsys):
+    code, out, err = run(capsys, "--csv", "enum", "4")
+    assert code == 0
+    assert out.splitlines()[:2] == ["name,value,decimal", "count,2,"]
+    assert re.fullmatch(r"# runtime_ms \d+\n", err)
+
+
 def test_threads_flag_is_usage_error(capsys):
     base = ["extremal", "8", "--objective", "max", "--metric", "kemeny"]
     for argv in (["--threads", "4", *base], ["--threads=1", *base]):
@@ -638,6 +645,17 @@ def test_cap_above_the_hard_ceiling_is_a_usage_error(capsys, monkeypatch):
     assert err == f"error: argument --cap: must be at most {top}, got {top + 1}\n"
     code, out, err = run(capsys, "--cap", str(top), "enum", str(top + 1))
     assert (code, out) == (3, "")
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_below_1_is_a_usage_error(capsys, monkeypatch, cap):
+    def forbidden(n):
+        raise AssertionError("_layer called")
+
+    monkeypatch.setattr(enumeration, "_layer", forbidden)
+    code, out, err = run(capsys, "--cap", cap, "enum", "3")
+    assert (code, out) == (1, "")
+    assert err == f"error: argument --cap: must be at least 1, got {cap}\n"
 
 
 def test_places_ceiling(capsys):

@@ -10,10 +10,12 @@ enumerating subcommands stay at most 9 or above every cap, so no run
 enumerates a large order.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kemtree as kt
+from kemtree import enumeration, transforms
 from kemtree.cli import main
 from kemtree.errors import ParseError, ResourceLimitError
 from kemtree.graphs import MAX_VERTICES
@@ -101,3 +103,23 @@ def test_enumerating_subcommands_exit_0_to_3_without_traceback(capsys, argv):
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err
     assert (out != "") == (code == 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: kt.tree_from_graph(None),
+        lambda: kt.canonical_code([(0, 1)]),
+        lambda: kt.omega_weights(None),
+        lambda: transforms.decompose_path(None, 0, 1),
+        lambda: transforms.covers(None, None),
+        lambda: transforms.generate_mates_op1(5),
+        lambda: transforms.maximal_elements([]),
+        lambda: transforms.theorem_leaf_filter(None),
+        lambda: kt.parse_edge_list(b"0 1"),
+        lambda: enumeration.parse_census_line(None),
+    ],
+)
+def test_an_argument_of_the_wrong_kind_raises_a_typed_error(call):
+    with pytest.raises(kt.KemtreeError):
+        call()

@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -366,3 +368,22 @@ def test_formatters_take_only_exact_values(value):
 def test_format_exact_places_is_an_int_at_least_0(places, message):
     with pytest.raises(InputError, match=message):
         kt.format_exact(Fraction(1, 3), places)
+
+
+def test_format_exact_refuses_places_above_the_digit_limit_before_any_work():
+    limit = sys.get_int_max_str_digits()
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="places exceed"):
+        kt.format_exact(Fraction(1, 3), 10**9)  # 10**(10**9) alone would take minutes
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ResourceLimitError):
+        kt.format_exact(Fraction(1, 3), limit + 1)
+    assert kt.format_exact(Fraction(1, 3), limit) == "0." + "3" * limit
+
+
+def test_formatters_refuse_an_integer_above_the_digit_limit():
+    big = Fraction(10**5000 + 1, 3)
+    with pytest.raises(ResourceLimitError, match="digits for integer formatting"):
+        kt.format_rational(big)
+    with pytest.raises(ResourceLimitError, match="digits for integer formatting"):
+        kt.format_exact(big, 2)
