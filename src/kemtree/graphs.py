@@ -188,6 +188,7 @@ def bfs_distances(adjacency: Sequence[Sequence[int]], source: int) -> list[int]:
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """BFS from every vertex; raises DisconnectedError naming one missing pair."""
+    check_type("graph", g, Graph)
     rows = []
     for s in range(g.n):
         row = bfs_distances(g.adjacency, s)

@@ -20,13 +20,14 @@ All values are exact: integers or Fractions, never floats.
 from __future__ import annotations
 
 import sys
+from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
 from operator import mul
 from typing import Mapping, NamedTuple
 
 from .errors import DisconnectedError, InputError, ResourceLimitError
-from .errors import RouteRequiresTreeError, check_int
+from .errors import RouteRequiresTreeError, check_int, check_type
 from .graphs import DistanceMatrix, Edge, Graph, Tree, all_pairs_distances
 from .graphs import bfs_distances, rooted_traversal, tree_from_graph
 from .linalg import adjugate_det, delete_rows_cols, laplacian
@@ -83,6 +84,7 @@ def omega_weights(t: Tree) -> WeightedEdgeMap:
 
 def wiener_distance_route(d: DistanceMatrix) -> int:
     """Half the grand sum of the distance matrix."""
+    check_type("distance matrix", d, Sequence)
     total = sum(sum(row) for row in d)
     return total // 2
 
@@ -94,6 +96,7 @@ def wiener_edge_cut_route(t: Tree) -> int:
 
 def gutman_index(g: Graph, d: DistanceMatrix) -> int:
     """Half the degree-weighted grand sum of the distance matrix."""
+    check_type("graph", g, Graph)
     deg = g.degrees
     total = 0
     for i in range(g.n):
@@ -129,6 +132,7 @@ def kemeny_forest_route(g: Graph) -> Fraction:
     the 2-forest matrix F, is kept in the tests as an oracle. Above
     MAX_DENSE_VERTICES vertices it raises ResourceLimitError first.
     """
+    check_type("graph", g, Graph)
     if g.n < 2:
         raise InputError("Kemeny's constant needs at least two vertices")
     _require_connected(g)
@@ -152,11 +156,13 @@ def kemeny_from_wiener(n: int, w: int) -> Fraction:
 
 def kemeny_wiener_route(t: Tree) -> Fraction:
     """Kemeny's constant of a tree from its Wiener index."""
+    check_type("graph", t, Graph)
     return kemeny_from_wiener(t.n, wiener_edge_cut_route(t))
 
 
 def kemeny_edge_cut_route(t: Tree) -> Fraction:
     """Kemeny's constant of a tree from its edge split sizes."""
+    check_type("graph", t, Graph)
     n = t.n
     if n < 2:
         raise InputError("Kemeny's constant needs at least two vertices")
@@ -188,6 +194,7 @@ def compute_invariants(g: Graph, route: KemenyRoute | str = "auto") -> Invariant
     tree here. A route that is not one of auto, forest, wiener and edgecut
     raises InputError.
     """
+    check_type("graph", g, Graph)
     _require_connected(g)
     tree = tree_from_graph(g) if g.m == g.n - 1 else None
     if route == "auto":

@@ -14,7 +14,7 @@ downstream (invariants module).
 
 from __future__ import annotations
 
-from .errors import InputError
+from .errors import InputError, check_type
 from .graphs import Graph, _check_labels
 
 BigIntMatrix = list[list[int]]
@@ -22,6 +22,7 @@ BigIntMatrix = list[list[int]]
 
 def laplacian(g: Graph) -> BigIntMatrix:
     """L = diag(degrees) - adjacency, as a dense integer matrix."""
+    check_type("graph", g, Graph)
     n = g.n
     mat = [[0] * n for _ in range(n)]
     for v in range(n):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import multiprocessing
+import os
 import random
 
 import pytest
@@ -10,6 +12,7 @@ import kemtree as kt
 from kemtree import enumeration
 from kemtree.enumeration import (
     _code_from_adjacency,
+    _decode_prefixes,
     _decode_shape,
     _decode_shapes,
     _layer,
@@ -416,6 +419,104 @@ def test_oracle_shapes_count_rooted_trees():
         assert len(shapes) == ROOTED_TREE_COUNTS[n]
         assert isinstance(shapes, frozenset) and isinstance(table, tuple)
         assert _decode_shapes(n) is decoded
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_each_prefix_part_decodes_exactly_the_sequences_with_its_prefix(monkeypatch, n):
+    decoded = []
+
+    def counting(seq, n, ids):
+        decoded.append((seq, ids))
+        return _decode_shape(seq, n, ids)
+
+    monkeypatch.setattr(enumeration, "_decode_shape", counting)
+    prefixes = list(itertools.product(range(n), repeat=2))
+    assert len(_decode_prefixes(n, prefixes)) == n**2
+    share = n ** (n - 4)
+    assert len(decoded) == n**2 * share
+    for i, prefix in enumerate(prefixes):
+        part = decoded[i * share : (i + 1) * share]
+        rest = itertools.product(range(n), repeat=n - 4)
+        assert [seq for seq, _ in part] == [prefix + r for r in rest]
+    # each prefix interns into its own ids
+    assert len({id(ids) for _, ids in decoded}) == n**2
+    assert sorted(seq for seq, _ in decoded) == list(
+        itertools.product(range(n), repeat=n - 2)
+    )
+
+
+
+def _one_pass(n):
+    """(shapes, table) of one shared-`ids` pass over every sequence in order."""
+    ids = {}
+    shapes = frozenset(
+        _decode_shape(seq, n, ids) for seq in itertools.product(range(n), repeat=n - 2)
+    )
+    return shapes, tuple(ids)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_merged_prefix_parts_are_one_shared_ids_pass(monkeypatch, n):
+    whole = _one_pass(n)
+    monkeypatch.setattr(enumeration, "_decoded", {})
+    shapes, table = _decode_shapes(n)
+
+    def codes(shapes, table):
+        return {helpers.rooted_code(_shape_adjacency(s, n, table), 0) for s in shapes}
+
+    assert codes(shapes, table) == codes(*whole)
+    # parts merged in prefix order intern the ids of one pass in order
+    assert (shapes, table) == whole
+
+
+def test_oracle_on_one_usable_cpu_starts_no_process(monkeypatch):
+    def no_process(*args, **kwargs):
+        raise AssertionError("a worker was started on one usable CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(multiprocessing, "Process", no_process)
+    monkeypatch.setattr(enumeration, "_decoded", {})
+    assert kt.prufer_oracle_count(8) == 23
+    assert len(_decode_shapes(8)[0]) == ROOTED_TREE_COUNTS[8]
+    assert multiprocessing.active_children() == []
+
+
+def test_oracle_workers_decode_the_same_shapes_and_are_all_joined(monkeypatch):
+    # the worker path at order 7, below the order it is taken from
+    n = 7
+    whole = _one_pass(n)
+    started = []
+    process = multiprocessing.Process
+
+    def counted(*args, **kwargs):
+        started.append(process(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(enumeration, "_decoded", {})
+    monkeypatch.setattr(enumeration, "_PARALLEL_MIN_ORDER", n)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(multiprocessing, "Process", counted)
+    assert _decode_shapes(n) == whole
+    # three usable CPUs: the caller and two workers, each gone once it sent
+    assert len(started) == 2
+    assert [p.exitcode for p in started] == [0, 0]
+    assert multiprocessing.active_children() == []
+
+
+def _send_nothing(n, prefixes, reader, writer):
+    reader.close()
+    writer.close()
+
+
+def test_oracle_decodes_the_share_of_a_worker_that_sent_nothing(monkeypatch):
+    n = 7
+    whole = _one_pass(n)
+    monkeypatch.setattr(enumeration, "_decoded", {})
+    monkeypatch.setattr(enumeration, "_PARALLEL_MIN_ORDER", n)
+    monkeypatch.setattr(enumeration, "_send_share", _send_nothing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert _decode_shapes(n) == whole
+    assert multiprocessing.active_children() == []
 
 
 def test_prufer_oracle_small_counts():

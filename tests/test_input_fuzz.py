@@ -123,3 +123,22 @@ def test_enumerating_subcommands_exit_0_to_3_without_traceback(capsys, argv):
 def test_an_argument_of_the_wrong_kind_raises_a_typed_error(call):
     with pytest.raises(kt.KemtreeError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: kt.all_pairs_distances(None),
+        lambda: kt.compute_invariants(None),
+        lambda: kt.kemeny_forest_route(None),
+        lambda: kt.kemeny_edge_cut_route(None),
+        lambda: kt.kemeny_wiener_route(None),
+        lambda: kt.laplacian(None),
+        lambda: kt.spanning_tree_count(None),
+        lambda: kt.gutman_index(None, [[0]]),
+        lambda: kt.wiener_distance_route(None),
+    ],
+)
+def test_a_graph_function_given_no_graph_raises_a_typed_error(call):
+    with pytest.raises(kt.KemtreeError):
+        call()

@@ -31,8 +31,15 @@ SPIDER = "fixtures/spider_2_5.txt"
 SUBMODULES = ("errors", "graphs", "linalg", "invariants", "enumeration", "transforms")
 
 # loaded only by the subcommands, outputs and records that need them
-CLI_FORBIDDEN = {"kemtree.transforms", "dataclasses", "inspect", "hashlib", "json", "csv"}
-ORACLE_FORBIDDEN = {"kemtree.invariants", "kemtree.linalg", "kemtree.transforms"}
+# (the decode oracle imports multiprocessing only when it starts workers)
+CLI_FORBIDDEN = {
+    "kemtree.transforms", "dataclasses", "inspect", "hashlib", "json", "csv",
+    "multiprocessing", "concurrent.futures",
+}
+ORACLE_FORBIDDEN = {
+    "kemtree.invariants", "kemtree.linalg", "kemtree.transforms",
+    "multiprocessing", "concurrent.futures",
+}
 
 
 def _python(*argv: str) -> subprocess.CompletedProcess:
