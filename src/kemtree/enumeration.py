@@ -10,9 +10,11 @@ of structure, so persisted censuses stay byte-stable across runs.
 Generation grows order k+1 representatives from order k by attaching a
 new leaf to each order-k tree and deduplicating by code; the first tree
 found with a code is its representative. Each order-k tree is rooted at
-its center once, which gives every subtree code; an attachment then
-re-codes only the path from its vertex up to the center, moving the
-center across one edge when the new leaf deepens the tree. Leaves go only
+its center once, which gives every subtree code and every vertex's sorted
+list of child codes; an attachment then re-codes only the path from its
+vertex up to the center, one child code per step (each vertex swaps its
+child's old code for the new one in its sorted list and re-sorts), moving
+the center across one edge when the new leaf deepens the tree. Leaves go only
 on the lowest-labelled vertex of each automorphism orbit, since the rest
 of an orbit repeats that vertex's code, so the representatives are those
 of attaching at every vertex. The same rooting gives every vertex's total
@@ -21,7 +23,8 @@ parent's. The generator is the one place a family member's code, Wiener
 index and diameter are computed: a TreeFamily is one TreeEntry per member,
 which `where` filters. An entry holds its tree as bytes attach[k-1] = a_k,
 the vertex a_k < k that vertex k joined; other modules read its `edges` or
-`adjacency()`. A census record is `census_line(code, edges)`.
+`adjacency()`. A census record is `census_line(code, edges)`, which reads
+each edge's text from a table built once for trees up to MAX_ORDER_HARD.
 
 `prufer_oracle_count` checks the generator's counts independently. It
 decodes every labeled-tree code sequence of order n, coding each decoded
@@ -49,8 +52,8 @@ from .graphs import Edge, Tree, tree_from_edges, tree_from_graph
 
 MAX_ORDER_DEFAULT = 16
 # Highest order enumerate_trees builds, whatever the cap. Layers 1..18 hold
-# 205,004 entries and peak at 74 MB in 7.3 s; `--cap 18 enum 18` peaks at
-# 110 MB in 9.3-9.8 s (2-core Xeon, Python 3.11). The ceiling stays at 18
+# 205,004 entries and peak at 74 MB in 6.5 s; `--cap 18 enum 18` peaks at
+# 110 MB in 7.0-8.6 s (2-core Xeon, Python 3.11). The ceiling stays at 18
 # until order 19 is measured.
 MAX_ORDER_HARD = 18
 PRUFER_ORACLE_MAX = 9
@@ -67,7 +70,7 @@ def _code_from_adjacency(adj) -> bytes:
     rooted code, or the smaller concatenation of the two halves."""
     if len(adj) == 1:
         return _LEAF_CODE
-    parent, order, code = _center_rooting(adj)
+    parent, order, code, _ = _center_rooting(adj)
     c = order[0]
     if parent[c] < 0:
         return code[c]
@@ -140,16 +143,19 @@ def _center_rooting(adj):
     """Root a tree of order >= 2, given by adjacency lists, at its center by
     peeling leaves: the one leaf peel every canonical code comes from.
 
-    Returns (parent, order, code): `order` lists the center(s) first and
-    every vertex after its parent, and `code[v]` is the rooted code of v's
-    subtree. Across a central edge each center is the other's parent, so
-    the two centers open `order` and their codes are the halves.
+    Returns (parent, order, code, kids): `order` lists the center(s) first
+    and every vertex after its parent, `kids[v]` is the sorted list of the
+    codes of v's children, and `code[v] = b"(" + b"".join(kids[v]) + b")"`
+    is the rooted code of v's subtree. Across a central edge each center is
+    the other's parent, so the two centers open `order`, their codes are
+    the halves, and neither is in the other's `kids`.
     """
     m = len(adj)
     join = b"".join
     deg = [len(nbrs) for nbrs in adj]
     parent = [-1] * m
     code = [_LEAF_CODE] * m
+    kids: list = [None] * m
     layer = [v for v in range(m) if deg[v] == 1]
     peeled: list[int] = []
     remaining = m
@@ -167,6 +173,7 @@ def _center_rooting(adj):
                         nxt.append(u)
                 else:
                     parts.append(code[u])
+            kids[v] = parts
             if parts:
                 parts.sort()
                 code[v] = b"(" + join(parts) + b")"
@@ -177,11 +184,12 @@ def _center_rooting(adj):
         parent[a], parent[b] = b, a
     for c in layer:
         p = parent[c]
-        code[c] = b"(" + join(sorted([code[u] for u in adj[c] if u != p])) + b")"
-    return parent, layer + peeled[::-1], code
+        kids[c] = sorted([code[u] for u in adj[c] if u != p])
+        code[c] = b"(" + join(kids[c]) + b")"
+    return parent, layer + peeled[::-1], code, kids
 
 
-def _leaf_attachments(adj):
+def _leaf_attachments(adj) -> list[tuple[int, bytes, int, bool]]:
     """(v, code, dist, deepens) for the lowest-labelled vertex v of each
     automorphism orbit of a tree T of order m >= 2, adjacency lists `adj`,
     v ascending: `code` is the canonical code of T with a new leaf at v,
@@ -192,10 +200,14 @@ def _leaf_attachments(adj):
     A vertex's orbit label is its parent's label plus its own subtree code,
     so two vertices share a label exactly when an automorphism maps one to
     the other, and attachments within one orbit give the same code. Each
-    attachment re-codes only the path from v up to its center.
+    attachment re-codes only the path from v up to its center, one child
+    code per step: each vertex on the path takes its sorted child codes
+    from `_center_rooting`, swaps the old code of the child towards v for
+    the new one and re-sorts. The new leaf's code b"()" sorts after every
+    other code, so it is appended to v's children unsorted.
     """
     m = len(adj)
-    parent, order, code = _center_rooting(adj)
+    parent, order, code, kids = _center_rooting(adj)
     bicentral = parent[order[0]] >= 0
     size = [1] * m
     for v in reversed(order[1:]):
@@ -215,42 +227,38 @@ def _leaf_attachments(adj):
     height = max(depth)
     join = b"".join
     seen = set()
+    found = []
     for a in range(m):
         if label[a] in seen:
             continue
         seen.add(label[a])
-        v, new, below = a, _LEAF_CODE, -1
-        while True:
-            p = parent[v]
-            parts = [code[u] for u in adj[v] if u != p and u != below]
-            if not depth[v]:
-                break
-            parts.append(new)
-            parts.sort()
+        v, new = a, _LEAF_CODE
+        parts = kids[a] + [new]
+        while depth[v]:
             new = b"(" + join(parts) + b")"
-            below, v = v, p
-        # v is the center on a's side, `below` its child towards a (or -1
-        # when a is v) with `new` as that child's new code, and `parts` the
-        # codes of v's other children; p is the other center or -1
-        if depth[a] < height:
-            parts.append(new)
+            below, v = v, parent[v]
+            parts = kids[v][:]
+            parts[bisect.bisect_left(parts, code[below])] = new
             parts.sort()
+        # v is the center on a's side and `parts` its children's new codes,
+        # sorted; `new` is the new code of its child towards a (the new leaf
+        # when a is v), and parent[v] the other center or -1
+        if depth[a] < height:
             half = b"(" + join(parts) + b")"
             if bicentral:
-                other = code[p]
-                yield a, min(half + other, other + half), dist[a], False
-            else:
-                yield a, half, dist[a], False
+                other = code[parent[v]]
+                half = min(half + other, other + half)
+            found.append((a, half, dist[a], False))
         elif bicentral:
             # a deepens its half: v becomes the only center
-            parts += (new, code[p])
-            parts.sort()
-            yield a, b"(" + join(parts) + b")", dist[a], True
+            bisect.insort(parts, code[parent[v]])
+            found.append((a, b"(" + join(parts) + b")", dist[a], True))
         else:
             # a deepens one branch: the central edge becomes v-below
-            parts.sort()
+            parts.remove(new)
             rest = b"(" + join(parts) + b")"
-            yield a, min(rest + new, new + rest), dist[a], True
+            found.append((a, min(rest + new, new + rest), dist[a], True))
+    return found
 
 
 # order -> TreeEntry per tree, sorted by code; grown lazily and kept for reuse
@@ -268,13 +276,14 @@ def _layer(n: int) -> tuple[TreeEntry, ...]:
         m = n - 1
         found: dict[bytes, TreeEntry] = {}
         for entry in _layer(m):
+            attach, base, diameter = entry.attach, entry.wiener + m, entry.diameter
             for v, code, dist, deepens in _leaf_attachments(entry.adjacency()):
                 if code not in found:
                     found[code] = TreeEntry(
                         code,
-                        entry.attach + bytes((v,)),
-                        entry.wiener + dist + m,
-                        entry.diameter + 1 if deepens else entry.diameter,
+                        attach + bytes((v,)),
+                        base + dist,
+                        diameter + 1 if deepens else diameter,
                     )
         entries = tuple(found[code] for code in sorted(found))
     _layers[n] = entries
@@ -532,15 +541,24 @@ def prufer_oracle_count(n: int) -> int:
     return len({_code_from_adjacency(_shape_adjacency(s, n, table)) for s in shapes})
 
 
+# "u-v" for every edge (u, v), u < v, of a tree of order <= MAX_ORDER_HARD
+_EDGE_TEXT = {(u, v): f"{u}-{v}" for v in range(MAX_ORDER_HARD) for u in range(v)}
+
+
 def census_line(code: CanonicalCode, edges: tuple[Edge, ...]) -> str:
     """One census record: `code` in hex, then a tree's sorted edge list
     (a TreeEntry's `edges`, or `Tree.edges`).
 
     `code` is the tree's canonical code as its TreeFamily carries it;
     nothing here recomputes or checks it. For `code, t =
-    parse_census_line(line)`, `census_line(code, t.edges) == line`.
+    parse_census_line(line)`, `census_line(code, t.edges) == line`. Each
+    edge's text is read from a table of the edges of trees up to
+    MAX_ORDER_HARD; an edge outside it, of a larger Tree, is formatted.
     """
-    text = " ".join(f"{u}-{v}" for u, v in edges)
+    try:
+        text = " ".join(map(_EDGE_TEXT.__getitem__, edges))
+    except KeyError:
+        text = " ".join(f"{u}-{v}" for u, v in edges)
     return f"{code.hex()} {text}".rstrip()
 
 

@@ -1,5 +1,8 @@
+import csv
 import hashlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -602,6 +605,64 @@ def test_csv_writes_its_runtime_to_stderr_after_the_rows(capsys):
     assert code == 0
     assert out.splitlines()[:2] == ["name,value,decimal", "count,2,"]
     assert re.fullmatch(r"# runtime_ms \d+\n", err)
+
+
+def _rows_written_one_at_a_time(argv):
+    """Table and CSV stdout of `argv`, each row formatted and written alone."""
+    args = cli._build_parser().parse_args(argv)
+    _, rows = args.fn(args)
+    width = max(len(name) for name, _, _ in rows)
+    table = io.StringIO()
+    for name, value, decimal in rows:
+        line = f"{name:<{width}}  {value}"
+        if decimal is not None:
+            line += f"  ({decimal})"
+        table.write(line + "\n")
+    csv_out = io.StringIO()
+    writer = csv.writer(csv_out)
+    writer.writerow(["name", "value", "decimal"])
+    for row in rows:
+        writer.writerow(row)
+    return rows, table.getvalue(), csv_out.getvalue()
+
+
+class _CountingRaw(io.RawIOBase):
+    """A raw stream that keeps what it is given and counts the writes."""
+
+    def __init__(self):
+        self.writes = 0
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.writes += 1
+        self.data += b
+        return len(b)
+
+
+CENSUS_11 = ["mates", "11", "--mode", "census"]
+
+
+def test_table_and_csv_rows_in_batches_equal_rows_written_one_at_a_time(capsys):
+    rows, table, csv_text = _rows_written_one_at_a_time(CENSUS_11)
+    assert len(rows) == 2797  # 11 batches, the last one partial
+    code, out, _ = run(capsys, *CENSUS_11)
+    assert code == 0 and out == table
+    code, out, _ = run(capsys, "--csv", *CENSUS_11)
+    assert code == 0 and out == csv_text
+
+
+@pytest.mark.parametrize("fmt", [[], ["--csv"]], ids=["table", "csv"])
+def test_write_through_stdout_gets_one_write_per_batch(monkeypatch, capsys, fmt):
+    # Under PYTHONUNBUFFERED stdout is write-through: each write is a system call.
+    rows, table, csv_text = _rows_written_one_at_a_time(CENSUS_11)
+    raw = _CountingRaw()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, "utf-8", write_through=True))
+    assert main([*fmt, *CENSUS_11]) == 0
+    assert raw.writes <= math.ceil(len(rows) / cli.EMIT_BATCH_ROWS) + 2
+    assert raw.data.decode() == (csv_text if fmt else table)
 
 
 def test_threads_flag_is_usage_error(capsys):

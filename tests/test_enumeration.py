@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import kemtree as kt
 from kemtree import enumeration
 from kemtree.enumeration import (
+    _center_rooting,
     _code_from_adjacency,
     _decode_prefixes,
     _decode_shape,
@@ -122,6 +123,27 @@ def test_layer_codes_are_the_codes_of_their_edges():
                 adj[u].append(v)
                 adj[v].append(u)
             assert _code_from_adjacency(adj) == e.code
+
+
+def _check_center_rooting(adj):
+    parent, order, code, kids = _center_rooting(adj)
+    assert sorted(order) == list(range(len(adj)))
+    for v in order:
+        # v's children are its neighbours it is the parent of, less the
+        # other center across a central edge
+        children = [u for u in adj[v] if parent[u] == v and parent[v] != u]
+        assert kids[v] == sorted(kids[v]) == sorted(code[u] for u in children)
+        assert code[v] == b"(" + b"".join(kids[v]) + b")"
+
+
+def test_center_rooting_child_lists_are_sorted_and_spell_each_code():
+    for n in range(2, 13):
+        for e in _layer(n):
+            _check_center_rooting(e.adjacency())
+    rng = random.Random(23)
+    for n in [2, 3, 5, 18, 40, 97]:
+        for _ in range(20):
+            _check_center_rooting(helpers.random_tree(rng, n).adjacency)
 
 
 def test_layers_satisfy_the_cayley_orbit_identity():
@@ -582,6 +604,25 @@ def test_census_round_trip():
     single = kt.tree_from_edges(1, [])
     code, parsed = kt.parse_census_line(kt.census_line(b"()", single.edges))
     assert parsed.n == 1 and code == b"()"
+
+
+def test_census_line_is_plain_edge_formatting_inside_and_outside_its_table():
+    # labels up to 17 are read from the table, larger ones formatted
+    def plain(code, edges):
+        return f"{code.hex()} {' '.join(f'{u}-{v}' for u, v in edges)}".rstrip()
+
+    for n in range(1, 11):
+        for e in _layer(n):
+            assert kt.census_line(e.code, e.edges) == plain(e.code, e.edges)
+    rng = random.Random(18)
+    for n in [18, 19, 40]:
+        for _ in range(10):
+            t = helpers.random_tree(rng, n)
+            code = kt.canonical_code(t)
+            line = kt.census_line(code, t.edges)
+            assert line == plain(code, t.edges)
+            assert kt.parse_census_line(line) == (code, t)
+    assert kt.census_line(b"()()", ((0, 40),)) == "28292829 0-40"
 
 
 def _census_line_with_foreign_code():
