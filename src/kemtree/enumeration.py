@@ -30,13 +30,13 @@ each edge's text from a table built once for trees up to MAX_ORDER_HARD.
 decodes every labeled-tree code sequence of order n, coding each decoded
 tree as it goes as a rooted shape at vertex n-1: each vertex's child
 multiset is the exact integer sum of n**id over its children's shape ids,
-interned as the next id. The sequences are split by their first two
-symbols into parts of equal size, each interned on its own; from order 8
-the parts are shared among the usable CPUs, the calling process decoding
-one share and a `multiprocessing` worker each other, and the parts merge
-into one table in prefix order. It gives each of the few distinct shapes
-its canonical code once by the leaf peel, and decodes each order once per
-process.
+interned as the next id. The sequences are cut by their first two symbols
+into contiguous shares, one below order 8 and one per usable CPU from
+order 8. Each share is decoded with one interning, and each of its few
+distinct shapes gets its canonical code once by the leaf peel; the
+calling process codes one share and a `multiprocessing` worker each
+other, which sends back its set of codes. The count is the size of the
+union, and each order is decoded once per process.
 """
 
 from __future__ import annotations
@@ -372,107 +372,33 @@ def _shape_adjacency(shape: int, n: int, table: tuple[int, ...]) -> list[list[in
     return adj
 
 
-# (shapes, table): distinct shape keys, and the interned keys by id
-_Decoded = tuple[frozenset[int], tuple[int, ...]]
-
-
-def _decode_prefixes(n: int, prefixes: Sequence[tuple[int, ...]]) -> list[_Decoded]:
-    """For each prefix, the distinct shapes of every code sequence of order
-    n that starts with it, and the table of keys, by id, that expands them.
-    Each prefix gets its own `ids`, so its part is decoded alone."""
+def _share_codes(n: int, prefixes: Sequence[tuple[int, ...]]) -> frozenset[CanonicalCode]:
+    """The canonical codes of the trees of every code sequence of order n
+    that starts with one of `prefixes`. The share's sequences are decoded
+    with one `ids`, so each distinct shape is expanded and coded once."""
     decode = _decode_shape
-    parts = []
+    ids: dict[int, int] = {}
+    shapes: set[int] = set()
     for prefix in prefixes:
-        ids: dict[int, int] = {}
         rest = [range(n)] * (n - 2 - len(prefix))
         seqs = itertools.product(*[(x,) for x in prefix], *rest)
-        shapes = frozenset(decode(seq, n, ids) for seq in seqs)
-        parts.append((shapes, tuple(ids)))
-    return parts
+        shapes.update(decode(seq, n, ids) for seq in seqs)
+    table = tuple(ids)
+    return frozenset(_code_from_adjacency(_shape_adjacency(s, n, table)) for s in shapes)
 
 
 def _send_share(n: int, prefixes: Sequence[tuple[int, ...]], reader, writer) -> None:
-    """A worker's whole life: decode its share of the prefixes and send the
-    parts to the parent. Its copy of the read end is closed first, so with
+    """A worker's whole life: code its share of the prefixes and send the
+    codes to the parent. Its copy of the read end is closed first, so with
     the parent gone the send fails instead of waiting for a reader; the
     worker then exits quietly, as it does on an interrupt. A forked worker
     also holds the read ends of the workers started before it until it
     exits, so then every worker is gone once the last share is done."""
     reader.close()
     try:
-        writer.send(_decode_prefixes(n, prefixes))
+        writer.send(_share_codes(n, prefixes))
     except (OSError, KeyboardInterrupt):
         pass
-
-
-def _decode_parts(n: int, prefixes: list[tuple[int, ...]], workers: int) -> list[_Decoded]:
-    """`_decode_prefixes(n, prefixes)`, in prefix order, over `workers`
-    processes: the parent decodes the first of as many contiguous shares
-    and each of the others is one worker's fixed share, sent back over a
-    one-way pipe. The parent decodes the share of a worker that ends
-    without sending it: one that was killed, or one whose start method ran
-    an unguarded main module again, which then tried to start workers."""
-    import multiprocessing
-
-    bounds = [len(prefixes) * i // workers for i in range(workers + 1)]
-    shares = [prefixes[a:b] for a, b in zip(bounds, bounds[1:])]
-    started = []
-    try:
-        for share in shares[1:]:
-            reader, writer = multiprocessing.Pipe(duplex=False)
-            proc = multiprocessing.Process(
-                target=_send_share, args=(n, share, reader, writer), daemon=True
-            )
-            proc.start()
-            # The next worker must not inherit this write end: with it
-            # closed here, a worker that dies ends `recv` with EOFError.
-            writer.close()
-            started.append((proc, reader))
-        parts = _decode_prefixes(n, shares[0])
-        for (_, reader), share in zip(started, shares[1:]):
-            try:
-                parts += reader.recv()
-            except EOFError:
-                parts += _decode_prefixes(n, share)
-    finally:
-        # on an error the closed read ends make each worker's send fail
-        for proc, reader in started:
-            reader.close()
-            proc.join()
-    return parts
-
-
-def _moved(key: int, places: list[int], new_places: list[int]) -> int:
-    """`key` with each base-n digit moved from places[i] = n**i to
-    new_places[i], highest digit first; every digit of `key` is at a place
-    that `new_places` covers."""
-    moved = 0
-    while key:
-        i = bisect.bisect_right(places, key) - 1
-        count, key = divmod(key, places[i])
-        moved += count * new_places[i]
-    return moved
-
-
-def _merge_parts(n: int, parts: list[_Decoded]) -> _Decoded:
-    """One (shapes, table) for parts decoded with separate `ids`. Each
-    part's table is re-interned into one shared `ids`, parts in order and
-    keys in id order: a key's digits refer only to lower ids of its own
-    part, so each is remapped by the time a key reads it. Parts in prefix
-    order give the ids of a single pass over the sequences in order."""
-    ids: dict[int, int] = {}
-    shapes: set[int] = set()
-    for part_shapes, table in parts:
-        places = [n**i for i in range(len(table))]
-        new_places: list[int] = []
-        for key in table:
-            key = _moved(key, places, new_places)
-            place = ids.get(key)
-            if place is None:
-                place = ids[key] = n ** len(ids)
-            new_places.append(place)
-        shapes.update(_moved(s, places, new_places) for s in part_shapes)
-    return frozenset(shapes), tuple(ids)
 
 
 def _usable_cpus() -> int:
@@ -482,51 +408,74 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# order -> (shapes, table) of `_decode_shapes`; each order is decoded once
-_decoded: dict[int, _Decoded] = {}
+# order -> the codes of `_oracle_codes`; each order is decoded once
+_decoded: dict[int, frozenset[CanonicalCode]] = {}
 # Lowest order decoded on more than one CPU: starting a worker costs more
 # than the whole order-7 decode.
 _PARALLEL_MIN_ORDER = 8
 
 
-def _decode_shapes(n: int) -> _Decoded:
-    """The distinct rooted shapes over all n^(n-2) code sequences (n >= 2),
-    with the table of interned keys, by id, that expands them. Decoded on
-    the first call for each order and kept.
+def _oracle_codes(n: int) -> frozenset[CanonicalCode]:
+    """The distinct canonical codes over all n^(n-2) code sequences
+    (n >= 2), decoded on the first call for each order and kept.
 
     The sequences are split by their first two symbols into n**2 prefixes
-    (n for order 3) that each cover n^(n-4) sequences. From order 8 the
-    prefixes are decoded in as many contiguous shares as there are usable
-    CPUs (at most one per prefix): the calling process decodes one and
-    starts a `multiprocessing` worker, by the platform's default start
-    method, for each other. The parts are merged in prefix order, so the
-    result is that of one pass over the sequences in order."""
+    (n for order 3), cut into contiguous shares: one below order 8, and
+    from order 8 as many as there are usable CPUs, at most one per
+    prefix. The calling process codes the first share and starts a
+    `multiprocessing` worker, by the platform's default start method, for
+    each other, which sends its codes back over a one-way pipe. The caller
+    codes the share of a worker that ends without sending it: one that was
+    killed, or one whose start method ran an unguarded main module again,
+    which then tried to start workers."""
     cached = _decoded.get(n)
     if cached is not None:
         return cached
     prefixes = list(itertools.product(range(n), repeat=min(2, n - 2)))
-    workers = min(_usable_cpus(), len(prefixes)) if n >= _PARALLEL_MIN_ORDER else 1
-    if workers > 1:
-        parts = _decode_parts(n, prefixes, workers)
-    else:
-        parts = _decode_prefixes(n, prefixes)
-    decoded = _merge_parts(n, parts)
-    _decoded[n] = decoded
-    return decoded
+    w = min(_usable_cpus(), len(prefixes)) if n >= _PARALLEL_MIN_ORDER else 1
+    bounds = [len(prefixes) * i // w for i in range(w + 1)]
+    shares = [prefixes[a:b] for a, b in zip(bounds, bounds[1:])]
+    started = []
+    try:
+        for share in shares[1:]:
+            import multiprocessing  # loaded only when a worker starts
+
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(
+                target=_send_share, args=(n, share, reader, writer), daemon=True
+            )
+            proc.start()
+            # The next worker must not inherit this write end: with it
+            # closed here, a worker that dies ends `recv` with EOFError.
+            writer.close()
+            started.append((proc, reader))
+        codes = _share_codes(n, shares[0])
+        for (_, reader), share in zip(started, shares[1:]):
+            try:
+                codes |= reader.recv()
+            except EOFError:
+                codes |= _share_codes(n, share)
+    finally:
+        # on an error the closed read ends make each worker's send fail
+        for proc, reader in started:
+            reader.close()
+            proc.join()
+    _decoded[n] = codes
+    return codes
 
 
 def prufer_oracle_count(n: int) -> int:
     """Distinct canonical codes over all n^(n-2) labeled-tree sequences.
 
     Every sequence is decoded and its tree coded as a rooted shape (an
-    integer key) during the decode; each distinct shape (one per rooted
-    tree of order n) is then expanded once and given its canonical code by
+    integer key) during the decode; each share of the sequences expands
+    each of its distinct shapes once and gives it its canonical code by
     the leaf peel. Independent of the growth generator; capped because the
-    sequence space is exponential. The decode of each order is kept for
-    the process (`_decode_shapes`). From order 8 it runs on every usable
+    sequence space is exponential. The codes of each order are kept for
+    the process (`_oracle_codes`). From order 8 it runs on every usable
     CPU: it starts one worker process per usable CPU beyond the first (at
     most n**2 - 1), none on one CPU, and each worker exits once it has
-    sent its share.
+    sent its codes.
     """
     check_int("order", n)
     if n < 1:
@@ -537,8 +486,7 @@ def prufer_oracle_count(n: int) -> int:
         )
     if n <= 2:
         return 1
-    shapes, table = _decode_shapes(n)
-    return len({_code_from_adjacency(_shape_adjacency(s, n, table)) for s in shapes})
+    return len(_oracle_codes(n))
 
 
 # "u-v" for every edge (u, v), u < v, of a tree of order <= MAX_ORDER_HARD

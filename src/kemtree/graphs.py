@@ -80,9 +80,11 @@ class Graph:
         return tuple(len(nb) for nb in self.adjacency)
 
     def degree(self, v: int) -> int:
+        _check_labels(self, v)
         return len(self.adjacency[v])
 
     def has_edge(self, u: int, v: int) -> bool:
+        _check_labels(self, u, v)
         return v in self.adjacency[u]
 
     def __eq__(self, other: object) -> bool:
@@ -286,14 +288,17 @@ class Tree(Graph):
 
     def center_distance(self, v: int) -> int:
         """Distance from the center set to v, which is ecc(v) - radius in a tree."""
+        _check_labels(self, v)
         return self.eccentricities[v] - self.radius
 
     def path(self, u: int, v: int) -> tuple[int, ...]:
         """The unique u-v path as a vertex sequence, endpoints included."""
+        _check_labels(self, u, v)
         return path_from_root(rooted_traversal(self.adjacency, u)[0], v)
 
     def rooted(self, root: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """BFS orientation from `root`: (parent per vertex, visit order)."""
+        _check_labels(self, root)
         parent, order, _ = rooted_traversal(self.adjacency, root)
         return tuple(parent), tuple(order)
 

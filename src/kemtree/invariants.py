@@ -30,7 +30,7 @@ from .errors import DisconnectedError, InputError, ResourceLimitError
 from .errors import RouteRequiresTreeError, check_int, check_type
 from .graphs import DistanceMatrix, Edge, Graph, Tree, all_pairs_distances
 from .graphs import bfs_distances, rooted_traversal, tree_from_graph
-from .linalg import adjugate_det, delete_rows_cols, laplacian
+from .linalg import _int_rows, adjugate_det, delete_rows_cols, laplacian
 
 # Most vertices of a graph that gets an n x n matrix: the distance matrix
 # of a cyclic graph, and the grounded Laplacian and its adjugate on the
@@ -83,10 +83,10 @@ def omega_weights(t: Tree) -> WeightedEdgeMap:
 
 
 def wiener_distance_route(d: DistanceMatrix) -> int:
-    """Half the grand sum of the distance matrix."""
+    """Half the grand sum of the distance matrix; InputError unless `d` is
+    a square matrix of ints."""
     check_type("distance matrix", d, Sequence)
-    total = sum(sum(row) for row in d)
-    return total // 2
+    return sum(map(sum, _int_rows(d))) // 2
 
 
 def wiener_edge_cut_route(t: Tree) -> int:
@@ -95,12 +95,16 @@ def wiener_edge_cut_route(t: Tree) -> int:
 
 
 def gutman_index(g: Graph, d: DistanceMatrix) -> int:
-    """Half the degree-weighted grand sum of the distance matrix."""
+    """Half the degree-weighted grand sum of the distance matrix of `g`;
+    InputError unless `d` is a square matrix of ints of order g.n."""
     check_type("graph", g, Graph)
+    rows = _int_rows(d)
+    if len(rows) != g.n:
+        raise InputError(f"distance matrix of order {len(rows)} for a graph of order {g.n}")
     deg = g.degrees
     total = 0
     for i in range(g.n):
-        row = d[i]
+        row = rows[i]
         di = deg[i]
         total += di * sum(row[j] * deg[j] for j in range(g.n))
     return total // 2

@@ -26,7 +26,7 @@ def laplacian(g: Graph) -> BigIntMatrix:
     n = g.n
     mat = [[0] * n for _ in range(n)]
     for v in range(n):
-        mat[v][v] = g.degree(v)
+        mat[v][v] = len(g.adjacency[v])
         for u in g.adjacency[v]:
             mat[v][u] = -1
     return mat

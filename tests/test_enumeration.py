@@ -3,6 +3,9 @@ import math
 import multiprocessing
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +16,12 @@ from kemtree import enumeration
 from kemtree.enumeration import (
     _center_rooting,
     _code_from_adjacency,
-    _decode_prefixes,
     _decode_shape,
-    _decode_shapes,
     _layer,
     _leaf_attachments,
+    _oracle_codes,
     _shape_adjacency,
+    _share_codes,
 )
 from kemtree.errors import InputError, ParseError, ResourceLimitError
 from kemtree.graphs import bfs_distances, double_sweep
@@ -31,6 +34,7 @@ FREE_TREE_COUNTS = {
     11: 235, 12: 551, 13: 1301, 14: 3159, 15: 7741, 16: 19320,
 }
 ROOTED_TREE_COUNTS = helpers.rooted_tree_counts(16)
+SRC = str(Path(kt.__file__).resolve().parents[1])
 
 
 def test_enumerate_counts_match_census():
@@ -433,14 +437,37 @@ def test_oracle_decodes_every_sequence(monkeypatch):
     assert len(decoded) == 6**4
 
 
-def test_oracle_shapes_count_rooted_trees():
+def _prefixes(n):
+    """The oracle's prefixes of order n: the first two symbols (one at n = 3)."""
+    return list(itertools.product(range(n), repeat=min(2, n - 2)))
+
+
+def _family_codes(n):
+    return set(kt.enumerate_trees(n).codes)
+
+
+def test_oracle_codes_are_the_family_codes():
     # in a full run, order 9 was already decoded by criterion 10's count
     for n in range(3, 10):
-        decoded = _decode_shapes(n)
-        shapes, table = decoded
-        assert len(shapes) == ROOTED_TREE_COUNTS[n]
-        assert isinstance(shapes, frozenset) and isinstance(table, tuple)
-        assert _decode_shapes(n) is decoded
+        codes = _oracle_codes(n)
+        assert isinstance(codes, frozenset)
+        assert codes == _family_codes(n)
+        assert _oracle_codes(n) is codes
+
+
+def test_oracle_shapes_count_rooted_trees(monkeypatch):
+    # one whole share expands each distinct rooted shape once
+    expanded = []
+
+    def counting(shape, n, table):
+        expanded.append(shape)
+        return _shape_adjacency(shape, n, table)
+
+    monkeypatch.setattr(enumeration, "_shape_adjacency", counting)
+    for n in range(3, 9):
+        expanded.clear()
+        assert _share_codes(n, _prefixes(n)) == _family_codes(n)
+        assert len(expanded) == len(set(expanded)) == ROOTED_TREE_COUNTS[n]
 
 
 @pytest.mark.parametrize("n", range(4, 8))
@@ -452,43 +479,48 @@ def test_each_prefix_part_decodes_exactly_the_sequences_with_its_prefix(monkeypa
         return _decode_shape(seq, n, ids)
 
     monkeypatch.setattr(enumeration, "_decode_shape", counting)
-    prefixes = list(itertools.product(range(n), repeat=2))
-    assert len(_decode_prefixes(n, prefixes)) == n**2
+    prefixes = _prefixes(n)
+    assert len(prefixes) == n**2
     share = n ** (n - 4)
+    for prefix in prefixes:
+        _share_codes(n, [prefix])
     assert len(decoded) == n**2 * share
     for i, prefix in enumerate(prefixes):
         part = decoded[i * share : (i + 1) * share]
         rest = itertools.product(range(n), repeat=n - 4)
         assert [seq for seq, _ in part] == [prefix + r for r in rest]
-    # each prefix interns into its own ids
+        # each share interns into one ids of its own
+        assert len({id(ids) for _, ids in part}) == 1
     assert len({id(ids) for _, ids in decoded}) == n**2
     assert sorted(seq for seq, _ in decoded) == list(
         itertools.product(range(n), repeat=n - 2)
     )
 
 
-
-def _one_pass(n):
-    """(shapes, table) of one shared-`ids` pass over every sequence in order."""
-    ids = {}
-    shapes = frozenset(
-        _decode_shape(seq, n, ids) for seq in itertools.product(range(n), repeat=n - 2)
-    )
-    return shapes, tuple(ids)
-
-
 @pytest.mark.parametrize("n", range(3, 8))
-def test_merged_prefix_parts_are_one_shared_ids_pass(monkeypatch, n):
-    whole = _one_pass(n)
-    monkeypatch.setattr(enumeration, "_decoded", {})
-    shapes, table = _decode_shapes(n)
+def test_oracle_shares_decode_each_sequence_once_into_the_family_codes(monkeypatch, n):
+    decoded = []
 
-    def codes(shapes, table):
-        return {helpers.rooted_code(_shape_adjacency(s, n, table), 0) for s in shapes}
+    def counting(seq, n, ids):
+        decoded.append((seq, ids))
+        return _decode_shape(seq, n, ids)
 
-    assert codes(shapes, table) == codes(*whole)
-    # parts merged in prefix order intern the ids of one pass in order
-    assert (shapes, table) == whole
+    monkeypatch.setattr(enumeration, "_decode_shape", counting)
+    prefixes = _prefixes(n)
+    for w in (1, 2, 5):
+        decoded.clear()
+        bounds = [len(prefixes) * i // w for i in range(w + 1)]
+        codes = set()
+        for a, b in zip(bounds, bounds[1:]):
+            start = len(decoded)
+            codes |= _share_codes(n, prefixes[a:b])
+            # one ids for the share, none for an empty one (5 shares at n = 3)
+            assert len({id(ids) for _, ids in decoded[start:]}) == (a < b)
+        assert len({id(ids) for _, ids in decoded}) == min(w, len(prefixes))
+        assert sorted(seq for seq, _ in decoded) == list(
+            itertools.product(range(n), repeat=n - 2)
+        )
+        assert codes == _family_codes(n)
 
 
 def test_oracle_on_one_usable_cpu_starts_no_process(monkeypatch):
@@ -499,14 +531,25 @@ def test_oracle_on_one_usable_cpu_starts_no_process(monkeypatch):
     monkeypatch.setattr(multiprocessing, "Process", no_process)
     monkeypatch.setattr(enumeration, "_decoded", {})
     assert kt.prufer_oracle_count(8) == 23
-    assert len(_decode_shapes(8)[0]) == ROOTED_TREE_COUNTS[8]
+    assert _oracle_codes(8) == _family_codes(8)
     assert multiprocessing.active_children() == []
+
+
+def _coding_shares(monkeypatch):
+    """The shares this process codes from now on, each a list of prefixes."""
+    coded = []
+
+    def counting(n, prefixes):
+        coded.append(prefixes)
+        return _share_codes(n, prefixes)
+
+    monkeypatch.setattr(enumeration, "_share_codes", counting)
+    return coded
 
 
 def test_oracle_workers_decode_the_same_shapes_and_are_all_joined(monkeypatch):
     # the worker path at order 7, below the order it is taken from
     n = 7
-    whole = _one_pass(n)
     started = []
     process = multiprocessing.Process
 
@@ -518,8 +561,10 @@ def test_oracle_workers_decode_the_same_shapes_and_are_all_joined(monkeypatch):
     monkeypatch.setattr(enumeration, "_PARALLEL_MIN_ORDER", n)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(multiprocessing, "Process", counted)
-    assert _decode_shapes(n) == whole
+    coded = _coding_shares(monkeypatch)
+    assert _oracle_codes(n) == _family_codes(n)
     # three usable CPUs: the caller and two workers, each gone once it sent
+    assert coded == [_prefixes(n)[: n**2 // 3]]
     assert len(started) == 2
     assert [p.exitcode for p in started] == [0, 0]
     assert multiprocessing.active_children() == []
@@ -532,13 +577,68 @@ def _send_nothing(n, prefixes, reader, writer):
 
 def test_oracle_decodes_the_share_of_a_worker_that_sent_nothing(monkeypatch):
     n = 7
-    whole = _one_pass(n)
     monkeypatch.setattr(enumeration, "_decoded", {})
     monkeypatch.setattr(enumeration, "_PARALLEL_MIN_ORDER", n)
     monkeypatch.setattr(enumeration, "_send_share", _send_nothing)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert _decode_shapes(n) == whole
+    coded = _coding_shares(monkeypatch)
+    assert _oracle_codes(n) == _family_codes(n)
+    # the caller coded its own share, then the worker's
+    assert [p for share in coded for p in share] == _prefixes(n)
+    assert len(coded) == 2
     assert multiprocessing.active_children() == []
+
+
+# The worker path at order 7 on two CPUs in a fresh interpreter, which
+# prints the count, the shares the caller coded itself, and the children
+# left alive.
+_ORACLE_SCRIPT = """\
+import multiprocessing, sys
+from kemtree import enumeration
+
+def main():
+    multiprocessing.set_start_method(sys.argv[1], force=True)
+    enumeration._usable_cpus = lambda: 2
+    enumeration._PARALLEL_MIN_ORDER = 7
+    coded = []
+    share_codes = enumeration._share_codes
+
+    def counting(n, prefixes):
+        coded.append(prefixes)
+        return share_codes(n, prefixes)
+
+    enumeration._share_codes = counting
+    count = enumeration.prufer_oracle_count(7)
+    print(count, len(coded), multiprocessing.active_children())
+"""
+
+
+def _run_script(tmp_path, text, *argv):
+    script = tmp_path / "oracle.py"
+    script.write_text(text)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, str(script), *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_oracle_workers_run_under_each_start_method(tmp_path, method):
+    guarded = _ORACLE_SCRIPT + '\nif __name__ == "__main__":\n    main()\n'
+    proc = _run_script(tmp_path, guarded, method)
+    assert proc.returncode == 0, proc.stderr
+    # the worker sent its codes: the caller coded only its own share
+    assert proc.stdout == "11 1 []\n"
+
+
+def test_oracle_under_spawn_survives_an_unguarded_main_module(tmp_path):
+    # the spawned worker runs the script again and fails to start a worker
+    # of its own, so it sends nothing and the caller codes its share too
+    proc = _run_script(tmp_path, _ORACLE_SCRIPT + "\nmain()\n", "spawn")
+    assert proc.returncode == 0, proc.stderr
+    assert "bootstrapping phase" in proc.stderr
+    assert proc.stdout == "11 2 []\n"
 
 
 def test_prufer_oracle_small_counts():

@@ -142,3 +142,55 @@ def test_an_argument_of_the_wrong_kind_raises_a_typed_error(call):
 def test_a_graph_function_given_no_graph_raises_a_typed_error(call):
     with pytest.raises(kt.KemtreeError):
         call()
+
+
+_PATH3 = kt.tree_from_edges(3, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _PATH3.path(-1, 2),
+        lambda: _PATH3.path(0, 5),
+        lambda: _PATH3.path(0, 1.0),
+        lambda: _PATH3.rooted(-1),
+        lambda: _PATH3.rooted(7),
+        lambda: _PATH3.center_distance(-1),
+        lambda: _PATH3.degree(-1),
+        lambda: _PATH3.degree(3),
+        lambda: _PATH3.has_edge(0, -1),
+        lambda: _PATH3.has_edge(True, 1),
+        lambda: kt.Graph(3, [(0, 1)]).degree(-1),
+    ],
+)
+def test_a_bad_vertex_label_raises_input_error(call):
+    # before the check, a negative label read from the end of a list and
+    # answered wrongly, and a label out of range raised IndexError
+    with pytest.raises(kt.InputError):
+        call()
+
+
+def _path3_distances_with(i, j, value):
+    d = [list(row) for row in kt.all_pairs_distances(_PATH3)]
+    d[i][j] = value
+    return d
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: kt.wiener_distance_route([[0, 1.5], [1.5, 0]]),
+        lambda: kt.wiener_distance_route([[0, True], [True, 0]]),
+        lambda: kt.wiener_distance_route("ab"),
+        lambda: kt.wiener_distance_route([[0, 1], [1]]),
+        lambda: kt.gutman_index(_PATH3, _path3_distances_with(0, 2, 2.0)),
+        lambda: kt.gutman_index(_PATH3, [[0]]),
+        lambda: kt.gutman_index(_PATH3, None),
+    ],
+)
+def test_a_distance_matrix_of_non_ints_or_the_wrong_order_raises_input_error(call):
+    # before the check, a float entry gave a float W or Gut (1.0, 6.0), and
+    # a short matrix or None raised IndexError or TypeError
+    with pytest.raises(kt.InputError):
+        call()
+
