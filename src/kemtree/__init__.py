@@ -3,8 +3,8 @@
 The package exports are resolved lazily (PEP 562): `kemtree.Tree` imports
 `kemtree.graphs` on first read and caches the value here, so a program
 loads only the submodules whose names it uses. `from kemtree import
-prufer_oracle_count` loads `enumeration` and `graphs`, not `invariants`,
-`linalg` or `transforms`.
+prufer_oracle_count` loads `enumeration` and `errors`, not `graphs`,
+`invariants`, `linalg` or `transforms`.
 """
 
 # submodule -> the names it exports

@@ -23,10 +23,17 @@ a Tree only for a move they report, its source and its checking rebuild;
 only an op1 surgery result is coded afresh. Census `mates` counts its
 pairs before it makes one and exits 3 above MAX_CENSUS_PAIRS.
 
-A launch imports only what its subcommand runs: `graphs`, `linalg`,
-`invariants` and `enumeration` always, `transforms` only for op1 `mates`
-and `maximal`, `json` or `csv` only for that output, and `hashlib` only for
-`invariants --json`, the one output that prints the input's digest.
+A launch imports only what its subcommand runs. At module level this module
+imports `argparse`, `errors` and modules that the interpreter loads at
+start-up; each command imports the rest where it runs. `invariants` loads
+`graphs`, `invariants` and `fractions`, and `linalg` only for a cyclic
+graph or `--route forest`. `enum` loads only `enumeration`: census lines
+need no Graph and no Fraction. `extremal` and census `mates` load
+`enumeration` and `invariants` (with `graphs` and `fractions`), and op1
+`mates` and `maximal` add `transforms`. A `--cap` loads `enumeration` for
+its ceiling, MAX_ORDER_HARD. `json` or `csv` loads only for that output,
+and `hashlib` only for `invariants --json`, the one output that prints the
+input's digest.
 
 A diameter runs from 1 to n - 1, or is 0 for the one-vertex tree
 (`enum 1 --d 0`). `invariants --omega` checks that the graph is a tree
@@ -50,21 +57,9 @@ import itertools
 import os
 import sys
 import time
-from fractions import Fraction
-from pathlib import Path
 
 from .errors import InputError, KemtreeError, ParseError, ResourceLimitError
 from .errors import TheoremViolationError
-from .graphs import parse_edge_list, tree_from_graph
-from .invariants import (
-    compute_invariants,
-    format_exact,
-    format_rational,
-    kemeny_from_wiener,
-    omega_weights,
-)
-from .enumeration import MAX_ORDER_DEFAULT, MAX_ORDER_HARD, census_line
-from .enumeration import enumerate_trees, family
 
 # Python refuses to print an int of more than 4300 digits, and the decimal
 # column scales by 10**places, so display precision is capped well below.
@@ -100,10 +95,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _exact_cells(value, places: int) -> tuple[str, str | None]:
-    """The value and decimal cells of an exact value's row."""
-    if isinstance(value, Fraction) and value.denominator != 1:
-        return format_rational(value), format_exact(value, places)
-    return format_rational(value), None
+    """The value and decimal cells of an exact value's row (an int or a
+    Fraction; an int's denominator is 1)."""
+    from .invariants import format_exact, format_rational
+
+    exact = format_rational(value)
+    return exact, (format_exact(value, places) if value.denominator != 1 else None)
 
 
 def _row(name: str, value) -> tuple[str, str, None]:
@@ -116,10 +113,17 @@ def _exact_row(name: str, value, places: int) -> tuple[str, str, str | None]:
 
 def _census_rows(name: str, entries):
     """A `name[i]` row holding each entry's census line."""
+    from .enumeration import census_line
+
     return (_row(f"{name}[{i}]", census_line(e.code, e.edges)) for i, e in enumerate(entries))
 
 
 def cmd_invariants(args) -> tuple[dict | None, Rows]:
+    from pathlib import Path
+
+    from .graphs import parse_edge_list, tree_from_graph
+    from .invariants import compute_invariants, omega_weights
+
     try:
         data = Path(args.path).read_bytes()
     except ValueError as exc:  # a NUL byte in the path
@@ -157,14 +161,21 @@ def cmd_invariants(args) -> tuple[dict | None, Rows]:
     return inputs, rows
 
 
-def _family(args):
-    if args.d is None:
-        return enumerate_trees(args.n, cap=args.cap)
-    return family(args.n, args.d, cap=args.cap)
+def _family(args, d: int | None):
+    """The trees of order `args.n`, of diameter `d` unless it is None, under
+    `--cap` or else MAX_ORDER_DEFAULT."""
+    from .enumeration import MAX_ORDER_DEFAULT, enumerate_trees, family
+
+    cap = MAX_ORDER_DEFAULT if args.cap is None else args.cap
+    if d is None:
+        return enumerate_trees(args.n, cap=cap)
+    return family(args.n, d, cap=cap)
 
 
 def cmd_extremal(args) -> tuple[dict, Rows]:
-    fam = _family(args)
+    from .invariants import kemeny_from_wiener
+
+    fam = _family(args, args.d)
     if not fam.entries:
         raise InputError(f"no tree of order {args.n} has diameter {args.d}")
     values = [e.wiener for e in fam.entries]
@@ -182,7 +193,10 @@ def cmd_extremal(args) -> tuple[dict, Rows]:
 
 
 def cmd_mates(args) -> tuple[dict, Rows]:
-    fam = enumerate_trees(args.n, cap=args.cap)
+    from .enumeration import census_line
+    from .invariants import kemeny_from_wiener
+
+    fam = _family(args, None)
     # Both modes yield (W, line a, line b) per pair: at one order, equal W is
     # equal K, so W fixes a pair's wiener and kemeny cells.
     if args.mode == "op1":
@@ -227,9 +241,11 @@ def cmd_mates(args) -> tuple[dict, Rows]:
 
 
 def cmd_maximal(args) -> tuple[dict, Rows]:
+    from .enumeration import census_line
+    from .invariants import kemeny_from_wiener
     from .transforms import maximal_elements, theorem_leaf_filter
 
-    fam = family(args.n, args.d, cap=args.cap)
+    fam = _family(args, args.d)
     survivors = theorem_leaf_filter(fam)
     maximal = maximal_elements(fam)
     if args.check_theorem:
@@ -261,7 +277,7 @@ def cmd_maximal(args) -> tuple[dict, Rows]:
 
 
 def cmd_enum(args) -> tuple[dict, Rows]:
-    fam = _family(args)
+    fam = _family(args, args.d)
     rows = [_row("count", len(fam)), *_census_rows("tree", fam.entries)]
     return {"n": args.n, "d": args.d}, rows
 
@@ -274,9 +290,7 @@ def _build_parser() -> _Parser:
     parser.add_argument(
         "--places", type=int, default=4, help="decimal places for display"
     )
-    parser.add_argument(
-        "--cap", type=int, default=MAX_ORDER_DEFAULT, help="enumeration order cap"
-    )
+    parser.add_argument("--cap", type=int, help="enumeration order cap")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", help="Wiener, Gutman, Kemeny of one graph")
@@ -371,12 +385,15 @@ def main(argv=None) -> int:
             parser.error(
                 f"argument --places: must be in 0..{MAX_PLACES}, got {args.places}"
             )
-        if args.cap < 1:
-            parser.error(f"argument --cap: must be at least 1, got {args.cap}")
-        if args.cap > MAX_ORDER_HARD:
-            parser.error(
-                f"argument --cap: must be at most {MAX_ORDER_HARD}, got {args.cap}"
-            )
+        if args.cap is not None:  # unset: the enumerating commands use MAX_ORDER_DEFAULT
+            from .enumeration import MAX_ORDER_HARD
+
+            if args.cap < 1:
+                parser.error(f"argument --cap: must be at least 1, got {args.cap}")
+            if args.cap > MAX_ORDER_HARD:
+                parser.error(
+                    f"argument --cap: must be at most {MAX_ORDER_HARD}, got {args.cap}"
+                )
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

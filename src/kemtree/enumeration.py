@@ -25,6 +25,9 @@ which `where` filters. An entry holds its tree as bytes attach[k-1] = a_k,
 the vertex a_k < k that vertex k joined; other modules read its `edges` or
 `adjacency()`. A census record is `census_line(code, edges)`, which reads
 each edge's text from a table built once for trees up to MAX_ORDER_HARD.
+Only `canonical_code`, `TreeFamily.members` and `parse_census_line` read or
+build a Tree, and they import `graphs` where they run, so the generator,
+census lines and the decode oracle load no `graphs`.
 
 `prufer_oracle_count` checks the generator's counts independently. It
 decodes every labeled-tree code sequence of order n, coding each decoded
@@ -44,11 +47,14 @@ from __future__ import annotations
 import bisect
 import itertools
 import os
-from typing import Callable, NamedTuple, Sequence
+import warnings
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .errors import InputError, KemtreeError, ParseError, ResourceLimitError
 from .errors import check_int, check_type
-from .graphs import Edge, Tree, tree_from_edges, tree_from_graph
+
+if TYPE_CHECKING:
+    from .graphs import Edge, Tree
 
 MAX_ORDER_DEFAULT = 16
 # Highest order enumerate_trees builds, whatever the cap. Layers 1..18 hold
@@ -82,6 +88,8 @@ def canonical_code(t: Tree) -> CanonicalCode:
     """Order-invariant byte string identifying the tree up to isomorphism.
     A Graph that is not a tree raises NotATreeError; the leaf peel would
     never end on a cycle."""
+    from .graphs import tree_from_graph
+
     return _code_from_adjacency(tree_from_graph(t).adjacency)
 
 
@@ -129,6 +137,8 @@ class TreeFamily:
     @property
     def members(self) -> tuple[Tree, ...]:
         """Each member as a new Tree; only the benchmark's tests read it."""
+        from .graphs import tree_from_edges
+
         return tuple(tree_from_edges(self.n, e.edges) for e in self.entries)
 
     def __len__(self) -> int:
@@ -425,9 +435,10 @@ def _oracle_codes(n: int) -> frozenset[CanonicalCode]:
     prefix. The calling process codes the first share and starts a
     `multiprocessing` worker, by the platform's default start method, for
     each other, which sends its codes back over a one-way pipe. The caller
-    codes the share of a worker that ends without sending it: one that was
+    codes the share of a worker that ends without sending it (one that was
     killed, or one whose start method ran an unguarded main module again,
-    which then tried to start workers."""
+    which then tried to start workers) and issues a RuntimeWarning naming
+    the order."""
     cached = _decoded.get(n)
     if cached is not None:
         return cached
@@ -454,6 +465,12 @@ def _oracle_codes(n: int) -> frozenset[CanonicalCode]:
             try:
                 codes |= reader.recv()
             except EOFError:
+                warnings.warn(
+                    f"a decode-oracle worker of order {n} sent no codes; "
+                    "its share is decoded in this process",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
                 codes |= _share_codes(n, share)
     finally:
         # on an error the closed read ends make each worker's send fail
@@ -475,7 +492,10 @@ def prufer_oracle_count(n: int) -> int:
     the process (`_oracle_codes`). From order 8 it runs on every usable
     CPU: it starts one worker process per usable CPU beyond the first (at
     most n**2 - 1), none on one CPU, and each worker exits once it has
-    sent its codes.
+    sent its codes. Under the spawn and forkserver start methods,
+    `multiprocessing` also starts its resource tracker, and under
+    forkserver its fork server; both stay alive until the interpreter
+    exits, and `multiprocessing.active_children()` does not list them.
     """
     check_int("order", n)
     if n < 1:
@@ -502,11 +522,16 @@ def census_line(code: CanonicalCode, edges: tuple[Edge, ...]) -> str:
     parse_census_line(line)`, `census_line(code, t.edges) == line`. Each
     edge's text is read from a table of the edges of trees up to
     MAX_ORDER_HARD; an edge outside it, of a larger Tree, is formatted.
+    InputError unless `code` is bytes and `edges` an iterable of pairs.
     """
+    check_type("canonical code", code, bytes)
     try:
-        text = " ".join(map(_EDGE_TEXT.__getitem__, edges))
-    except KeyError:
-        text = " ".join(f"{u}-{v}" for u, v in edges)
+        try:
+            text = " ".join(map(_EDGE_TEXT.__getitem__, edges))
+        except KeyError:
+            text = " ".join(f"{u}-{v}" for u, v in edges)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"census edges must be vertex pairs: {exc}") from None
     return f"{code.hex()} {text}".rstrip()
 
 
@@ -514,6 +539,8 @@ def parse_census_line(line: str) -> tuple[CanonicalCode, Tree]:
     """Inverse of `census_line`; ParseError unless the hex code is the
     canonical code of the tree the edges build, InputError unless `line`
     is a str."""
+    from .graphs import tree_from_edges
+
     check_type("census line", line, str)
     tokens = line.split()
     try:

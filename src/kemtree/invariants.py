@@ -14,7 +14,9 @@ Kemeny's constant is available through three independent routes:
   (2 n1 - 1)(2 n2 - 1) / (2 (n - 1)), with n1, n2 the component sizes
   left by removing the edge.
 
-All values are exact: integers or Fractions, never floats.
+All values are exact: integers or Fractions, never floats. Only the
+functions that read a matrix (the forest route, `wiener_distance_route` and
+`gutman_index`) import `linalg`, so the invariants of a tree load none.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .errors import DisconnectedError, InputError, ResourceLimitError
 from .errors import RouteRequiresTreeError, check_int, check_type
 from .graphs import DistanceMatrix, Edge, Graph, Tree, all_pairs_distances
 from .graphs import bfs_distances, rooted_traversal, tree_from_graph
-from .linalg import _int_rows, adjugate_det, delete_rows_cols, laplacian
 
 # Most vertices of a graph that gets an n x n matrix: the distance matrix
 # of a cyclic graph, and the grounded Laplacian and its adjugate on the
@@ -85,6 +86,8 @@ def omega_weights(t: Tree) -> WeightedEdgeMap:
 def wiener_distance_route(d: DistanceMatrix) -> int:
     """Half the grand sum of the distance matrix; InputError unless `d` is
     a square matrix of ints."""
+    from .linalg import _int_rows
+
     check_type("distance matrix", d, Sequence)
     return sum(map(sum, _int_rows(d))) // 2
 
@@ -97,6 +100,8 @@ def wiener_edge_cut_route(t: Tree) -> int:
 def gutman_index(g: Graph, d: DistanceMatrix) -> int:
     """Half the degree-weighted grand sum of the distance matrix of `g`;
     InputError unless `d` is a square matrix of ints of order g.n."""
+    from .linalg import _int_rows
+
     check_type("graph", g, Graph)
     rows = _int_rows(d)
     if len(rows) != g.n:
@@ -136,6 +141,8 @@ def kemeny_forest_route(g: Graph) -> Fraction:
     the 2-forest matrix F, is kept in the tests as an oracle. Above
     MAX_DENSE_VERTICES vertices it raises ResourceLimitError first.
     """
+    from .linalg import adjugate_det, delete_rows_cols, laplacian
+
     check_type("graph", g, Graph)
     if g.n < 2:
         raise InputError("Kemeny's constant needs at least two vertices")

@@ -101,8 +101,10 @@ def op1_delta_formula(pd: PathDecomposition) -> int:
     """Closed-form Wiener change of contract-and-subdivide along `pd`.
 
     Positive means the operation decreases the Wiener index (the returned
-    value is W(before) - W(after)).
+    value is W(before) - W(after)). InputError unless `pd` is a
+    PathDecomposition.
     """
+    check_type("path decomposition", pd, PathDecomposition)
     if pd.d < 2:
         raise PathTooShortError("contract-and-subdivide needs path length >= 2")
     sizes = pd.sizes

@@ -248,7 +248,7 @@ def test_internal_value_error_is_not_an_input_error(capsys, monkeypatch):
     def broken(code, t):
         raise ValueError("internal bug")
 
-    monkeypatch.setattr(cli, "census_line", broken)
+    monkeypatch.setattr(enumeration, "census_line", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["enum", "4"])
 

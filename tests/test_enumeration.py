@@ -589,6 +589,18 @@ def test_oracle_decodes_the_share_of_a_worker_that_sent_nothing(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_oracle_warns_once_naming_the_order_when_a_worker_sent_nothing(monkeypatch):
+    n = 7
+    monkeypatch.setattr(enumeration, "_decoded", {})
+    monkeypatch.setattr(enumeration, "_PARALLEL_MIN_ORDER", n)
+    monkeypatch.setattr(enumeration, "_send_share", _send_nothing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.warns(RuntimeWarning, match=f"worker of order {n} sent no codes") as record:
+        assert kt.prufer_oracle_count(n) == len(kt.enumerate_trees(n))
+    assert len(record) == 1
+    assert multiprocessing.active_children() == []
+
+
 # The worker path at order 7 on two CPUs in a fresh interpreter, which
 # prints the count, the shares the caller coded itself, and the children
 # left alive.
@@ -638,6 +650,7 @@ def test_oracle_under_spawn_survives_an_unguarded_main_module(tmp_path):
     proc = _run_script(tmp_path, _ORACLE_SCRIPT + "\nmain()\n", "spawn")
     assert proc.returncode == 0, proc.stderr
     assert "bootstrapping phase" in proc.stderr
+    assert "RuntimeWarning: a decode-oracle worker of order 7 sent no codes" in proc.stderr
     assert proc.stdout == "11 2 []\n"
 
 

@@ -118,6 +118,10 @@ def test_enumerating_subcommands_exit_0_to_3_without_traceback(capsys, argv):
         lambda: transforms.theorem_leaf_filter(None),
         lambda: kt.parse_edge_list(b"0 1"),
         lambda: enumeration.parse_census_line(None),
+        lambda: kt.census_line(b"()", None),
+        lambda: kt.census_line("x", ()),
+        lambda: kt.census_line(b"()()", [(0,)]),
+        lambda: kt.op1_delta_formula(None),
     ],
 )
 def test_an_argument_of_the_wrong_kind_raises_a_typed_error(call):

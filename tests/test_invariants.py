@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import kemtree as kt
-from kemtree import graphs, invariants
+from kemtree import graphs, invariants, linalg
 from kemtree.errors import DisconnectedError, InputError, ResourceLimitError
 from kemtree.errors import RouteRequiresTreeError
 from kemtree.invariants import KemenyRoute
@@ -305,8 +305,9 @@ def _forbid_dense_matrices(monkeypatch):
     def built(*args):
         raise AssertionError("a dense matrix was built")
 
-    for name in ("laplacian", "all_pairs_distances"):
-        monkeypatch.setattr(invariants, name, built)
+    # `linalg` is imported where a matrix is read, so its builder is patched there
+    monkeypatch.setattr(linalg, "laplacian", built)
+    monkeypatch.setattr(invariants, "all_pairs_distances", built)
 
 
 def test_tree_only_route_on_a_cycle_is_refused_before_any_distance(monkeypatch):

@@ -1,9 +1,9 @@
 """Start-up cost: which modules a fresh process loads, and the lazy package.
 
-`kemtree/__init__` resolves its exports on first read and the CLI imports
-`transforms`, `json`, `csv` and `hashlib` only in the code paths that use
-them. The import-set checks run fresh interpreters, since this test process
-has already loaded every module.
+`kemtree/__init__` resolves its exports on first read, and the CLI imports
+`fractions`, `json`, `csv`, `hashlib` and every kemtree module but `errors`
+only in the code paths that use them. The import-set checks run fresh
+interpreters, since this test process has already loaded every module.
 """
 
 from __future__ import annotations
@@ -37,8 +37,27 @@ CLI_FORBIDDEN = {
     "multiprocessing", "concurrent.futures",
 }
 ORACLE_FORBIDDEN = {
-    "kemtree.invariants", "kemtree.linalg", "kemtree.transforms",
+    "kemtree.graphs", "kemtree.invariants", "kemtree.linalg", "kemtree.transforms",
     "multiprocessing", "concurrent.futures",
+}
+# The kemtree library modules a launch loads, beyond the package and the CLI
+# module itself, and whether it loads `fractions`: the CLI module imports
+# only `errors`, a tree's invariants read no matrix, and the generator and
+# the decode oracle build no Graph.
+LAUNCHES = {
+    "import kemtree.cli": (("-c", "import kemtree.cli"), {"errors"}, False),
+    "invariants on a tree": (
+        ("-m", "kemtree.cli", "invariants", SPIDER), {"errors", "graphs", "invariants"}, True
+    ),
+    "invariants on a cyclic graph": (
+        ("-m", "kemtree.cli", "invariants", "fixtures/unicycle_balanced.txt"),
+        {"errors", "graphs", "linalg", "invariants"},
+        True,
+    ),
+    "enum 12": (("-m", "kemtree.cli", "enum", "12"), {"errors", "enumeration"}, False),
+    "import the decode oracle": (
+        ("-c", "from kemtree import prufer_oracle_count"), {"errors", "enumeration"}, False
+    ),
 }
 
 
@@ -72,7 +91,8 @@ def _importtime_modules(stderr: str) -> set[str]:
 
 def test_importing_the_cli_loads_no_subcommand_only_module():
     loaded = _modules_after("import kemtree.cli")
-    assert {"kemtree.cli", "kemtree.enumeration", "kemtree.invariants"} <= loaded
+    assert "kemtree.cli" in loaded
+    assert not {"kemtree.enumeration", "kemtree.invariants"} & loaded
     assert not (loaded - _bare_modules()) & CLI_FORBIDDEN
 
 
@@ -81,8 +101,20 @@ def test_an_invariants_launch_loads_no_subcommand_only_module():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].split() == ["kemeny", "29/2", "(14.5000)"]
     loaded = _importtime_modules(proc.stderr)
-    assert {"kemtree.graphs", "kemtree.invariants", "kemtree.enumeration"} <= loaded
+    assert {"kemtree.graphs", "kemtree.invariants"} <= loaded
+    assert not {"kemtree.enumeration", "kemtree.linalg"} & loaded
     assert not (loaded - _bare_modules()) & CLI_FORBIDDEN
+
+
+@pytest.mark.parametrize("launch", LAUNCHES)
+def test_a_launch_loads_only_the_library_modules_it_runs(launch):
+    argv, modules, loads_fractions = LAUNCHES[launch]
+    proc = _python("-X", "importtime", *argv)
+    assert proc.returncode == 0, proc.stderr
+    loaded = _importtime_modules(proc.stderr) - _bare_modules()
+    library = {name.split(".", 1)[1] for name in loaded if name.startswith("kemtree.")}
+    assert library - {"cli"} == modules
+    assert ("fractions" in loaded) is loads_fractions
 
 
 def test_importing_the_decode_oracle_loads_only_its_modules():

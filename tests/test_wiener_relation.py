@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import kemtree as kt
-from kemtree import cli
+from kemtree import enumeration, invariants
 from kemtree.cli import main
 from kemtree.errors import InputError
 
@@ -92,8 +92,8 @@ def test_extremal_input_errors_exit_2(capsys):
 def test_census_mode_converts_once_per_tied_wiener_value(capsys, monkeypatch):
     calls = {"census_line": 0, "kemeny_from_wiener": 0}
 
-    def counted(name):
-        original = getattr(cli, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -101,8 +101,9 @@ def test_census_mode_converts_once_per_tied_wiener_value(capsys, monkeypatch):
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(cli, name, counted(name))
+    # the CLI imports each where it runs, so each is patched where it is defined
+    for module, name in ((enumeration, "census_line"), (invariants, "kemeny_from_wiener")):
+        monkeypatch.setattr(module, name, counted(module, name))
     rows = _rows(capsys, "mates", "10", "--mode", "census")
     wieners = [kt.wiener_edge_cut_route(t) for t in helpers.members(kt.enumerate_trees(10))]
     tied = {w for w in wieners if wieners.count(w) > 1}
@@ -114,7 +115,7 @@ def test_census_mode_formats_once_per_tied_wiener_value(capsys, monkeypatch):
     calls = {"format_rational": 0, "format_exact": 0}
 
     def counted(name):
-        original = getattr(cli, name)
+        original = getattr(invariants, name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -123,7 +124,7 @@ def test_census_mode_formats_once_per_tied_wiener_value(capsys, monkeypatch):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(cli, name, counted(name))
+        monkeypatch.setattr(invariants, name, counted(name))
     rows = _rows(capsys, "mates", "10", "--mode", "census")
     wieners = [kt.wiener_edge_cut_route(t) for t in helpers.members(kt.enumerate_trees(10))]
     tied = {w for w in wieners if wieners.count(w) > 1}
