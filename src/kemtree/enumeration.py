@@ -29,26 +29,28 @@ Only `canonical_code`, `TreeFamily.members` and `parse_census_line` read or
 build a Tree, and they import `graphs` where they run, so the generator,
 census lines and the decode oracle load no `graphs`.
 
-`prufer_oracle_count` checks the generator's counts independently. It
-decodes every labeled-tree code sequence of order n, coding each decoded
-tree as it goes as a rooted shape at vertex n-1: each vertex's child
-multiset is the exact integer sum of n**id over its children's shape ids,
-interned as the next id. The sequences are cut by their first two symbols
-into contiguous shares, one below order 8 and one per usable CPU from
-order 8. Each share is decoded with one interning, and each of its few
-distinct shapes gets its canonical code once by the leaf peel; the
-calling process codes one share and a `multiprocessing` worker each
-other, which sends back its set of codes. The count is the size of the
-union, and each order is decoded once per process.
+`prufer_oracle_count` checks the generator's counts independently by
+decoding labeled-tree code sequences in the calling process. The decode
+joins the smallest current leaf to the next symbol, so the first symbol
+is the neighbour of the tree's smallest leaf; and a vertex v appears
+deg(v) - 1 times, so n - 1 is missing exactly when it is a leaf.
+Every tree of order n >= 3 can be labelled so: give a leaf 1, its
+neighbour 0 (no leaf, since n >= 3) and another leaf n - 1. So the
+oracle decodes only the (n-1)^(n-3) sequences that start with 0 and hold
+no n - 1, not all n^(n-2). It codes each decoded tree as it goes as a
+rooted shape at the leaf n - 1: each vertex's child multiset is the
+exact integer sum of n**id over its children's shape ids, interned as
+the next id. Those shapes are the planted trees, one per rooted tree of
+order n - 1, and each gets its canonical code once by the leaf peel. The
+count is the number of distinct codes; each order is decoded once per
+process.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-import os
-import warnings
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import InputError, KemtreeError, ParseError, ResourceLimitError
 from .errors import check_int, check_type
@@ -62,6 +64,9 @@ MAX_ORDER_DEFAULT = 16
 # 110 MB in 7.0-8.6 s (2-core Xeon, Python 3.11). The ceiling stays at 18
 # until order 19 is measured.
 MAX_ORDER_HARD = 18
+# The order-9 decode of 8^6 = 262,144 sequences took 0.58-0.98 s, median
+# 0.88 s, in 5 fresh processes (2-core Xeon, Python 3.11); order 10 would
+# decode 9^7 = 4,782,969, 18 times as many.
 PRUFER_ORACLE_MAX = 9
 
 CanonicalCode = bytes
@@ -382,120 +387,41 @@ def _shape_adjacency(shape: int, n: int, table: tuple[int, ...]) -> list[list[in
     return adj
 
 
-def _share_codes(n: int, prefixes: Sequence[tuple[int, ...]]) -> frozenset[CanonicalCode]:
-    """The canonical codes of the trees of every code sequence of order n
-    that starts with one of `prefixes`. The share's sequences are decoded
-    with one `ids`, so each distinct shape is expanded and coded once."""
-    decode = _decode_shape
-    ids: dict[int, int] = {}
-    shapes: set[int] = set()
-    for prefix in prefixes:
-        rest = [range(n)] * (n - 2 - len(prefix))
-        seqs = itertools.product(*[(x,) for x in prefix], *rest)
-        shapes.update(decode(seq, n, ids) for seq in seqs)
-    table = tuple(ids)
-    return frozenset(_code_from_adjacency(_shape_adjacency(s, n, table)) for s in shapes)
-
-
-def _send_share(n: int, prefixes: Sequence[tuple[int, ...]], reader, writer) -> None:
-    """A worker's whole life: code its share of the prefixes and send the
-    codes to the parent. Its copy of the read end is closed first, so with
-    the parent gone the send fails instead of waiting for a reader; the
-    worker then exits quietly, as it does on an interrupt. A forked worker
-    also holds the read ends of the workers started before it until it
-    exits, so then every worker is gone once the last share is done."""
-    reader.close()
-    try:
-        writer.send(_share_codes(n, prefixes))
-    except (OSError, KeyboardInterrupt):
-        pass
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 # order -> the codes of `_oracle_codes`; each order is decoded once
 _decoded: dict[int, frozenset[CanonicalCode]] = {}
-# Lowest order decoded on more than one CPU: starting a worker costs more
-# than the whole order-7 decode.
-_PARALLEL_MIN_ORDER = 8
 
 
 def _oracle_codes(n: int) -> frozenset[CanonicalCode]:
-    """The distinct canonical codes over all n^(n-2) code sequences
-    (n >= 2), decoded on the first call for each order and kept.
-
-    The sequences are split by their first two symbols into n**2 prefixes
-    (n for order 3), cut into contiguous shares: one below order 8, and
-    from order 8 as many as there are usable CPUs, at most one per
-    prefix. The calling process codes the first share and starts a
-    `multiprocessing` worker, by the platform's default start method, for
-    each other, which sends its codes back over a one-way pipe. The caller
-    codes the share of a worker that ends without sending it (one that was
-    killed, or one whose start method ran an unguarded main module again,
-    which then tried to start workers) and issues a RuntimeWarning naming
-    the order."""
+    """The distinct canonical codes of the trees of the (n-1)^(n-3) code
+    sequences of order n >= 3 that start with 0 and hold no n - 1,
+    decoded on the first call for each order and kept. The sequences are
+    decoded with one `ids`, so each distinct shape is expanded and coded
+    once."""
     cached = _decoded.get(n)
     if cached is not None:
         return cached
-    prefixes = list(itertools.product(range(n), repeat=min(2, n - 2)))
-    w = min(_usable_cpus(), len(prefixes)) if n >= _PARALLEL_MIN_ORDER else 1
-    bounds = [len(prefixes) * i // w for i in range(w + 1)]
-    shares = [prefixes[a:b] for a, b in zip(bounds, bounds[1:])]
-    started = []
-    try:
-        for share in shares[1:]:
-            import multiprocessing  # loaded only when a worker starts
-
-            reader, writer = multiprocessing.Pipe(duplex=False)
-            proc = multiprocessing.Process(
-                target=_send_share, args=(n, share, reader, writer), daemon=True
-            )
-            proc.start()
-            # The next worker must not inherit this write end: with it
-            # closed here, a worker that dies ends `recv` with EOFError.
-            writer.close()
-            started.append((proc, reader))
-        codes = _share_codes(n, shares[0])
-        for (_, reader), share in zip(started, shares[1:]):
-            try:
-                codes |= reader.recv()
-            except EOFError:
-                warnings.warn(
-                    f"a decode-oracle worker of order {n} sent no codes; "
-                    "its share is decoded in this process",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                codes |= _share_codes(n, share)
-    finally:
-        # on an error the closed read ends make each worker's send fail
-        for proc, reader in started:
-            reader.close()
-            proc.join()
+    ids: dict[int, int] = {}
+    seqs = itertools.product((0,), *[range(n - 1)] * (n - 3))
+    shapes = {_decode_shape(seq, n, ids) for seq in seqs}
+    table = tuple(ids)
+    codes = frozenset(_code_from_adjacency(_shape_adjacency(s, n, table)) for s in shapes)
     _decoded[n] = codes
     return codes
 
 
 def prufer_oracle_count(n: int) -> int:
-    """Distinct canonical codes over all n^(n-2) labeled-tree sequences.
+    """Distinct canonical codes over the labeled trees of order n.
 
-    Every sequence is decoded and its tree coded as a rooted shape (an
-    integer key) during the decode; each share of the sequences expands
-    each of its distinct shapes once and gives it its canonical code by
-    the leaf peel. Independent of the growth generator; capped because the
-    sequence space is exponential. The codes of each order are kept for
-    the process (`_oracle_codes`). From order 8 it runs on every usable
-    CPU: it starts one worker process per usable CPU beyond the first (at
-    most n**2 - 1), none on one CPU, and each worker exits once it has
-    sent its codes. Under the spawn and forkserver start methods,
-    `multiprocessing` also starts its resource tracker, and under
-    forkserver its fork server; both stay alive until the interpreter
-    exits, and `multiprocessing.active_children()` does not list them.
+    The decode joins the smallest leaf to the first symbol, and n - 1
+    appears in no sequence exactly when it is a leaf. Every tree of order
+    n >= 3 has a labelling whose leaf 1 hangs from 0 and whose n - 1 is
+    a leaf, so only the (n-1)^(n-3) sequences that start with 0 and hold
+    no n - 1 are decoded, in the calling process. Each tree is coded as a
+    rooted shape (an integer key) during the decode; each distinct shape
+    is expanded once and given its canonical code by the leaf peel.
+    Independent of the growth generator; capped because the sequence
+    space is exponential. The codes of each order are kept for the
+    process (`_oracle_codes`).
     """
     check_int("order", n)
     if n < 1:

@@ -1,10 +1,10 @@
 import itertools
 import math
-import multiprocessing
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,7 +21,6 @@ from kemtree.enumeration import (
     _leaf_attachments,
     _oracle_codes,
     _shape_adjacency,
-    _share_codes,
 )
 from kemtree.errors import InputError, ParseError, ResourceLimitError
 from kemtree.graphs import bfs_distances, double_sweep
@@ -150,15 +149,30 @@ def test_center_rooting_child_lists_are_sorted_and_spell_each_code():
             _check_center_rooting(helpers.random_tree(rng, n).adjacency)
 
 
+def _labeled_wiener_sum(n):
+    """The sum of W over the labeled trees of order n: two given vertices
+    are k edges apart in (n-2)!/(n-k-1)! (k+1) n^(n-k-2) of them (Meir and
+    Moon, J. Combin. Theory 8, 1970), and there are C(n, 2) pairs."""
+    f = math.factorial
+    return math.comb(n, 2) * sum(
+        k * Fraction(f(n - 2), f(n - k - 1)) * (k + 1) * Fraction(n) ** (n - k - 2)
+        for k in range(1, n)
+    )
+
+
 def test_layers_satisfy_the_cayley_orbit_identity():
     # each free tree T has n!/|Aut(T)| labelings, and there are n^(n-2)
-    # labeled trees in all, so a missing or repeated class breaks the sum
+    # labeled trees in all, so a missing or repeated class breaks the sum;
+    # weighting each carried W by the same count gives the labeled trees'
+    # Wiener sum, which a wrong W breaks
     for n in range(1, 17):
-        labelings = sum(
-            math.factorial(n) // helpers.automorphism_count(code)
-            for code, *_ in _layer(n)
-        )
+        labelings = wiener = 0
+        for code, _, w, _ in _layer(n):
+            count = math.factorial(n) // helpers.automorphism_count(code)
+            labelings += count
+            wiener += count * w
         assert labelings == (n ** (n - 2) if n > 1 else 1)
+        assert wiener == _labeled_wiener_sum(n)
 
 
 def test_automorphism_count_small_trees():
@@ -422,24 +436,43 @@ def test_prufer_decode_stars_reach_the_largest_digit():
                 assert shape == n - 1 and ids[0] == 1
 
 
+def _restricted_sequences(n):
+    """The oracle's code sequences of order n >= 3: a first symbol 0, then
+    any n - 3 symbols below n - 1."""
+    return itertools.product((0,), *[range(n - 1)] * (n - 3))
+
+
 def test_oracle_decodes_every_sequence(monkeypatch):
     decoded = []
 
     def counting(seq, n, ids):
-        decoded.append(seq)
+        decoded.append((seq, ids))
         return _decode_shape(seq, n, ids)
 
     monkeypatch.setattr(enumeration, "_decoded", {})
     monkeypatch.setattr(enumeration, "_decode_shape", counting)
     assert kt.prufer_oracle_count(6) == 6
-    assert sorted(decoded) == list(itertools.product(range(6), repeat=4))
+    # each restricted sequence once, in order, all into one ids
+    assert [seq for seq, _ in decoded] == list(_restricted_sequences(6))
+    assert len(decoded) == 5**3 and len({id(ids) for _, ids in decoded}) == 1
     kt.prufer_oracle_count(6)
-    assert len(decoded) == 6**4
+    assert len(decoded) == 5**3
 
 
-def _prefixes(n):
-    """The oracle's prefixes of order n: the first two symbols (one at n = 3)."""
-    return list(itertools.product(range(n), repeat=min(2, n - 2)))
+def _decoded_codes(n, seqs):
+    """The canonical codes of the trees of `seqs`, decoded with one ids."""
+    ids = {}
+    shapes = {_decode_shape(seq, n, ids) for seq in seqs}
+    table = tuple(ids)
+    return {_code_from_adjacency(_shape_adjacency(s, n, table)) for s in shapes}
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_restricted_sequences_reach_every_tree(n):
+    # every tree has a labelling whose smallest leaf hangs from 0 and whose
+    # n - 1 is a leaf, so the restricted sequences miss no tree
+    full = itertools.product(range(n), repeat=n - 2)
+    assert _decoded_codes(n, _restricted_sequences(n)) == _decoded_codes(n, full)
 
 
 def _family_codes(n):
@@ -456,173 +489,20 @@ def test_oracle_codes_are_the_family_codes():
 
 
 def test_oracle_shapes_count_rooted_trees(monkeypatch):
-    # one whole share expands each distinct rooted shape once
+    # rooted at the leaf n - 1, the shapes are the planted trees of order n,
+    # one per rooted tree of order n - 1, and each is expanded once
     expanded = []
 
     def counting(shape, n, table):
         expanded.append(shape)
         return _shape_adjacency(shape, n, table)
 
+    monkeypatch.setattr(enumeration, "_decoded", {})
     monkeypatch.setattr(enumeration, "_shape_adjacency", counting)
     for n in range(3, 9):
         expanded.clear()
-        assert _share_codes(n, _prefixes(n)) == _family_codes(n)
-        assert len(expanded) == len(set(expanded)) == ROOTED_TREE_COUNTS[n]
-
-
-@pytest.mark.parametrize("n", range(4, 8))
-def test_each_prefix_part_decodes_exactly_the_sequences_with_its_prefix(monkeypatch, n):
-    decoded = []
-
-    def counting(seq, n, ids):
-        decoded.append((seq, ids))
-        return _decode_shape(seq, n, ids)
-
-    monkeypatch.setattr(enumeration, "_decode_shape", counting)
-    prefixes = _prefixes(n)
-    assert len(prefixes) == n**2
-    share = n ** (n - 4)
-    for prefix in prefixes:
-        _share_codes(n, [prefix])
-    assert len(decoded) == n**2 * share
-    for i, prefix in enumerate(prefixes):
-        part = decoded[i * share : (i + 1) * share]
-        rest = itertools.product(range(n), repeat=n - 4)
-        assert [seq for seq, _ in part] == [prefix + r for r in rest]
-        # each share interns into one ids of its own
-        assert len({id(ids) for _, ids in part}) == 1
-    assert len({id(ids) for _, ids in decoded}) == n**2
-    assert sorted(seq for seq, _ in decoded) == list(
-        itertools.product(range(n), repeat=n - 2)
-    )
-
-
-@pytest.mark.parametrize("n", range(3, 8))
-def test_oracle_shares_decode_each_sequence_once_into_the_family_codes(monkeypatch, n):
-    decoded = []
-
-    def counting(seq, n, ids):
-        decoded.append((seq, ids))
-        return _decode_shape(seq, n, ids)
-
-    monkeypatch.setattr(enumeration, "_decode_shape", counting)
-    prefixes = _prefixes(n)
-    for w in (1, 2, 5):
-        decoded.clear()
-        bounds = [len(prefixes) * i // w for i in range(w + 1)]
-        codes = set()
-        for a, b in zip(bounds, bounds[1:]):
-            start = len(decoded)
-            codes |= _share_codes(n, prefixes[a:b])
-            # one ids for the share, none for an empty one (5 shares at n = 3)
-            assert len({id(ids) for _, ids in decoded[start:]}) == (a < b)
-        assert len({id(ids) for _, ids in decoded}) == min(w, len(prefixes))
-        assert sorted(seq for seq, _ in decoded) == list(
-            itertools.product(range(n), repeat=n - 2)
-        )
-        assert codes == _family_codes(n)
-
-
-def test_oracle_on_one_usable_cpu_starts_no_process(monkeypatch):
-    def no_process(*args, **kwargs):
-        raise AssertionError("a worker was started on one usable CPU")
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(multiprocessing, "Process", no_process)
-    monkeypatch.setattr(enumeration, "_decoded", {})
-    assert kt.prufer_oracle_count(8) == 23
-    assert _oracle_codes(8) == _family_codes(8)
-    assert multiprocessing.active_children() == []
-
-
-def _coding_shares(monkeypatch):
-    """The shares this process codes from now on, each a list of prefixes."""
-    coded = []
-
-    def counting(n, prefixes):
-        coded.append(prefixes)
-        return _share_codes(n, prefixes)
-
-    monkeypatch.setattr(enumeration, "_share_codes", counting)
-    return coded
-
-
-def test_oracle_workers_decode_the_same_shapes_and_are_all_joined(monkeypatch):
-    # the worker path at order 7, below the order it is taken from
-    n = 7
-    started = []
-    process = multiprocessing.Process
-
-    def counted(*args, **kwargs):
-        started.append(process(*args, **kwargs))
-        return started[-1]
-
-    monkeypatch.setattr(enumeration, "_decoded", {})
-    monkeypatch.setattr(enumeration, "_PARALLEL_MIN_ORDER", n)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setattr(multiprocessing, "Process", counted)
-    coded = _coding_shares(monkeypatch)
-    assert _oracle_codes(n) == _family_codes(n)
-    # three usable CPUs: the caller and two workers, each gone once it sent
-    assert coded == [_prefixes(n)[: n**2 // 3]]
-    assert len(started) == 2
-    assert [p.exitcode for p in started] == [0, 0]
-    assert multiprocessing.active_children() == []
-
-
-def _send_nothing(n, prefixes, reader, writer):
-    reader.close()
-    writer.close()
-
-
-def test_oracle_decodes_the_share_of_a_worker_that_sent_nothing(monkeypatch):
-    n = 7
-    monkeypatch.setattr(enumeration, "_decoded", {})
-    monkeypatch.setattr(enumeration, "_PARALLEL_MIN_ORDER", n)
-    monkeypatch.setattr(enumeration, "_send_share", _send_nothing)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    coded = _coding_shares(monkeypatch)
-    assert _oracle_codes(n) == _family_codes(n)
-    # the caller coded its own share, then the worker's
-    assert [p for share in coded for p in share] == _prefixes(n)
-    assert len(coded) == 2
-    assert multiprocessing.active_children() == []
-
-
-def test_oracle_warns_once_naming_the_order_when_a_worker_sent_nothing(monkeypatch):
-    n = 7
-    monkeypatch.setattr(enumeration, "_decoded", {})
-    monkeypatch.setattr(enumeration, "_PARALLEL_MIN_ORDER", n)
-    monkeypatch.setattr(enumeration, "_send_share", _send_nothing)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    with pytest.warns(RuntimeWarning, match=f"worker of order {n} sent no codes") as record:
-        assert kt.prufer_oracle_count(n) == len(kt.enumerate_trees(n))
-    assert len(record) == 1
-    assert multiprocessing.active_children() == []
-
-
-# The worker path at order 7 on two CPUs in a fresh interpreter, which
-# prints the count, the shares the caller coded itself, and the children
-# left alive.
-_ORACLE_SCRIPT = """\
-import multiprocessing, sys
-from kemtree import enumeration
-
-def main():
-    multiprocessing.set_start_method(sys.argv[1], force=True)
-    enumeration._usable_cpus = lambda: 2
-    enumeration._PARALLEL_MIN_ORDER = 7
-    coded = []
-    share_codes = enumeration._share_codes
-
-    def counting(n, prefixes):
-        coded.append(prefixes)
-        return share_codes(n, prefixes)
-
-    enumeration._share_codes = counting
-    count = enumeration.prufer_oracle_count(7)
-    print(count, len(coded), multiprocessing.active_children())
-"""
+        assert _oracle_codes(n) == _family_codes(n)
+        assert len(expanded) == len(set(expanded)) == ROOTED_TREE_COUNTS[n - 1]
 
 
 def _run_script(tmp_path, text, *argv):
@@ -635,23 +515,43 @@ def _run_script(tmp_path, text, *argv):
     )
 
 
-@pytest.mark.parametrize("method", ["spawn", "forkserver"])
-def test_oracle_workers_run_under_each_start_method(tmp_path, method):
-    guarded = _ORACLE_SCRIPT + '\nif __name__ == "__main__":\n    main()\n'
-    proc = _run_script(tmp_path, guarded, method)
+# Any usable CPU count: the order-8 decode in a fresh interpreter, with
+# every call that starts a process refused, prints the count and whether
+# multiprocessing was imported.
+_NO_PROCESS_SCRIPT = """\
+import os, sys
+from kemtree import enumeration
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the decode oracle started a process")
+
+os.fork = os.posix_spawn = os.posix_spawnp = refuse
+for cpus in (1, 2, 64):
+    os.sched_getaffinity = lambda pid, cpus=cpus: set(range(cpus))
+    os.cpu_count = lambda cpus=cpus: cpus
+    enumeration._decoded.clear()
+    print(enumeration.prufer_oracle_count(8), "multiprocessing" in sys.modules)
+"""
+
+
+def test_oracle_on_one_usable_cpu_starts_no_process(tmp_path):
+    # one usable CPU, or two, or 64: the oracle decodes in this process
+    proc = _run_script(tmp_path, _NO_PROCESS_SCRIPT)
     assert proc.returncode == 0, proc.stderr
-    # the worker sent its codes: the caller coded only its own share
-    assert proc.stdout == "11 1 []\n"
+    assert proc.stdout == "23 False\n" * 3
 
 
 def test_oracle_under_spawn_survives_an_unguarded_main_module(tmp_path):
-    # the spawned worker runs the script again and fails to start a worker
-    # of its own, so it sends nothing and the caller codes its share too
-    proc = _run_script(tmp_path, _ORACLE_SCRIPT + "\nmain()\n", "spawn")
-    assert proc.returncode == 0, proc.stderr
-    assert "bootstrapping phase" in proc.stderr
-    assert "RuntimeWarning: a decode-oracle worker of order 7 sent no codes" in proc.stderr
-    assert proc.stdout == "11 2 []\n"
+    # a main module that sets the spawn start method and calls the oracle
+    # without a __main__ guard: no spawned interpreter runs it again
+    script = (
+        "import multiprocessing\n"
+        "from kemtree import prufer_oracle_count\n"
+        'multiprocessing.set_start_method("spawn", force=True)\n'
+        "print(prufer_oracle_count(8))\n"
+    )
+    proc = _run_script(tmp_path, script)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "23\n", "")
 
 
 def test_prufer_oracle_small_counts():

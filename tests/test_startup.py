@@ -30,8 +30,8 @@ SRC = str(Path(kt.__file__).resolve().parents[1])
 SPIDER = "fixtures/spider_2_5.txt"
 SUBMODULES = ("errors", "graphs", "linalg", "invariants", "enumeration", "transforms")
 
-# loaded only by the subcommands, outputs and records that need them
-# (the decode oracle imports multiprocessing only when it starts workers)
+# loaded only by the subcommands, outputs and records that need them; the
+# decode oracle runs in the calling process, so nothing loads multiprocessing
 CLI_FORBIDDEN = {
     "kemtree.transforms", "dataclasses", "inspect", "hashlib", "json", "csv",
     "multiprocessing", "concurrent.futures",
@@ -57,6 +57,11 @@ LAUNCHES = {
     "enum 12": (("-m", "kemtree.cli", "enum", "12"), {"errors", "enumeration"}, False),
     "import the decode oracle": (
         ("-c", "from kemtree import prufer_oracle_count"), {"errors", "enumeration"}, False
+    ),
+    "run the decode oracle": (
+        ("-c", "from kemtree import prufer_oracle_count; print(prufer_oracle_count(8))"),
+        {"errors", "enumeration"},
+        False,
     ),
 }
 
@@ -115,6 +120,7 @@ def test_a_launch_loads_only_the_library_modules_it_runs(launch):
     library = {name.split(".", 1)[1] for name in loaded if name.startswith("kemtree.")}
     assert library - {"cli"} == modules
     assert ("fractions" in loaded) is loads_fractions
+    assert "multiprocessing" not in loaded
 
 
 def test_importing_the_decode_oracle_loads_only_its_modules():
