@@ -4,24 +4,32 @@ census, maximality reports, and census export.
 Exact values are always printed as "p/q"; the decimal column is a
 formatting of the exact value at emit time. Output on stdout is
 deterministic for fixed inputs and flags. Each command returns its JSON
-inputs and its rows; `main` times it and writes them, with the command's
-name and the wall-clock timing, which goes to stderr as `# runtime_ms N`
-after table or CSV rows and into the `runtime_ms` JSON field. Table and
-CSV rows are written EMIT_BATCH_ROWS at a time, each batch joined into one
-string: under `python -u` or PYTHONUNBUFFERED stdout is write-through, so
-a write per row was a system call per row (61,001 for `mates 13 --mode
-census`).
+inputs, its header rows, the width of the widest name among its other rows
+and an iterator over those rows. Every check that can end a run with an
+error runs before the command returns; the iterator only formats. `main`
+writes the rows as the iterator makes them, EMIT_BATCH_ROWS at a time in
+every format, each batch joined into one string, so a run holds one batch
+of rows, never its whole output, and its memory follows its family. Under
+`python -u` or PYTHONUNBUFFERED stdout is write-through, so a write per
+row was a system call per row (61,001 for `mates 13 --mode census`). JSON
+is written by hand, a batch of row objects at a time, as exactly the bytes
+`json.dumps` makes of the whole object. The wall-clock timing runs from the
+command's start to its last row, so it includes the writes; it goes to
+stderr as `# runtime_ms N` after table or CSV rows, and into the
+`runtime_ms` JSON field, the object's last key.
 
 At fixed order, Kemeny's constant K rises strictly with the Wiener index W
 (`kemeny_from_wiener`), so equal W is the same as equal K: census mates are
 the equal-W pairs, extremal ranks by W, and K is taken and formatted once
 per W printed. Families carry each member's code, attachment sequence, W
 and diameter from the generator, so `enum`, `extremal` and census `mates`
-build no Tree: census lines format the carried code and edges. The op1
+build no Tree: census lines format the carried code and attachment bytes
+(`enumeration.entry_line`). The op1
 mate scan and `maximal` read the same entries as adjacency lists and build
 a Tree only for a move they report, its source and its checking rebuild;
 only an op1 surgery result is coded afresh. Census `mates` counts its
-pairs before it makes one and exits 3 above MAX_CENSUS_PAIRS.
+pairs before it makes one and exits 3 above MAX_CENSUS_PAIRS, which admits
+order 16 and refuses order 17.
 
 A launch imports only what its subcommand runs. At module level this module
 imports `argparse`, `errors` and modules that the interpreter loads at
@@ -64,14 +72,17 @@ from .errors import TheoremViolationError
 # Python refuses to print an int of more than 4300 digits, and the decimal
 # column scales by 10**places, so display precision is capped well below.
 MAX_PLACES = 1000
-# Most pairs census `mates` holds. Order 15 has 378,919: a fresh process
-# peaks at 228.8 MB in table output and 228.5 MB in CSV (about 600 bytes a
-# pair), but at 845.3 MB in JSON (about 2.2 KB a pair). Order 16 has
-# 1,014,096, which peaked at 677 MB in table output when each pair was also
-# held apart from its rows.
-MAX_CENSUS_PAIRS = 500_000
-# Table and CSV rows per stdout write. `mates 13 --mode census` peaked about
-# 1.4 MB higher with 4,096-row batches; 64 and 128 rows read as 256 do.
+# Most pairs census `mates` prints. Its rows leave as they are made, so its
+# memory follows the family and this bounds only output size and time. Order
+# 16 has 1,014,096 pairs: in a fresh process 380 MB of table output in
+# 3.4-5.6 s, 474 MB of JSON in 8.7 s and 366 MB of CSV in 12.7 s, each
+# peaking at 26-27 MB (2-core Xeon, Python 3.11). Order 17 has 10,654,242
+# pairs, about 4.2 GB of table output, and is refused.
+MAX_CENSUS_PAIRS = 2_000_000
+# Rows per stdout write in every format, so about the most rows a run holds.
+# `mates 15 --mode census` peaked at 18.9 MB with 64- and 256-row batches and
+# at 22.1 MB with 4,096-row ones; `--json mates 14 --mode census` at 16.7 MB
+# with 256-row batches and 20.9 MB with 4,096-row ones.
 EMIT_BATCH_ROWS = 256
 
 EXIT_OK = 0
@@ -79,10 +90,6 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_THEOREM = 4
-
-
-# A command's rows: (name, value, decimal or None).
-Rows = list[tuple[str, str, str | None]]
 
 
 class _UsageError(Exception):
@@ -113,12 +120,17 @@ def _exact_row(name: str, value, places: int) -> tuple[str, str, str | None]:
 
 def _census_rows(name: str, entries):
     """A `name[i]` row holding each entry's census line."""
-    from .enumeration import census_line
+    from .enumeration import entry_line
 
-    return (_row(f"{name}[{i}]", census_line(e.code, e.edges)) for i, e in enumerate(entries))
+    return ((f"{name}[{i}]", entry_line(e), None) for i, e in enumerate(entries))
 
 
-def cmd_invariants(args) -> tuple[dict | None, Rows]:
+def _index_width(name: str, count: int, suffix: str = "") -> int:
+    """The length of the last of `count` names `name[i]suffix`, 0 for none."""
+    return len(f"{name}[{count - 1}]{suffix}") if count else 0
+
+
+def cmd_invariants(args):
     from pathlib import Path
 
     from .graphs import parse_edge_list, tree_from_graph
@@ -158,7 +170,7 @@ def cmd_invariants(args) -> tuple[dict | None, Rows]:
     if t is not None:
         weights = sorted(omega_weights(t).weights.items())
         rows += (_row(f"omega[{u}-{v}]", w) for (u, v), w in weights)
-    return inputs, rows
+    return inputs, rows, 0, ()  # a few rows, all written as the header
 
 
 def _family(args, d: int | None):
@@ -172,7 +184,7 @@ def _family(args, d: int | None):
     return family(args.n, d, cap=cap)
 
 
-def cmd_extremal(args) -> tuple[dict, Rows]:
+def cmd_extremal(args):
     from .invariants import kemeny_from_wiener
 
     fam = _family(args, args.d)
@@ -184,21 +196,37 @@ def cmd_extremal(args) -> tuple[dict, Rows]:
     if args.metric == "kemeny":
         best = kemeny_from_wiener(args.n, best)
     inputs = {"n": args.n, "d": args.d, "objective": args.objective, "metric": args.metric}
-    return inputs, [
+    head = [
         _row("family_size", len(fam)),
         _exact_row(f"{args.metric}_{args.objective}", best, args.places),
         _row("attaining_count", len(attaining)),
-        *_census_rows("tree", attaining),
     ]
+    return inputs, head, _index_width("tree", len(attaining)), _census_rows("tree", attaining)
 
 
-def cmd_mates(args) -> tuple[dict, Rows]:
-    from .enumeration import census_line
+def _pair_rows(n: int, places: int, pairs):
+    """The four rows of each (W, line a, line b) pair; at one order, equal W
+    is equal K, so a W's two cells are formatted the first time it comes."""
     from .invariants import kemeny_from_wiener
 
+    cells: dict[int, tuple] = {}  # W -> (wiener cells, kemeny cells)
+    for idx, (w, line_a, line_b) in enumerate(pairs):
+        if w not in cells:
+            kappa = kemeny_from_wiener(n, w)
+            cells[w] = (_exact_cells(w, places), _exact_cells(kappa, places))
+        w_cells, kappa_cells = cells[w]
+        name = f"pair[{idx}]"
+        yield (name + ".wiener", *w_cells)
+        yield (name + ".kemeny", *kappa_cells)
+        yield (name + ".a", line_a, None)
+        yield (name + ".b", line_b, None)
+
+
+def cmd_mates(args):
+    from .enumeration import census_line, entry_line
+
     fam = _family(args, None)
-    # Both modes yield (W, line a, line b) per pair: at one order, equal W is
-    # equal K, so W fixes a pair's wiener and kemeny cells.
+    # Both modes make (W, line a, line b) per pair.
     if args.mode == "op1":
         from .transforms import generate_mates_op1
 
@@ -215,7 +243,7 @@ def cmd_mates(args) -> tuple[dict, Rows]:
     else:
         buckets: dict[int, list[str]] = {}
         for e in fam.entries:
-            buckets.setdefault(e.wiener, []).append(census_line(e.code, e.edges))
+            buckets.setdefault(e.wiener, []).append(entry_line(e))
         count = sum(len(b) * (len(b) - 1) // 2 for b in buckets.values())
         if count > MAX_CENSUS_PAIRS:
             raise ResourceLimitError(f"{count} census pairs exceed the limit {MAX_CENSUS_PAIRS}")
@@ -224,24 +252,16 @@ def cmd_mates(args) -> tuple[dict, Rows]:
             for w, lines in sorted(buckets.items())
             for line_a, line_b in itertools.combinations(lines, 2)
         )
-    rows = [_row("pair_count", count)]
-    cells: dict[int, tuple] = {}  # W -> (wiener cells, kemeny cells)
-    for idx, (w, line_a, line_b) in enumerate(pairs):
-        if w not in cells:
-            kappa = kemeny_from_wiener(args.n, w)
-            cells[w] = (_exact_cells(w, args.places), _exact_cells(kappa, args.places))
-        w_cells, kappa_cells = cells[w]
-        rows += (
-            (f"pair[{idx}].wiener", *w_cells),
-            (f"pair[{idx}].kemeny", *kappa_cells),
-            (f"pair[{idx}].a", line_a, None),
-            (f"pair[{idx}].b", line_b, None),
-        )
-    return {"n": args.n, "mode": args.mode}, rows
+    return (
+        {"n": args.n, "mode": args.mode},
+        [_row("pair_count", count)],
+        _index_width("pair", count, ".wiener"),
+        _pair_rows(args.n, args.places, pairs),
+    )
 
 
-def cmd_maximal(args) -> tuple[dict, Rows]:
-    from .enumeration import census_line
+def cmd_maximal(args):
+    from .enumeration import entry_line
     from .invariants import kemeny_from_wiener
     from .transforms import maximal_elements, theorem_leaf_filter
 
@@ -253,33 +273,37 @@ def cmd_maximal(args) -> tuple[dict, Rows]:
         for e in maximal.entries:
             if e.code not in survivor_codes:
                 raise TheoremViolationError(
-                    f"maximal tree escaped the leaf filter: {census_line(e.code, e.edges)}"
+                    f"maximal tree escaped the leaf filter: {entry_line(e)}"
                 )
-    rows = [
-        _row("family_size", len(fam)),
-        _row("filter_size", len(survivors)),
-        _row("maximal_size", len(maximal)),
-        *_census_rows("filter", survivors.entries),
-    ]
+    # The maximal rows are made here, so that their K, which fails below two
+    # vertices, is taken before any output; the filter rows are made as written.
+    rows = []
     for idx, e in enumerate(maximal.entries):
         kappa = kemeny_from_wiener(args.n, e.wiener)
         rows += (
-            _row(f"maximal[{idx}].edges", census_line(e.code, e.edges)),
+            _row(f"maximal[{idx}].edges", entry_line(e)),
             _exact_row(f"maximal[{idx}].wiener", e.wiener, args.places),
             _exact_row(f"maximal[{idx}].kemeny", kappa, args.places),
         )
     if maximal.entries:
         best = max(maximal.entries, key=lambda e: e.wiener)  # the first of equals
-        rows.append(_row("argmax_kemeny", census_line(best.code, best.edges)))
+        rows.append(_row("argmax_kemeny", entry_line(best)))
         if args.check_theorem:
             rows.append(_row("theorem_check", "ok"))
-    return {"n": args.n, "d": args.d}, rows
+    head = [
+        _row("family_size", len(fam)),
+        _row("filter_size", len(survivors)),
+        _row("maximal_size", len(maximal)),
+    ]
+    width = max([_index_width("filter", len(survivors)), *(len(name) for name, _, _ in rows)])
+    rest = itertools.chain(_census_rows("filter", survivors.entries), rows)
+    return {"n": args.n, "d": args.d}, head, width, rest
 
 
-def cmd_enum(args) -> tuple[dict, Rows]:
+def cmd_enum(args):
     fam = _family(args, args.d)
-    rows = [_row("count", len(fam)), *_census_rows("tree", fam.entries)]
-    return {"n": args.n, "d": args.d}, rows
+    inputs, head = {"n": args.n, "d": args.d}, [_row("count", len(fam))]
+    return inputs, head, _index_width("tree", len(fam)), _census_rows("tree", fam.entries)
 
 
 def _build_parser() -> _Parser:
@@ -329,52 +353,61 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _batches(rows: Rows):
-    """`rows` in slices of EMIT_BATCH_ROWS, each written as one string."""
-    return (rows[i : i + EMIT_BATCH_ROWS] for i in range(0, len(rows), EMIT_BATCH_ROWS))
+def _batches(rows):
+    """The rows of an iterable in lists of EMIT_BATCH_ROWS, each written as
+    one string."""
+    rows = iter(rows)
+    while batch := list(itertools.islice(rows, EMIT_BATCH_ROWS)):
+        yield batch
 
 
-def _emit(args, inputs: dict | None, rows: Rows, runtime_ms: int) -> None:
-    if args.json:
-        import json
-
-        objects = []
-        for name, value, decimal in rows:
-            row = {"name": name, "value": value}
-            if decimal is not None:
-                row["decimal"] = decimal
-            objects.append(row)
-        payload = {
-            "command": args.command,
-            "inputs": inputs,
-            "rows": objects,
-            "runtime_ms": runtime_ms,
-        }
-        sys.stdout.write(json.dumps(payload) + "\n")
-        return
+def _emit(args, inputs: dict | None, head: list, width: int, rest, start: float) -> None:
+    """Write `head`, then `rest`, a batch at a time, then the milliseconds
+    since `start`. `width` is the widest name in `rest`."""
     write = sys.stdout.write
-    if args.csv:
+    batches = _batches(itertools.chain(head, rest))
+    if args.json:
+        from json import dumps
+
+        # Exactly the bytes of json.dumps({"command": ..., "inputs": ...,
+        # "rows": [...], "runtime_ms": ...}), the rows dumped a batch at a time.
+        write(f'{{"command": {dumps(args.command)}, "inputs": {dumps(inputs)}, "rows": [')
+        sep = ""
+        for batch in batches:
+            objects = [
+                {"name": name, "value": value}
+                if decimal is None
+                else {"name": name, "value": value, "decimal": decimal}
+                for name, value, decimal in batch
+            ]
+            write(sep + dumps(objects)[1:-1])
+            sep = ", "
+    elif args.csv:
         import csv
 
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["name", "value", "decimal"])
-        for batch in _batches(rows):
+        for batch in batches:
             writer.writerows(batch)  # csv writes a None decimal as ""
             write(buf.getvalue())
             buf.seek(0)
             buf.truncate()
     else:
-        width = max((len(name) for name, _, _ in rows), default=0)
-        for batch in _batches(rows):
+        width = max([width, *(len(name) for name, _, _ in head)])
+        for batch in batches:
             lines = [
-                f"{name:<{width}}  {value}\n"
+                f"{name.ljust(width)}  {value}\n"
                 if decimal is None
-                else f"{name:<{width}}  {value}  ({decimal})\n"
+                else f"{name.ljust(width)}  {value}  ({decimal})\n"
                 for name, value, decimal in batch
             ]
             write("".join(lines))
-    sys.stderr.write(f"# runtime_ms {runtime_ms}\n")
+    runtime_ms = int((time.perf_counter() - start) * 1000)
+    if args.json:
+        write(f'], "runtime_ms": {runtime_ms}}}\n')
+    else:
+        sys.stderr.write(f"# runtime_ms {runtime_ms}\n")
 
 
 def main(argv=None) -> int:
@@ -399,15 +432,14 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     start = time.perf_counter()
     try:
-        inputs, rows = args.fn(args)
+        inputs, head, width, rest = args.fn(args)
     except (KemtreeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         if isinstance(exc, ResourceLimitError):
             return EXIT_RESOURCE
         return EXIT_THEOREM if isinstance(exc, TheoremViolationError) else EXIT_INPUT
-    runtime_ms = int((time.perf_counter() - start) * 1000)
     try:
-        _emit(args, inputs, rows, runtime_ms)
+        _emit(args, inputs, head, width, rest, start)
         sys.stdout.flush()
     except BrokenPipeError:
         # Point stdout at the null device so the flush at interpreter exit

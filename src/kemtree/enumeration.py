@@ -24,7 +24,9 @@ index and diameter are computed: a TreeFamily is one TreeEntry per member,
 which `where` filters. An entry holds its tree as bytes attach[k-1] = a_k,
 the vertex a_k < k that vertex k joined; other modules read its `edges` or
 `adjacency()`. A census record is `census_line(code, edges)`, which reads
-each edge's text from a table built once for trees up to MAX_ORDER_HARD.
+each edge's text from a table built once for trees up to MAX_ORDER_HARD;
+an entry's record is `entry_line(entry)`, the same line read from its
+attachment bytes, with no edge tuples built.
 Only `canonical_code`, `TreeFamily.members` and `parse_census_line` read or
 build a Tree, and they import `graphs` where they run, so the generator,
 census lines and the decode oracle load no `graphs`.
@@ -60,9 +62,9 @@ if TYPE_CHECKING:
 
 MAX_ORDER_DEFAULT = 16
 # Highest order enumerate_trees builds, whatever the cap. Layers 1..18 hold
-# 205,004 entries and peak at 74 MB in 6.5 s; `--cap 18 enum 18` peaks at
-# 110 MB in 7.0-8.6 s (2-core Xeon, Python 3.11). The ceiling stays at 18
-# until order 19 is measured.
+# 205,004 entries and peak at 74 MB in 6.5 s; `--cap 18 enum 18`, which
+# writes its rows as it makes them, peaks at 74 MB in 5.6-8.7 s (2-core
+# Xeon, Python 3.11). The ceiling stays at 18 until order 19 is measured.
 MAX_ORDER_HARD = 18
 # The order-9 decode of 8^6 = 262,144 sequences took 0.58-0.98 s, median
 # 0.88 s, in 5 fresh processes (2-core Xeon, Python 3.11); order 10 would
@@ -437,6 +439,17 @@ def prufer_oracle_count(n: int) -> int:
 
 # "u-v" for every edge (u, v), u < v, of a tree of order <= MAX_ORDER_HARD
 _EDGE_TEXT = {(u, v): f"{u}-{v}" for v in range(MAX_ORDER_HARD) for u in range(v)}
+# The same texts keyed by u << _SHIFT | v, an int that sorts as (u, v) does.
+_SHIFT = MAX_ORDER_HARD.bit_length()
+_PACKED_TEXT = {u << _SHIFT | v: text for (u, v), text in _EDGE_TEXT.items()}
+
+
+def entry_line(entry: TreeEntry) -> str:
+    """The census line of a family entry, `census_line(entry.code,
+    entry.edges)`, read from its attachment bytes: its edges are the
+    (a_k, k), which sort as their packed ints a_k << _SHIFT | k do."""
+    packed = sorted([a << _SHIFT | k for k, a in enumerate(entry.attach, 1)])
+    return " ".join([entry.code.hex(), *map(_PACKED_TEXT.__getitem__, packed)])
 
 
 def census_line(code: CanonicalCode, edges: tuple[Edge, ...]) -> str:

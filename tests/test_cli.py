@@ -245,10 +245,10 @@ def test_op1_mates_build_trees_only_for_sources_and_rebuilds(capsys, monkeypatch
 
 
 def test_internal_value_error_is_not_an_input_error(capsys, monkeypatch):
-    def broken(code, t):
+    def broken(entry):
         raise ValueError("internal bug")
 
-    monkeypatch.setattr(enumeration, "census_line", broken)
+    monkeypatch.setattr(enumeration, "entry_line", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["enum", "4"])
 
@@ -331,13 +331,14 @@ def test_mates_census_refuses_more_pairs_than_the_limit(capsys, monkeypatch):
     assert err == f"error: {pairs} census pairs exceed the limit {pairs - 1}\n"
 
 
-def test_mates_census_limit_admits_order_15_and_refuses_order_16(capsys):
-    # order 15's pairs peak at about 262 MB, order 16's at about 680 MB
-    classes = Counter(e.wiener for e in kt.enumerate_trees(15).entries)
-    assert sum(c * (c - 1) // 2 for c in classes.values()) <= cli.MAX_CENSUS_PAIRS
-    code, out, err = run(capsys, "mates", "16")
-    assert (code, out) == (3, "")
-    assert err == f"error: 1014096 census pairs exceed the limit {cli.MAX_CENSUS_PAIRS}\n"
+def test_mates_census_limit_admits_order_16_and_refuses_order_17():
+    classes = Counter(e.wiener for e in kt.enumerate_trees(16).entries)
+    order_16 = sum(c * (c - 1) // 2 for c in classes.values())
+    assert order_16 == 1_014_096 <= cli.MAX_CENSUS_PAIRS
+    # The equal-W pairs of the 48,629 trees of order 17, counted from
+    # enumerate_trees(17, cap=17) as above; that layer takes seconds to build.
+    order_17 = 10_654_242
+    assert order_17 > cli.MAX_CENSUS_PAIRS
 
 
 def _pair_code_sets(rows):
@@ -610,7 +611,8 @@ def test_csv_writes_its_runtime_to_stderr_after_the_rows(capsys):
 def _rows_written_one_at_a_time(argv):
     """Table and CSV stdout of `argv`, each row formatted and written alone."""
     args = cli._build_parser().parse_args(argv)
-    _, rows = args.fn(args)
+    _, head, _, rest = args.fn(args)
+    rows = [*head, *rest]
     width = max(len(name) for name, _, _ in rows)
     table = io.StringIO()
     for name, value, decimal in rows:
@@ -663,6 +665,54 @@ def test_write_through_stdout_gets_one_write_per_batch(monkeypatch, capsys, fmt)
     assert main([*fmt, *CENSUS_11]) == 0
     assert raw.writes <= math.ceil(len(rows) / cli.EMIT_BATCH_ROWS) + 2
     assert raw.data.decode() == (csv_text if fmt else table)
+
+
+@pytest.mark.parametrize("fmt", [[], ["--csv"], ["--json"]], ids=["table", "csv", "json"])
+def test_emit_holds_at_most_a_batch_of_rows(monkeypatch, fmt):
+    # Each row pulled from the command, less the rows already on stdout, is
+    # a row the writer holds.
+    written = []  # rows per write; CSV's first write also holds its header line
+    held = []
+    real = cli.cmd_mates
+
+    class Stdout(io.StringIO):
+        def write(self, text):
+            written.append(text.count('{"name": ') if fmt == ["--json"] else text.count("\n"))
+            return super().write(text)
+
+    def pulling(args):
+        inputs, head, width, rest = real(args)
+
+        def rows():
+            header_lines = 1 if fmt == ["--csv"] else 0
+            for pulled, row in enumerate(rest, len(head) + 1):
+                held.append(pulled - max(0, sum(written) - header_lines))
+                yield row
+
+        return inputs, head, width, rows()
+
+    monkeypatch.setattr(cli, "cmd_mates", pulling)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert main([*fmt, *CENSUS_11]) == 0
+    assert len(held) == 2796  # every row but pair_count
+    assert max(held) <= cli.EMIT_BATCH_ROWS + 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mates", "9"],
+        ["enum", "8"],
+        ["maximal", "10", "5"],
+        ["invariants", "fixtures/unicycle_balanced.txt"],
+    ],
+    ids=" ".join,
+)
+def test_json_is_written_as_json_dumps_writes_it(capsys, monkeypatch, argv):
+    monkeypatch.chdir(FIXTURES.parent)
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0
+    assert json.dumps(json.loads(out)) + "\n" == out
 
 
 def test_threads_flag_is_usage_error(capsys):

@@ -638,6 +638,20 @@ def test_census_line_is_plain_edge_formatting_inside_and_outside_its_table():
     assert kt.census_line(b"()()", ((0, 40),)) == "28292829 0-40"
 
 
+def test_entry_lines_are_the_census_lines_of_their_edges():
+    for n in range(1, 13):
+        for e in kt.enumerate_trees(n).entries:
+            assert enumeration.entry_line(e) == kt.census_line(e.code, e.edges)
+    # at the ceiling every attachment a_k < k, packed with k, still sorts as (a_k, k)
+    rng = random.Random(18)
+    n = enumeration.MAX_ORDER_HARD
+    for attach in [bytes(n - 1), bytes(range(n - 1)), *(
+        bytes(rng.randrange(k) for k in range(1, n)) for _ in range(50)
+    )]:
+        e = enumeration.TreeEntry(b"()", attach, 0, 0)
+        assert enumeration.entry_line(e) == kt.census_line(e.code, e.edges)
+
+
 def _census_line_with_foreign_code():
     a, b = helpers.members(kt.enumerate_trees(6))[:2]
     return kt.census_line(kt.canonical_code(a), b.edges)

@@ -90,7 +90,7 @@ def test_extremal_input_errors_exit_2(capsys):
 
 
 def test_census_mode_converts_once_per_tied_wiener_value(capsys, monkeypatch):
-    calls = {"census_line": 0, "kemeny_from_wiener": 0}
+    calls = {"entry_line": 0, "kemeny_from_wiener": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -102,13 +102,13 @@ def test_census_mode_converts_once_per_tied_wiener_value(capsys, monkeypatch):
         return wrapper
 
     # the CLI imports each where it runs, so each is patched where it is defined
-    for module, name in ((enumeration, "census_line"), (invariants, "kemeny_from_wiener")):
+    for module, name in ((enumeration, "entry_line"), (invariants, "kemeny_from_wiener")):
         monkeypatch.setattr(module, name, counted(module, name))
     rows = _rows(capsys, "mates", "10", "--mode", "census")
     wieners = [kt.wiener_edge_cut_route(t) for t in helpers.members(kt.enumerate_trees(10))]
     tied = {w for w in wieners if wieners.count(w) > 1}
     assert int(rows["pair_count"]) > len(tied) > 0
-    assert calls == {"census_line": len(wieners), "kemeny_from_wiener": len(tied)}
+    assert calls == {"entry_line": len(wieners), "kemeny_from_wiener": len(tied)}
 
 
 def test_census_mode_formats_once_per_tied_wiener_value(capsys, monkeypatch):
