@@ -10,17 +10,18 @@ depend only on the component sizes along the endpoint path:
   delta is zero, which is where co-Kemeny mate pairs come from. The mate
   scan roots each tree once, reads every component size off that rooting,
   and walks from each endpoint only the paths that can still qualify.
-  Each candidate is coded after three branch relocations (`_op1_code`),
-  and only a result that is a new pair is rebuilt as a Tree and checked.
+  A candidate that reads the same from either end (`_is_mirror`) is
+  dropped uncoded; each other one is coded after three branch
+  relocations (`_op1_code`), and only a new pair is rebuilt and checked.
 
 * branch relocation: detach a branch B from attachment i1 and rejoin it
   at i2. Only distances between B and the host H = V - B change, so the
   delta is |B| * (D_H(i1) - D_H(i2)), D_H(x) being the total distance
   from x to H; one rooting at i1 gives it for every branch and target.
-  Every surgery screen edits adjacency lists only through `_relocated`,
-  on a copy, never a Tree: the maximality scan sweeps them for the new
-  diameter, and `covers` codes them against the lower tree's code.
-  Each rebuilds only the move it reports, as a check.
+  The maximality scan reads each move's new diameter off the same
+  rooting (`_relocation_diameters`); `covers` codes each move, edited on
+  a copy of the adjacency lists by `_relocated`, never a Tree, against
+  the lower tree's code. Each rebuilds only the move it reports, as a check.
 
 The scans over a family (the mate scan, maximality and the leaf filter)
 take a TreeFamily, which `enumeration` builds (anything else raises
@@ -44,7 +45,7 @@ from typing import NamedTuple
 
 from .errors import InputError, NotABridgeConfigError, PathTooShortError
 from .errors import TheoremViolationError, check_type
-from .graphs import Edge, Tree, double_sweep, path_from_root, rooted_traversal
+from .graphs import Edge, Tree, path_from_root, rooted_traversal
 from .graphs import _check_labels, tree_eccentricities, tree_from_edges, tree_from_graph
 from .enumeration import CanonicalCode, TreeFamily, _code_from_adjacency, canonical_code
 from .invariants import wiener_edge_cut_route
@@ -186,28 +187,75 @@ def op2_delta_formula(t: Tree, b_root: int, i1: int, i2: int) -> int:
     return b * (2 * sum(size[v] for v in path[1:]) - (len(path) - 1) * (t.n - b))
 
 
-def _relocations(adj):
-    """Yield (i1, b_root, i2, W(before) - W(moved)) for every branch
-    relocation of the tree with adjacency lists `adj`.
-
-    One rooting per source i1 and one top-down pass give each vertex its
-    depth, the child of i1 above it (top), and the subtree sizes summed
-    along its path from i1 (s), which is all `op2_delta_formula` reads.
+def _source(adj, i1: int):
+    """((parent, order, depth, top), moves) of the tree with adjacency lists
+    `adj` rooted at i1: moves yields (b_root, i2, W(before) - W(moved)) for
+    each branch at i1 in adjacency order and each target outside it,
+    ascending. One top-down pass gives each vertex its depth, the child of
+    i1 above it (top), and the subtree sizes summed along its path from i1
+    (s), which is all `op2_delta_formula` reads.
     """
     n = len(adj)
-    for i1 in range(n):
-        parent, order, size = rooted_traversal(adj, i1)
-        depth, top, s = [0] * n, list(range(n)), [0] * n
-        for v in order[1:]:
-            p = parent[v]
-            depth[v], s[v] = depth[p] + 1, s[p] + size[v]
-            if p != i1:
-                top[v] = top[p]
-        for b_root in adj[i1]:
-            b = size[b_root]
-            for i2 in range(n):
-                if i2 != i1 and top[i2] != b_root:
-                    yield i1, b_root, i2, b * (2 * s[i2] - depth[i2] * (n - b))
+    parent, order, size = rooted_traversal(adj, i1)
+    depth, top, s = [0] * n, list(range(n)), [0] * n
+    for v in order[1:]:
+        p = parent[v]
+        depth[v], s[v] = depth[p] + 1, s[p] + size[v]
+        if p != i1:
+            top[v] = top[p]
+    moves = (
+        (b_root, i2, size[b_root] * (2 * s[i2] - depth[i2] * (n - size[b_root])))
+        for b_root in adj[i1]
+        for i2 in range(n)
+        if i2 != i1 and top[i2] != b_root
+    )
+    return (parent, order, depth, top), moves
+
+
+def _relocations(adj):
+    """Yield (i1, b_root, i2, W(before) - W(moved)) for every branch
+    relocation of the tree with adjacency lists `adj`."""
+    for i1 in range(len(adj)):
+        for move in _source(adj, i1)[1]:
+            yield (i1, *move)
+
+
+def _relocation_diameters(adj, i1: int, parent, order, depth, top):
+    """diameter(b_root, i2), in O(1), once the branch B at b_root moves from
+    i1 to i2, from `_source`'s rooting at i1: with H = T - B, it is
+    max(diam H, diam B, ecc_H(i2) + 1 + height B). Bottom-up: heights h,
+    second child heights + 1 (h2), subtree diameters (sub). Top-down: up[v],
+    the reach from v in top[v]'s subtree outside v's. ecc_H(i2) is then the
+    largest of h[i2], up[i2] and depth[i2] + the best h[c] + 1 over i1's
+    children c other than b_root and top[i2].
+    """
+    n = len(adj)
+    h, h2, sub, up = [0] * n, [0] * n, [0] * n, [0] * n
+    for v in reversed(order[1:]):
+        p, x = parent[v], h[v] + 1
+        sub[v] = max(sub[v], h[v] + h2[v])
+        if x > h[p]:
+            h[p], h2[p] = x, h[p]
+        elif x > h2[p]:
+            h2[p] = x
+        sub[p] = max(sub[p], sub[v])
+    for v in order[1:]:
+        p = parent[v]
+        if p != i1:
+            up[v] = 1 + max(up[p], h2[p] if h[v] + 1 == h[p] else h[p])
+    ranked = sorted([(h[c] + 1, c) for c in adj[i1]], reverse=True) + [(0, -1)] * 2
+    branches = {}
+    for b in adj[i1]:
+        first, second = [r for r in ranked if r[1] != b][:2]
+        host = max([sub[c] for c in adj[i1] if c != b] + [first[0] + second[0]])
+        branches[b] = max(host, sub[b]), h[b] + 1, first, second[0]
+
+    def diameter(b_root: int, i2: int) -> int:
+        span, reach, (best, c), other = branches[b_root]
+        ecc = max(h[i2], up[i2], depth[i2] + (other if c == top[i2] else best))
+        return max(span, ecc + reach)
+
+    return diameter
 
 
 class MatePair(NamedTuple):
@@ -279,6 +327,39 @@ def _op1_code(adj, path: tuple[int, ...]) -> CanonicalCode:
     return _code_from_adjacency(_relocated(adj, i2, last, i1))
 
 
+def _branch_code(adj, p: int, v: int, memo: dict) -> bytes:
+    """Rooted code of v's side of the edge p-v, rooted at v, from adjacency
+    lists `adj`, memoised per directed edge (p, v) in `memo`."""
+    code = memo.get((p, v))
+    if code is None:
+        kids = sorted([_branch_code(adj, v, u, memo) for u in adj[v] if u != p])
+        code = memo[p, v] = b"(" + b"".join(kids) + b")"
+    return code
+
+
+def _is_mirror(adj, path: tuple[int, ...], memo: dict) -> bool:
+    """True when i1 = v0 of `path` = v0..vk has degree 2, the branch S at its
+    other neighbour, rooted there, codes as i2's side rooted at i2, and for
+    1 <= j < k - j the components at vj and v(k-j), rooted there without
+    the path edges, code alike. Along the path the source reads S, i1, C1,
+    ..., C(k-1), Ck, and its op1 result S, C1, ..., C(k-1), i1, Ck, which
+    is the source reversed, so skipping it loses nothing; a candidate the
+    test misses is still coded.
+    """
+    i1, p1, k = path[0], path[1], len(path) - 1
+    if len(adj[i1]) != 2:
+        return False
+    u = adj[i1][0] + adj[i1][1] - p1
+    if _branch_code(adj, i1, u, memo) != _branch_code(adj, path[-2], path[-1], memo):
+        return False
+
+    def component(j: int) -> list:
+        v, off = path[j], (path[j - 1], path[j + 1])
+        return sorted([_branch_code(adj, v, w, memo) for w in adj[v] if w not in off])
+
+    return all(component(j) == component(k - j) for j in range(1, (k + 1) // 2))
+
+
 def generate_mates_op1(fam: TreeFamily) -> tuple[MatePair, ...]:
     """All mate pairs reachable by one zero-delta contract-and-subdivide
     from a member of `fam`; the scan reads only the family's entries.
@@ -286,22 +367,26 @@ def generate_mates_op1(fam: TreeFamily) -> tuple[MatePair, ...]:
     Pairs are deduplicated by their sorted code pair and returned in
     deterministic order. A source's code, edges and Wiener index come
     from its family entry. Its candidates come from one rooting of
-    the entry's adjacency lists (`_zero_delta_candidates`), and each is
-    screened by `_op1_code` on relocated adjacency lists: a result isomorphic
-    to the source, or a pair already found, is dropped unbuilt. Only a new
-    pair is rebuilt with `apply_op1`, from the source's Tree, built once
-    for its first new pair. Two checks run on the rebuild: its Wiener
-    index, taken by the edge-cut route, must equal the source's carried
-    one, and its canonical code the screened one. Either mismatch raises
-    TheoremViolationError.
+    the entry's adjacency lists (`_zero_delta_candidates`). One whose
+    result is its source read backwards (`_is_mirror`, on rooted codes
+    memoised per directed edge of the tree) is dropped uncoded; each other
+    one is screened by `_op1_code` on relocated adjacency lists: a result
+    isomorphic to the source, or a pair already found, is dropped unbuilt.
+    Only a new pair is rebuilt with `apply_op1`, from the source's Tree,
+    built once for its first new pair. Two checks run on the rebuild: its
+    Wiener index, taken by the edge-cut route, must equal the source's
+    carried one, and its canonical code the screened one. Either mismatch
+    raises TheoremViolationError.
     """
     check_type("family", fam, TreeFamily)
     n = fam.n
     found: dict[tuple[bytes, bytes], MatePair] = {}
     for entry in fam.entries:
         code_a, _, w_a, _ = entry
-        adj, tree = entry.adjacency(), None
+        adj, tree, memo = entry.adjacency(), None, {}
         for i1, i2, path in _zero_delta_candidates(adj):
+            if _is_mirror(adj, path, memo):
+                continue
             code_b = _op1_code(adj, path)
             key = (min(code_a, code_b), max(code_a, code_b))
             if code_b == code_a or key in found:
@@ -391,21 +476,26 @@ def _has_increasing_move(entry, d: int) -> bool:
     Wiener index while keeping the diameter at d (i.e. the tree is covered
     by something).
 
-    Candidates are screened by a double sweep over `_relocated` adjacency
-    lists, never a Tree; the move found is rebuilt with `apply_op2`, on a
-    Tree built for it, as an independent check of the screen.
+    Each source i1 is rooted once (`_source`), and for an i1 with a
+    Wiener-increasing move `_relocation_diameters` reads every move's new
+    diameter off that rooting, never a sweep or a Tree; the move found is
+    rebuilt with `apply_op2`, on a Tree built for it, as an independent
+    check of the screen.
     """
     adj = entry.adjacency()
-    for i1, b_root, i2, delta in _relocations(adj):
-        if delta >= 0:
-            continue
-        da, far = double_sweep(_relocated(adj, b_root, i1, i2))
-        if da[far] == d:
-            if apply_op2(tree_from_edges(len(adj), entry.edges), b_root, i1, i2).diameter != d:
-                raise TheoremViolationError(
-                    f"diameter sweep and rebuild disagree on relocation {i1}->{i2}"
-                )
-            return True
+    for i1 in range(len(adj)):
+        rooting, moves = _source(adj, i1)
+        diameter = None
+        for b_root, i2, delta in moves:
+            if delta >= 0:
+                continue
+            diameter = diameter or _relocation_diameters(adj, i1, *rooting)
+            if diameter(b_root, i2) == d:
+                if apply_op2(tree_from_edges(len(adj), entry.edges), b_root, i1, i2).diameter != d:
+                    raise TheoremViolationError(
+                        f"diameter screen and rebuild disagree on relocation {i1}->{i2}"
+                    )
+                return True
     return False
 
 

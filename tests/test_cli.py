@@ -408,7 +408,7 @@ def test_maximal_rebuild_disagreeing_with_the_sweep_exits_4(capsys, monkeypatch)
     monkeypatch.setattr(transforms, "apply_op2", wrong_diameter)
     code, out, err = run(capsys, "maximal", "8", "4")
     assert (code, out) == (4, "")
-    assert "diameter sweep and rebuild disagree" in err and "Traceback" not in err
+    assert "diameter screen and rebuild disagree" in err and "Traceback" not in err
 
 
 def test_maximal_tree_escaping_the_leaf_filter_exits_4(capsys, monkeypatch):

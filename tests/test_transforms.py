@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kemtree as kt
 from kemtree.errors import InputError, NotABridgeConfigError, PathTooShortError
 from kemtree.errors import TheoremViolationError
 from kemtree import enumeration, transforms
+from kemtree.graphs import double_sweep
 from kemtree.transforms import _relocated, _relocations, _zero_delta_candidates
 
 import helpers
@@ -410,8 +413,50 @@ def test_maximal_scan_rebuild_disagreeing_with_the_sweep_raises(monkeypatch):
         return kt.tree_from_graph(helpers.path_graph(t.n))
 
     monkeypatch.setattr(transforms, "apply_op2", wrong_diameter)
-    with pytest.raises(TheoremViolationError, match="diameter sweep and rebuild disagree"):
+    with pytest.raises(TheoremViolationError, match="diameter screen and rebuild disagree"):
         kt.maximal_elements(kt.family(8, 4))
+
+
+def test_maximal_scan_rebuild_catches_a_screen_that_claims_every_diameter(monkeypatch):
+    # a screen that keeps d on every move passes W-increasing moves that
+    # change the diameter; only the rebuild check sees it
+    def claims_d(adj, i1, *rooting):
+        return lambda b_root, i2: 4
+
+    monkeypatch.setattr(transforms, "_relocation_diameters", claims_d)
+    with pytest.raises(TheoremViolationError, match="diameter screen and rebuild disagree"):
+        kt.maximal_elements(kt.family(10, 4))
+
+
+def _sweep_diameter(adj, b_root, i1, i2):
+    da, far = double_sweep(_relocated(adj, b_root, i1, i2))
+    return da[far]
+
+
+def _check_relocation_diameters(adj):
+    checked = 0
+    for i1 in range(len(adj)):
+        rooting, moves = transforms._source(adj, i1)
+        diameter = transforms._relocation_diameters(adj, i1, *rooting)
+        for b_root, i2, _ in moves:
+            assert diameter(b_root, i2) == _sweep_diameter(adj, b_root, i1, i2)
+            checked += 1
+    return checked
+
+
+def test_relocation_diameters_match_the_sweep_up_to_11():
+    checked = 0
+    for n in range(1, 12):
+        for e in enumeration._layer(n):
+            checked += _check_relocation_diameters(e.adjacency())
+    assert checked == 32880
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.randoms(use_true_random=False))
+def test_relocation_diameters_match_the_sweep_on_random_labelled_trees(n, rng):
+    t = helpers.random_tree(rng, n)
+    assert _check_relocation_diameters(t.adjacency) == len(list(_relocations(t.adjacency)))
 
 
 def test_maximal_scan_rebuilds_only_the_rejecting_move(monkeypatch):
@@ -569,6 +614,31 @@ def test_op1_screen_codes_match_rebuilds_up_to_11():
                 assert transforms._op1_code(t.adjacency, path) == kt.canonical_code(rebuilt)
                 checked += 1
     assert checked == 4098
+
+
+def test_mirror_screen_skips_only_candidates_that_code_to_their_source():
+    skipped = 0
+    for n in range(4, 13):
+        for e in enumeration._layer(n):
+            adj, memo = e.adjacency(), {}
+            for _, _, path in _zero_delta_candidates(adj):
+                if transforms._is_mirror(adj, path, memo):
+                    assert transforms._op1_code(adj, path) == e.code
+                    skipped += 1
+    assert skipped == 1266
+
+
+def test_mirror_screen_skips_every_candidate_that_codes_to_its_source():
+    candidates = selves = 0
+    for n in range(7, 14):
+        for e in enumeration._layer(n):
+            adj, memo = e.adjacency(), {}
+            for _, _, path in _zero_delta_candidates(adj):
+                candidates += 1
+                if transforms._op1_code(adj, path) == e.code:
+                    assert transforms._is_mirror(adj, path, memo)
+                    selves += 1
+    assert (selves, candidates) == (3002, 4282)
 
 
 def test_op1_is_three_relocations():
