@@ -4,7 +4,7 @@ The package exports are resolved lazily (PEP 562): `kemtree.Tree` imports
 `kemtree.graphs` on first read and caches the value here, so a program
 loads only the submodules whose names it uses. `from kemtree import
 prufer_oracle_count` loads `enumeration` and `errors`, not `graphs`,
-`invariants`, `linalg` or `transforms`.
+`invariants`, `linalg`, `sparse` or `transforms`.
 """
 
 # submodule -> the names it exports
@@ -48,6 +48,7 @@ _EXPORTS = {
         "wiener_distance_route",
         "wiener_edge_cut_route",
     ),
+    "sparse": ("kemeny_sparse_route",),
     "enumeration": (
         "CanonicalCode",
         "TreeEntry",

@@ -34,9 +34,9 @@ order 16 and refuses order 17.
 A launch imports only what its subcommand runs. At module level this module
 imports `argparse`, `errors` and modules that the interpreter loads at
 start-up; each command imports the rest where it runs. `invariants` loads
-`graphs`, `invariants` and `fractions`, and `linalg` only for a cyclic
-graph or `--route forest`. `enum` loads only `enumeration`: census lines
-need no Graph and no Fraction. `extremal` and census `mates` load
+`graphs`, `invariants` and `fractions`, `sparse` for a cyclic graph or
+`--route sparse`, and `linalg` only for `--route forest`. `enum` loads only
+`enumeration`: census lines need no Graph and no Fraction. `extremal` and census `mates` load
 `enumeration` and `invariants` (with `graphs` and `fractions`), and op1
 `mates` and `maximal` add `transforms`. A `--cap` loads `enumeration` for
 its ceiling, MAX_ORDER_HARD. `json` or `csv` loads only for that output,
@@ -49,9 +49,9 @@ before any invariant is computed, so a non-tree exits 2 at once.
 
 Exit codes: 0 ok, 1 usage, 2 parse/validation (also a path holding a NUL
 byte, and a label or count not in ASCII decimal digits), 3 resource limit
-(--cap, MAX_CENSUS_PAIRS, graphs.MAX_VERTICES, and
-invariants.MAX_DENSE_VERTICES for a cyclic graph or `--route forest`), 4
-theorem violation.
+(--cap, MAX_CENSUS_PAIRS, graphs.MAX_VERTICES, the sparse route's limits,
+and invariants.MAX_DENSE_VERTICES for `--route forest`), 4 theorem
+violation.
 `--places` runs from 0 to MAX_PLACES and `--cap` from 1 to MAX_ORDER_HARD;
 a value outside is a usage error. A reader that closes stdout early
 (`kemtree enum 12 | head -1`) ends the run quietly with exit 0.
@@ -321,8 +321,9 @@ def _build_parser() -> _Parser:
     p.add_argument("path")
     p.add_argument(
         "--route",
-        choices=["auto", "forest", "wiener", "edgecut"],
+        choices=["auto", "sparse", "forest", "wiener", "edgecut"],
         default="auto",
+        help="auto: edgecut on a tree, sparse otherwise",
     )
     p.add_argument("--omega", action="store_true", help="include edge weights")
     p.set_defaults(fn=cmd_invariants)

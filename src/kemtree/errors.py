@@ -53,9 +53,10 @@ class ResourceLimitError(KemtreeError):
     """A request exceeds a size limit that is checked before the work it
     bounds is done: the enumeration or oracle order cap, the vertex ceiling
     of an edge list (then the message names the line), the pair limit of
-    census `mates`, the vertex limit of the dense routes
-    (`invariants.MAX_DENSE_VERTICES`), or Python's limit on the digits of
-    a formatted integer (`sys.get_int_max_str_digits()`)."""
+    census `mates`, the vertex limit of the forest route
+    (`invariants.MAX_DENSE_VERTICES`), the sparse route's limits on its
+    modulus, BFS work and elimination work (`sparse`), or Python's limit on
+    the digits of a formatted integer (`sys.get_int_max_str_digits()`)."""
 
 
 class PathTooShortError(KemtreeError):

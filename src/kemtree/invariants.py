@@ -1,14 +1,19 @@
 """Wiener index, Gutman index, edge split weights, and Kemeny's constant.
 
-Kemeny's constant is available through three independent routes:
+Kemeny's constant is available through four independent routes:
 
+* sparse route (any connected graph, `auto` on a cyclic one):
+  `sparse.kemeny_sparse_route`, one minimum-degree elimination of the
+  grounded Laplacian over dual numbers modulo a Mersenne prime, with W and
+  the Gutman index from one BFS per source; its limits are in `sparse`;
 * forest route (any connected graph): (2m sum_i d_i A_ii - d^T A d) /
   (2m tau), where A is the adjugate and tau the determinant of the
   Laplacian grounded at vertex 0, both from one fraction-free pass
   (`linalg.adjugate_det`) in O(n^3) big-integer steps. It contracts the
   resistance form sum_{i<j} d_i d_j (A_ii + A_jj - 2 A_ij) / (2m tau),
-  since sum_j d_j = 2m. The route, and the distance matrix of a cyclic
-  graph, refuse graphs above MAX_DENSE_VERTICES vertices;
+  since sum_j d_j = 2m. The route, and the distance matrix it reads W and
+  the Gutman index of a cyclic graph from, refuse graphs above
+  MAX_DENSE_VERTICES vertices;
 * Wiener relation (trees only): `kemeny_from_wiener`, from W and n;
 * edge-cut route (trees only): sum over edges of
   (2 n1 - 1)(2 n2 - 1) / (2 (n - 1)), with n1, n2 the component sizes
@@ -16,7 +21,8 @@ Kemeny's constant is available through three independent routes:
 
 All values are exact: integers or Fractions, never floats. Only the
 functions that read a matrix (the forest route, `wiener_distance_route` and
-`gutman_index`) import `linalg`, so the invariants of a tree load none.
+`gutman_index`) import `linalg`, and only the sparse route imports
+`sparse`, so the invariants of a tree load neither.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ class KemenyRoute(Enum):
     FOREST = "forest"
     WIENER = "wiener"
     EDGE_CUT = "edgecut"
+    SPARSE = "sparse"
 
 
 class WeightedEdgeMap(NamedTuple):
@@ -196,40 +203,49 @@ def compute_invariants(g: Graph, route: KemenyRoute | str = "auto") -> Invariant
     """Full invariant report for a connected graph.
 
     `route` picks how Kemeny's constant is computed; "auto" uses the
-    edge-cut route on trees and the forest route otherwise. Tree-only
+    edge-cut route on trees and the sparse route otherwise. Tree-only
     routes on graphs with cycles raise RouteRequiresTreeError before any
     value is computed. On a tree, W is the edge-cut sum and
-    Gut = 4W - (n-1)(2n-1), so only cyclic graphs build the distance matrix,
-    and above MAX_DENSE_VERTICES they raise ResourceLimitError instead. A
-    `Tree` is used as it is; a plain Graph with m = n - 1 is validated as a
-    tree here. A route that is not one of auto, forest, wiener and edgecut
-    raises InputError.
+    Gut = 4W - (n-1)(2n-1). On a cyclic graph the sparse route takes both
+    from one BFS per source, after checking each of its limits, and the
+    forest route from the distance matrix, above MAX_DENSE_VERTICES raising
+    ResourceLimitError instead. A `Tree` is used as it is; a plain Graph
+    with m = n - 1 is validated as a tree here. A route that is not auto or
+    a KemenyRoute value raises InputError.
     """
     check_type("graph", g, Graph)
     _require_connected(g)
     tree = tree_from_graph(g) if g.m == g.n - 1 else None
     if route == "auto":
-        route = KemenyRoute.EDGE_CUT if tree is not None else KemenyRoute.FOREST
+        route = KemenyRoute.EDGE_CUT if tree is not None else KemenyRoute.SPARSE
     try:
         chosen = KemenyRoute(route)
     except ValueError:
         names = ", ".join(["auto", *(r.value for r in KemenyRoute)])
         raise InputError(f"unknown route {route!r}; the routes are {names}") from None
-    if tree is None and chosen is not KemenyRoute.FOREST:
+    if tree is None and chosen in (KemenyRoute.WIENER, KemenyRoute.EDGE_CUT):
         raise RouteRequiresTreeError(f"route {chosen.value!r} is defined only on trees")
     if tree is not None:
         wiener = wiener_edge_cut_route(tree)
         gutman = 4 * wiener - (g.n - 1) * (2 * g.n - 1)
-    else:
+    elif chosen is KemenyRoute.FOREST:
         _require_dense_size(g.n)
         d = all_pairs_distances(g)
         wiener, gutman = wiener_distance_route(d), gutman_index(g, d)
+    else:  # the sparse route checks all its limits before any BFS
+        from .sparse import sparse_invariants
+
+        wiener, gutman, kappa = sparse_invariants(g)
     if chosen is KemenyRoute.FOREST:
         kappa = kemeny_forest_route(g)
     elif chosen is KemenyRoute.WIENER:
         kappa = kemeny_from_wiener(g.n, wiener)
-    else:
+    elif chosen is KemenyRoute.EDGE_CUT:
         kappa = kemeny_edge_cut_route(tree)
+    elif tree is not None:
+        from .sparse import kemeny_sparse_route
+
+        kappa = kemeny_sparse_route(tree)
     return InvariantReport(
         n=g.n,
         m=g.m,

@@ -42,7 +42,14 @@ def test_invariants_unicycle(capsys):
     assert rows["kemeny"]["value"] == "65/12"
     assert rows["kemeny"]["decimal"] == "5.4167"
     assert rows["wiener"]["value"] == "27"
+    assert rows["route"]["value"] == "sparse"
+    code, out, err = run(
+        capsys, "--json", "invariants", str(FIXTURES / "unicycle_balanced.txt"), "--route", "forest"
+    )
+    assert code == 0
+    rows = rows_by_name(json.loads(out))
     assert rows["route"]["value"] == "forest"
+    assert rows["kemeny"]["value"] == "65/12"
 
 
 def test_invariants_omega_table(capsys):
@@ -128,7 +135,7 @@ def test_invariants_dense_limit_exits_3(capsys, tmp_path):
     n = limit + 1
     f = tmp_path / "cycle.txt"
     f.write_text("".join(f"{v} {(v + 1) % n}\n" for v in range(n)))
-    code, out, err = run(capsys, "invariants", str(f))
+    code, out, err = run(capsys, "invariants", str(f), "--route", "forest")
     assert code == 3
     assert out == "" and err == f"error: {n} vertices exceed the dense-route limit {limit}\n"
 
@@ -574,7 +581,7 @@ EMIT_GOLDEN = {
         "e54cc22227f25b28cd3e6a5ce27478e6d2431861fb731d792e773a441872c0f4"
     ),
     "--json invariants fixtures/unicycle_balanced.txt": (
-        "036d8f270218127cf7c3e63034e44ef377b771d2af9b5c151fd2d861a87e72ac"
+        "1c59285a653d3e2ae71e9e339eec7929fadb6074d4d85cad14b5a2a5fa06c870"
     ),
 }
 

@@ -141,6 +141,7 @@ def test_an_argument_of_the_wrong_kind_raises_a_typed_error(call):
         lambda: kt.spanning_tree_count(None),
         lambda: kt.gutman_index(None, [[0]]),
         lambda: kt.wiener_distance_route(None),
+        lambda: kt.kemeny_sparse_route(None),
     ],
 )
 def test_a_graph_function_given_no_graph_raises_a_typed_error(call):

@@ -235,7 +235,10 @@ def test_compute_invariants_route_selection():
     t_report = kt.compute_invariants(helpers.path_graph(4))
     assert t_report.route is KemenyRoute.EDGE_CUT
     g_report = kt.compute_invariants(helpers.cycle_graph(4))
-    assert g_report.route is KemenyRoute.FOREST
+    assert g_report.route is KemenyRoute.SPARSE
+    assert kt.compute_invariants(helpers.cycle_graph(4), "forest") == g_report._replace(
+        route=KemenyRoute.FOREST
+    )
     forced = kt.compute_invariants(helpers.path_graph(4), "forest")
     assert forced.kemeny == t_report.kemeny
     with pytest.raises(RouteRequiresTreeError):
@@ -245,7 +248,7 @@ def test_compute_invariants_route_selection():
 
 
 def test_compute_invariants_unknown_route_is_an_input_error():
-    message = "^unknown route 'bogus'; the routes are auto, forest, wiener, edgecut$"
+    message = "^unknown route 'bogus'; the routes are auto, forest, wiener, edgecut, sparse$"
     with pytest.raises(InputError, match=message) as info:
         kt.compute_invariants(helpers.cycle_graph(4), "bogus")
     assert isinstance(info.value, ValueError)
@@ -288,7 +291,7 @@ def test_compute_invariants_builds_no_distance_matrix_on_trees(monkeypatch):
     kt.compute_invariants(helpers.load_graph("spider_2_5"))
     kt.compute_invariants(helpers.path_graph(30), "forest")
     assert calls == []
-    kt.compute_invariants(helpers.cycle_graph(5))
+    kt.compute_invariants(helpers.cycle_graph(5), "forest")
     assert calls == [5]
     # a disconnected graph still names the first vertex unreachable from 0,
     # also when its edge count is that of a tree
@@ -324,14 +327,14 @@ def test_dense_limit_is_checked_before_any_matrix(monkeypatch):
     message = f"^{limit + 1} vertices exceed the dense-route limit {limit}$"
     for call in (
         lambda: kt.kemeny_forest_route(above),
-        lambda: kt.compute_invariants(above),
+        lambda: kt.compute_invariants(above, "forest"),
         lambda: kt.compute_invariants(helpers.path_graph(limit + 1), "forest"),
     ):
         with pytest.raises(ResourceLimitError, match=message):
             call()
     # at the limit both checks admit the graph and the patched builders run
     at = helpers.cycle_graph(limit)
-    for call in (lambda: kt.kemeny_forest_route(at), lambda: kt.compute_invariants(at)):
+    for call in (lambda: kt.kemeny_forest_route(at), lambda: kt.compute_invariants(at, "forest")):
         with pytest.raises(AssertionError, match="a dense matrix was built"):
             call()
     # trees on their own routes build no dense matrix, so no limit applies

@@ -28,7 +28,7 @@ import helpers
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(Path(kt.__file__).resolve().parents[1])
 SPIDER = "fixtures/spider_2_5.txt"
-SUBMODULES = ("errors", "graphs", "linalg", "invariants", "enumeration", "transforms")
+SUBMODULES = ("errors", "graphs", "linalg", "sparse", "invariants", "enumeration", "transforms")
 
 # loaded only by the subcommands, outputs and records that need them; the
 # decode oracle runs in the calling process, so nothing loads multiprocessing
@@ -37,13 +37,14 @@ CLI_FORBIDDEN = {
     "multiprocessing", "concurrent.futures",
 }
 ORACLE_FORBIDDEN = {
-    "kemtree.graphs", "kemtree.invariants", "kemtree.linalg", "kemtree.transforms",
-    "multiprocessing", "concurrent.futures",
+    "kemtree.graphs", "kemtree.invariants", "kemtree.linalg", "kemtree.sparse",
+    "kemtree.transforms", "multiprocessing", "concurrent.futures",
 }
 # The kemtree library modules a launch loads, beyond the package and the CLI
 # module itself, and whether it loads `fractions`: the CLI module imports
-# only `errors`, a tree's invariants read no matrix, and the generator and
-# the decode oracle build no Graph.
+# only `errors`, a tree's invariants read no matrix and run no elimination, a
+# cyclic graph's read a matrix only on the forest route, and the generator
+# and the decode oracle build no Graph.
 LAUNCHES = {
     "import kemtree.cli": (("-c", "import kemtree.cli"), {"errors"}, False),
     "invariants on a tree": (
@@ -51,6 +52,11 @@ LAUNCHES = {
     ),
     "invariants on a cyclic graph": (
         ("-m", "kemtree.cli", "invariants", "fixtures/unicycle_balanced.txt"),
+        {"errors", "graphs", "invariants", "sparse"},
+        True,
+    ),
+    "invariants --route forest": (
+        ("-m", "kemtree.cli", "invariants", "fixtures/unicycle_balanced.txt", "--route", "forest"),
         {"errors", "graphs", "linalg", "invariants"},
         True,
     ),
@@ -107,7 +113,7 @@ def test_an_invariants_launch_loads_no_subcommand_only_module():
     assert proc.stdout.splitlines()[-1].split() == ["kemeny", "29/2", "(14.5000)"]
     loaded = _importtime_modules(proc.stderr)
     assert {"kemtree.graphs", "kemtree.invariants"} <= loaded
-    assert not {"kemtree.enumeration", "kemtree.linalg"} & loaded
+    assert not {"kemtree.enumeration", "kemtree.linalg", "kemtree.sparse"} & loaded
     assert not (loaded - _bare_modules()) & CLI_FORBIDDEN
 
 
@@ -145,7 +151,7 @@ def test_json_invariants_still_prints_the_input_digest():
 
 
 def test_every_export_resolves_and_is_listed():
-    assert len(kt.__all__) == len(set(kt.__all__)) == 57
+    assert len(kt.__all__) == len(set(kt.__all__)) == 58
     submodules = [importlib.import_module(f"kemtree.{name}") for name in SUBMODULES]
     listed = dir(kt)
     for name in kt.__all__:
