@@ -39,9 +39,9 @@ start-up; each command imports the rest where it runs. `invariants` loads
 `enumeration`: census lines need no Graph and no Fraction. `extremal` and census `mates` load
 `enumeration` and `invariants` (with `graphs` and `fractions`), and op1
 `mates` and `maximal` add `transforms`. A `--cap` loads `enumeration` for
-its ceiling, MAX_ORDER_HARD. `json` or `csv` loads only for that output,
-and `hashlib` only for `invariants --json`, the one output that prints the
-input's digest.
+its ceiling, MAX_ORDER_HARD. `json` loads only for JSON output, and
+`hashlib` only for `invariants --json`, the one output that prints the
+input's digest. CSV rows are written without the `csv` module.
 
 A diameter runs from 1 to n - 1, or is 0 for the one-vertex tree
 (`enum 1 --d 0`). `invariants --omega` checks that the graph is a tree
@@ -60,7 +60,6 @@ a value outside is a usage error. A reader that closes stdout early
 from __future__ import annotations
 
 import argparse
-import io
 import itertools
 import os
 import sys
@@ -384,16 +383,14 @@ def _emit(args, inputs: dict | None, head: list, width: int, rest, start: float)
             write(sep + dumps(objects)[1:-1])
             sep = ", "
     elif args.csv:
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["name", "value", "decimal"])
+        # The bytes csv.writer makes: no name or value printed here can hold a
+        # comma, a quote, CR or LF (names are fixed or indexed; values are ints,
+        # p/q, decimals, census lines, route names or ok; no path is printed),
+        # so no field needs quoting. A row that could hold one needs csv back.
+        write("name,value,decimal\r\n")
         for batch in batches:
-            writer.writerows(batch)  # csv writes a None decimal as ""
-            write(buf.getvalue())
-            buf.seek(0)
-            buf.truncate()
+            lines = [f"{name},{value},{decimal or ''}\r\n" for name, value, decimal in batch]
+            write("".join(lines))
     else:
         width = max([width, *(len(name) for name, _, _ in head)])
         for batch in batches:

@@ -55,8 +55,10 @@ class ResourceLimitError(KemtreeError):
     of an edge list (then the message names the line), the pair limit of
     census `mates`, the vertex limit of the forest route
     (`invariants.MAX_DENSE_VERTICES`), the sparse route's limits on its
-    modulus, BFS work and elimination work (`sparse`), or Python's limit on
-    the digits of a formatted integer (`sys.get_int_max_str_digits()`)."""
+    modulus and elimination work (`sparse`) and on the BFS work of W and
+    the Gutman index that it checks first (`invariants.MAX_DISTANCE_WORK`),
+    or Python's limit on the digits of a formatted integer
+    (`sys.get_int_max_str_digits()`)."""
 
 
 class PathTooShortError(KemtreeError):

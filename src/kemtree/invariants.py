@@ -4,20 +4,25 @@ Kemeny's constant is available through four independent routes:
 
 * sparse route (any connected graph, `auto` on a cyclic one):
   `sparse.kemeny_sparse_route`, one minimum-degree elimination of the
-  grounded Laplacian over dual numbers modulo a Mersenne prime, with W and
-  the Gutman index from one BFS per source; its limits are in `sparse`;
+  grounded Laplacian over dual numbers modulo a Mersenne prime; its limits
+  are in `sparse`;
 * forest route (any connected graph): (2m sum_i d_i A_ii - d^T A d) /
   (2m tau), where A is the adjugate and tau the determinant of the
   Laplacian grounded at vertex 0, both from one fraction-free pass
   (`linalg.adjugate_det`) in O(n^3) big-integer steps. It contracts the
   resistance form sum_{i<j} d_i d_j (A_ii + A_jj - 2 A_ij) / (2m tau),
-  since sum_j d_j = 2m. The route, and the distance matrix it reads W and
-  the Gutman index of a cyclic graph from, refuse graphs above
-  MAX_DENSE_VERTICES vertices;
+  since sum_j d_j = 2m. The route refuses graphs above MAX_DENSE_VERTICES
+  vertices;
 * Wiener relation (trees only): `kemeny_from_wiener`, from W and n;
 * edge-cut route (trees only): sum over edges of
   (2 n1 - 1)(2 n2 - 1) / (2 (n - 1)), with n1, n2 the component sizes
   left by removing the edge.
+
+W and the Gutman index do not depend on the route. On a tree they come from
+the edge-cut sum; on a cyclic graph from one BFS per source, in
+O(n (n + m)) time and O(n) memory. On the sparse route that BFS work is
+checked against MAX_DISTANCE_WORK before any other step, raising
+ResourceLimitError; on the forest route MAX_DENSE_VERTICES bounds it.
 
 All values are exact: integers or Fractions, never floats. Only the
 functions that read a matrix (the forest route, `wiener_distance_route` and
@@ -36,17 +41,22 @@ from typing import Mapping, NamedTuple
 
 from .errors import DisconnectedError, InputError, ResourceLimitError
 from .errors import RouteRequiresTreeError, check_int, check_type
-from .graphs import DistanceMatrix, Edge, Graph, Tree, all_pairs_distances
-from .graphs import bfs_distances, rooted_traversal, tree_from_graph
+from .graphs import DistanceMatrix, Edge, Graph, Tree, bfs_distances
+from .graphs import rooted_traversal, tree_from_graph
 
-# Most vertices of a graph that gets an n x n matrix: the distance matrix
-# of a cyclic graph, and the grounded Laplacian and its adjugate on the
-# forest route. On a random connected graph with m = 1.1n, `invariants
-# --route forest` took 0.4 s at n = 100, 6.7 s at 300 and 39 s at 500
-# (peak RSS 38 MB), one fresh process each on a 2-core Xeon under Python
-# 3.11; n = 1000 did not finish in 490 s. Entries grow with the edge count,
-# so a denser graph costs more: n = 500 with m = 3n took 498 s (72 MB).
+# Most vertices of a graph that gets an n x n matrix: the grounded Laplacian
+# and its adjugate on the forest route. On a random connected graph with
+# m = 1.1n, `invariants --route forest` took 0.4 s at n = 100, 6.7 s at 300
+# and 39 s at 500 (peak RSS 38 MB), one fresh process each on a 2-core Xeon
+# under Python 3.11; n = 1000 did not finish in 490 s. Entries grow with the
+# edge count, so a denser graph costs more: n = 500 with m = 3n took 498 s
+# (72 MB).
 MAX_DENSE_VERTICES = 500
+# Most BFS work n (n + m) for W and the Gutman index on the sparse route. The
+# sums took 0.17 s at 2 * 10^6 (the 1,000-vertex cycle), 0.76 s at 8 * 10^6
+# and 1.49 s at 1.8 * 10^7 (the 3,000-vertex cycle), about 95 ns a unit at
+# most, in one process on a 2-core Xeon under Python 3.11.
+MAX_DISTANCE_WORK = 20_000_000
 
 
 class KemenyRoute(Enum):
@@ -129,11 +139,23 @@ def _require_connected(g: Graph) -> None:
             raise DisconnectedError(0, v)
 
 
-def _require_dense_size(n: int) -> None:
-    if n > MAX_DENSE_VERTICES:
+def _require_distance_work(g: Graph) -> None:
+    work = g.n * (g.n + g.m)
+    if work > MAX_DISTANCE_WORK:
         raise ResourceLimitError(
-            f"{n} vertices exceed the dense-route limit {MAX_DENSE_VERTICES}"
+            f"distance work n(n + m) = {work} exceeds the sparse-route limit {MAX_DISTANCE_WORK}"
         )
+
+
+def _distance_sums(g: Graph) -> tuple[int, int]:
+    """W and the Gutman index of a connected graph from one BFS per source."""
+    deg = g.degrees
+    total = weighted = 0
+    for s in range(g.n):
+        dist = bfs_distances(g.adjacency, s)
+        total += sum(dist)
+        weighted += deg[s] * sum(map(mul, deg, dist))
+    return total // 2, weighted // 2
 
 
 def kemeny_forest_route(g: Graph) -> Fraction:
@@ -154,7 +176,10 @@ def kemeny_forest_route(g: Graph) -> Fraction:
     if g.n < 2:
         raise InputError("Kemeny's constant needs at least two vertices")
     _require_connected(g)
-    _require_dense_size(g.n)
+    if g.n > MAX_DENSE_VERTICES:
+        raise ResourceLimitError(
+            f"{g.n} vertices exceed the dense-route limit {MAX_DENSE_VERTICES}"
+        )
     tau, adj = adjugate_det(delete_rows_cols(laplacian(g), {0}))
     deg = g.degrees[1:]
     diag = sum(d * row[i] for i, (d, row) in enumerate(zip(deg, adj)))
@@ -202,16 +227,17 @@ class InvariantReport(NamedTuple):
 def compute_invariants(g: Graph, route: KemenyRoute | str = "auto") -> InvariantReport:
     """Full invariant report for a connected graph.
 
-    `route` picks how Kemeny's constant is computed; "auto" uses the
+    `route` picks only how Kemeny's constant is computed; "auto" uses the
     edge-cut route on trees and the sparse route otherwise. Tree-only
     routes on graphs with cycles raise RouteRequiresTreeError before any
-    value is computed. On a tree, W is the edge-cut sum and
-    Gut = 4W - (n-1)(2n-1). On a cyclic graph the sparse route takes both
-    from one BFS per source, after checking each of its limits, and the
-    forest route from the distance matrix, above MAX_DENSE_VERTICES raising
-    ResourceLimitError instead. A `Tree` is used as it is; a plain Graph
-    with m = n - 1 is validated as a tree here. A route that is not auto or
-    a KemenyRoute value raises InputError.
+    value is computed. W and the Gutman index do not depend on the route:
+    on a tree W is the edge-cut sum and Gut = 4W - (n-1)(2n-1), and on a
+    cyclic graph both come from one BFS per source, after K. On a cyclic
+    graph the sparse route checks the BFS work before any of its own
+    limits, and the forest route raises ResourceLimitError above
+    MAX_DENSE_VERTICES. A `Tree` is used as it is; a plain Graph with
+    m = n - 1 is validated as a tree here. A route that is not auto or a
+    KemenyRoute value raises InputError.
     """
     check_type("graph", g, Graph)
     _require_connected(g)
@@ -228,24 +254,20 @@ def compute_invariants(g: Graph, route: KemenyRoute | str = "auto") -> Invariant
     if tree is not None:
         wiener = wiener_edge_cut_route(tree)
         gutman = 4 * wiener - (g.n - 1) * (2 * g.n - 1)
-    elif chosen is KemenyRoute.FOREST:
-        _require_dense_size(g.n)
-        d = all_pairs_distances(g)
-        wiener, gutman = wiener_distance_route(d), gutman_index(g, d)
-    else:  # the sparse route checks all its limits before any BFS
-        from .sparse import sparse_invariants
-
-        wiener, gutman, kappa = sparse_invariants(g)
+    elif chosen is KemenyRoute.SPARSE:  # every limit before any BFS or numeric step
+        _require_distance_work(g)
     if chosen is KemenyRoute.FOREST:
         kappa = kemeny_forest_route(g)
     elif chosen is KemenyRoute.WIENER:
         kappa = kemeny_from_wiener(g.n, wiener)
     elif chosen is KemenyRoute.EDGE_CUT:
         kappa = kemeny_edge_cut_route(tree)
-    elif tree is not None:
+    else:
         from .sparse import kemeny_sparse_route
 
-        kappa = kemeny_sparse_route(tree)
+        kappa = kemeny_sparse_route(g)
+    if tree is None:
+        wiener, gutman = _distance_sums(g)
     return InvariantReport(
         n=g.n,
         m=g.m,

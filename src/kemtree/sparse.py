@@ -1,5 +1,4 @@
-"""Kemeny's constant, the Wiener index and the Gutman index of a connected
-graph without an n x n matrix.
+"""Kemeny's constant of a connected graph without an n x n matrix.
 
 Kemeny's constant comes from the resistance form (Klein and Randic, J. Math.
 Chem. 12, 1993). Ground vertex 0, let M = L0^-1 for the grounded Laplacian
@@ -21,24 +20,21 @@ N = 2m sum_i d_i A_ii - d0^T A d0 in (0, 4 m^2 prod d_v], so the residues of
 N and D are N and D themselves, the forest route's own numerator and
 denominator.
 
-W and the Gutman index come from one BFS per source, in O(n (n + m)) time
-and O(n) memory. Each limit is checked before the work it bounds and raises
+Each limit is checked before the work it bounds and raises
 ResourceLimitError: a modulus of more bits than the largest tabled Mersenne
-exponent, BFS work n (n + m) above MAX_DISTANCE_WORK, and elimination work
-above MAX_ELIMINATION_WORK. The elimination work, the sum of the squared
-pivot row sizes times the words of the modulus, is counted by a
-minimum-degree pass over the pattern alone, whose order the numeric pass
-then follows.
+exponent, and elimination work above MAX_ELIMINATION_WORK. The elimination
+work, the sum of the squared pivot row sizes times the words of the
+modulus, is counted by a minimum-degree pass over the pattern alone, whose
+order the numeric pass then follows.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from operator import mul
 
 from .errors import InputError, ResourceLimitError, check_type
-from .graphs import Graph, bfs_distances
+from .graphs import Graph
 from .invariants import _require_connected
 
 # Exponents e of Mersenne primes 2^e - 1 (OEIS A000043); the tests prove those
@@ -46,11 +42,6 @@ from .invariants import _require_connected
 MERSENNE_EXPONENTS = (
     61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937,
 )
-# Most BFS work n (n + m) for W and the Gutman index. The sums took 0.17 s at
-# 2 * 10^6 (the 1,000-vertex cycle), 0.76 s at 8 * 10^6 and 1.49 s at
-# 1.8 * 10^7 (the 3,000-vertex cycle), about 95 ns a unit at most, in one
-# process on a 2-core Xeon under Python 3.11.
-MAX_DISTANCE_WORK = 20_000_000
 # Most elimination work: the sum over pivots of (fill degree + 1)^2, times
 # the 64-bit words of the modulus. One unit took 0.16-0.52 microseconds for
 # moduli up to 2^3217 - 1 (grids, random graphs, complete graphs, cycles) and
@@ -59,14 +50,6 @@ MAX_DISTANCE_WORK = 20_000_000
 # n = 300 and m = 600 1.36 * 10^6 (0.28 s); the 30 x 30 grid (7.3 * 10^6) is
 # refused.
 MAX_ELIMINATION_WORK = 4_000_000
-
-
-def _require_distance_work(g: Graph) -> None:
-    work = g.n * (g.n + g.m)
-    if work > MAX_DISTANCE_WORK:
-        raise ResourceLimitError(
-            f"distance work n(n + m) = {work} exceeds the sparse-route limit {MAX_DISTANCE_WORK}"
-        )
 
 
 def _exponent(g: Graph) -> int:
@@ -162,17 +145,6 @@ def _eliminate(g: Graph, order: list[int], e: int) -> Fraction:
     return Fraction(tau * (two_m * t - q) % p, two_m * tau % p)
 
 
-def _distance_sums(g: Graph) -> tuple[int, int]:
-    """W and the Gutman index of a connected graph from one BFS per source."""
-    deg = g.degrees
-    total = weighted = 0
-    for s in range(g.n):
-        dist = bfs_distances(g.adjacency, s)
-        total += sum(dist)
-        weighted += deg[s] * sum(map(mul, deg, dist))
-    return total // 2, weighted // 2
-
-
 def kemeny_sparse_route(g: Graph) -> Fraction:
     """Kemeny's constant of a connected graph by the modular sparse
     elimination; ResourceLimitError, before any numeric step, when the
@@ -184,12 +156,3 @@ def kemeny_sparse_route(g: Graph) -> Fraction:
     e = _exponent(g)
     return _eliminate(g, _elimination_order(g, e), e)
 
-
-def sparse_invariants(g: Graph) -> tuple[int, int, Fraction]:
-    """W, the Gutman index and K of a connected graph with a cycle. All three
-    limits are checked before any BFS or numeric step."""
-    _require_distance_work(g)
-    e = _exponent(g)
-    order = _elimination_order(g, e)
-    wiener, gutman = _distance_sums(g)
-    return wiener, gutman, _eliminate(g, order, e)

@@ -340,6 +340,67 @@ def automorphism_count(code: bytes) -> int:
     return _rooted_aut(a) * _rooted_aut(b) * (2 if a == b else 1)
 
 
+def degree_multiset(n: int, attach: bytes) -> tuple[int, ...]:
+    """Vertex degrees, largest first, of the tree of order n in which
+    vertex k hangs from attach[k-1]."""
+    degree = [1] * n
+    degree[0] = 0
+    for a in attach:
+        degree[a] += 1
+    return tuple(sorted(degree, reverse=True))
+
+
+def labelings(n: int, entries) -> tuple[int, int, Counter]:
+    """The labelings n!/|Aut T| of a family's trees of order n, read from
+    its entries (code, attach, W, diameter) and summed: in all, weighted by
+    each carried W, and per degree multiset read from the attachment bytes."""
+    total = wiener = 0
+    by_degrees: Counter = Counter()
+    for code, attach, w, _ in entries:
+        count = math.factorial(n) // automorphism_count(code)
+        total += count
+        wiener += count * w
+        by_degrees[degree_multiset(n, attach)] += count
+    return total, wiener, by_degrees
+
+
+def labeled_wiener_sum(n: int) -> Fraction:
+    """The sum of W over the labeled trees of order n: two given vertices
+    are k edges apart in (n-2)!/(n-k-1)! (k+1) n^(n-k-2) of them (Meir and
+    Moon, J. Combin. Theory 8, 1970), and there are C(n, 2) pairs."""
+    f = math.factorial
+    return math.comb(n, 2) * sum(
+        k * Fraction(f(n - 2), f(n - k - 1)) * (k + 1) * Fraction(n) ** (n - k - 2)
+        for k in range(1, n)
+    )
+
+
+def labeled_trees_by_degrees(n: int) -> dict[tuple[int, ...], int]:
+    """For each degree multiset of a tree of order n, largest first, the
+    labeled trees with it. By Pruefer's bijection, vertex i has degree d_i
+    in (n-2)!/prod_i (d_i - 1)! labeled trees, and a multiset with c_j
+    vertices of degree j falls on n!/prod_j c_j! vertex orders (Moon,
+    Counting Labelled Trees, 1970). The excesses d_i - 1 run over the
+    partitions of n - 2."""
+    if n == 1:
+        return {(0,): 1}
+    f = math.factorial
+
+    def partitions(total: int, largest: int):
+        if total == 0:
+            yield ()
+        for first in range(min(total, largest), 0, -1):
+            for rest in partitions(total - first, first):
+                yield (first, *rest)
+
+    counts = {}
+    for excess in partitions(n - 2, n - 2):
+        degrees = tuple(e + 1 for e in excess) + (1,) * (n - len(excess))
+        orders = f(n) // math.prod(f(c) for c in Counter(degrees).values())
+        counts[degrees] = orders * f(n - 2) // math.prod(f(e) for e in excess)
+    return counts
+
+
 def rooted_tree_counts(N: int) -> list[int]:
     """r(0..N), the number of rooted trees of each order (OEIS A000081), by
     the Euler-transform recurrence

@@ -654,12 +654,28 @@ class _CountingRaw(io.RawIOBase):
 CENSUS_11 = ["mates", "11", "--mode", "census"]
 
 
-def test_table_and_csv_rows_in_batches_equal_rows_written_one_at_a_time(capsys):
-    rows, table, csv_text = _rows_written_one_at_a_time(CENSUS_11)
-    assert len(rows) == 2797  # 11 batches, the last one partial
-    code, out, _ = run(capsys, *CENSUS_11)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        CENSUS_11,
+        ["enum", "8"],
+        ["extremal", "9", "--objective", "max", "--metric", "kemeny"],
+        ["mates", "9", "--mode", "op1"],
+        ["maximal", "10", "4", "--check-theorem"],
+        ["invariants", "fixtures/spider_2_5.txt", "--omega"],
+    ],
+    ids=" ".join,
+)
+def test_table_and_csv_rows_in_batches_equal_rows_written_one_at_a_time(
+    monkeypatch, capsys, argv
+):
+    monkeypatch.chdir(FIXTURES.parent)
+    rows, table, csv_text = _rows_written_one_at_a_time(argv)
+    if argv == CENSUS_11:
+        assert len(rows) == 2797  # 11 batches, the last one partial
+    code, out, _ = run(capsys, *argv)
     assert code == 0 and out == table
-    code, out, _ = run(capsys, "--csv", *CENSUS_11)
+    code, out, _ = run(capsys, "--csv", *argv)
     assert code == 0 and out == csv_text
 
 

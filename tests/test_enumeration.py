@@ -1,10 +1,8 @@
 import itertools
-import math
 import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -149,30 +147,36 @@ def test_center_rooting_child_lists_are_sorted_and_spell_each_code():
             _check_center_rooting(helpers.random_tree(rng, n).adjacency)
 
 
-def _labeled_wiener_sum(n):
-    """The sum of W over the labeled trees of order n: two given vertices
-    are k edges apart in (n-2)!/(n-k-1)! (k+1) n^(n-k-2) of them (Meir and
-    Moon, J. Combin. Theory 8, 1970), and there are C(n, 2) pairs."""
-    f = math.factorial
-    return math.comb(n, 2) * sum(
-        k * Fraction(f(n - 2), f(n - k - 1)) * (k + 1) * Fraction(n) ** (n - k - 2)
-        for k in range(1, n)
-    )
-
-
 def test_layers_satisfy_the_cayley_orbit_identity():
     # each free tree T has n!/|Aut(T)| labelings, and there are n^(n-2)
     # labeled trees in all, so a missing or repeated class breaks the sum;
     # weighting each carried W by the same count gives the labeled trees'
-    # Wiener sum, which a wrong W breaks
+    # Wiener sum, which a wrong W breaks; summed per degree multiset, read
+    # from the attachment bytes, it gives Moon's count of labeled trees with
+    # those degrees, which wrong attachment bytes break
     for n in range(1, 17):
-        labelings = wiener = 0
-        for code, _, w, _ in _layer(n):
-            count = math.factorial(n) // helpers.automorphism_count(code)
-            labelings += count
-            wiener += count * w
+        labelings, wiener, by_degrees = helpers.labelings(n, _layer(n))
         assert labelings == (n ** (n - 2) if n > 1 else 1)
-        assert wiener == _labeled_wiener_sum(n)
+        assert wiener == helpers.labeled_wiener_sum(n)
+        assert by_degrees == helpers.labeled_trees_by_degrees(n)
+
+
+def test_the_degree_identity_catches_attachment_bytes_the_cayley_sum_misses():
+    # one order-13 entry takes the attachment bytes of a tree with as many
+    # automorphisms but other degrees: the code, |Aut| and W it carries are
+    # unchanged, so only the per-degree sums see it
+    entries = list(_layer(13))
+    first = entries[0]
+    i = next(
+        i
+        for i, e in enumerate(entries)
+        if helpers.automorphism_count(e.code) == helpers.automorphism_count(first.code)
+        and helpers.degree_multiset(13, e.attach) != helpers.degree_multiset(13, first.attach)
+    )
+    entries[0] = first._replace(attach=entries[i].attach)
+    labelings, wiener, by_degrees = helpers.labelings(13, entries)
+    assert labelings == 13**11 and wiener == helpers.labeled_wiener_sum(13)
+    assert by_degrees != helpers.labeled_trees_by_degrees(13)
 
 
 def test_automorphism_count_small_trees():

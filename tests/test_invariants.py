@@ -278,7 +278,7 @@ def test_compute_invariants_matches_distance_matrix_oracle():
         assert report.gutman == kt.gutman_index(g, d)
 
 
-def test_compute_invariants_builds_no_distance_matrix_on_trees(monkeypatch):
+def test_compute_invariants_builds_no_distance_matrix_on_any_route(monkeypatch):
     calls = []
     real = graphs.all_pairs_distances
 
@@ -292,7 +292,7 @@ def test_compute_invariants_builds_no_distance_matrix_on_trees(monkeypatch):
     kt.compute_invariants(helpers.path_graph(30), "forest")
     assert calls == []
     kt.compute_invariants(helpers.cycle_graph(5), "forest")
-    assert calls == [5]
+    assert calls == []
     # a disconnected graph still names the first vertex unreachable from 0,
     # also when its edge count is that of a tree
     for g, pair in [
@@ -310,7 +310,7 @@ def _forbid_dense_matrices(monkeypatch):
 
     # `linalg` is imported where a matrix is read, so its builder is patched there
     monkeypatch.setattr(linalg, "laplacian", built)
-    monkeypatch.setattr(invariants, "all_pairs_distances", built)
+    monkeypatch.setattr(graphs, "all_pairs_distances", built)
 
 
 def test_tree_only_route_on_a_cycle_is_refused_before_any_distance(monkeypatch):

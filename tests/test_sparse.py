@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kemtree as kt
-from kemtree import sparse
+from kemtree import invariants, sparse
 from kemtree.cli import main
 from kemtree.errors import DisconnectedError, InputError, ResourceLimitError
 
@@ -53,7 +53,7 @@ def test_sparse_route_matches_the_forest_route_and_the_distance_matrix(n, data, 
     _check_modulus(g)
     assert sparse.kemeny_sparse_route(g) == kt.kemeny_forest_route(g)
     d = kt.all_pairs_distances(g)
-    assert sparse._distance_sums(g) == (kt.wiener_distance_route(d), kt.gutman_index(g, d))
+    assert invariants._distance_sums(g) == (kt.wiener_distance_route(d), kt.gutman_index(g, d))
     perm = list(range(n))
     rng.shuffle(perm)
     assert sparse.kemeny_sparse_route(helpers.relabel_graph(g, perm)) == kt.kemeny_forest_route(g)
@@ -123,7 +123,7 @@ def _forbid_work(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a BFS or numeric step ran")
 
-    monkeypatch.setattr(sparse, "_distance_sums", forbidden)
+    monkeypatch.setattr(invariants, "_distance_sums", forbidden)
     monkeypatch.setattr(sparse, "_eliminate", forbidden)
 
 
@@ -165,5 +165,5 @@ def test_the_limits_admit_their_measured_workloads():
     # tenths of a second; their work stays well under each bound
     rng = random.Random(12)
     for g in (grid_graph(20, 20), helpers.random_graph_with_edges(rng, 300, 600)):
-        sparse._require_distance_work(g)
+        invariants._require_distance_work(g)
         sparse._elimination_order(g, sparse._exponent(g))

@@ -1,8 +1,8 @@
 """Start-up cost: which modules a fresh process loads, and the lazy package.
 
 `kemtree/__init__` resolves its exports on first read, and the CLI imports
-`fractions`, `json`, `csv`, `hashlib` and every kemtree module but `errors`
-only in the code paths that use them. The import-set checks run fresh
+`fractions`, `json`, `hashlib` and every kemtree module but `errors` only
+in the code paths that use them; it writes CSV without the `csv` module. The import-set checks run fresh
 interpreters, since this test process has already loaded every module.
 """
 
