@@ -27,7 +27,8 @@ build no Tree: census lines format the carried code and attachment bytes
 (`enumeration.entry_line`). The op1
 mate scan and `maximal` read the same entries as adjacency lists and build
 a Tree only for a move they report, its source and its checking rebuild;
-only an op1 surgery result is coded afresh. Census `mates` counts its
+only an op1 surgery result is coded afresh, and an op1 pair keeps the two
+trees' edge tuples, not the Trees. Census `mates` counts its
 pairs before it makes one and exits 3 above MAX_CENSUS_PAIRS, which admits
 order 16 and refuses order 17.
 
@@ -234,8 +235,8 @@ def cmd_mates(args):
         pairs = (
             (
                 p.wiener,
-                census_line(p.code_a, p.tree_a.edges),
-                census_line(p.code_b, p.tree_b.edges),
+                census_line(p.code_a, p.edges_a),
+                census_line(p.code_b, p.edges_b),
             )
             for p in mates
         )

@@ -465,6 +465,7 @@ def census_line(code: CanonicalCode, edges: tuple[Edge, ...]) -> str:
     """
     check_type("canonical code", code, bytes)
     try:
+        edges = tuple(edges)  # read once: the fallback below reads it again
         try:
             text = " ".join(map(_EDGE_TEXT.__getitem__, edges))
         except KeyError:

@@ -28,7 +28,8 @@ take a TreeFamily, which `enumeration` builds (anything else raises
 InputError), and read only its TreeEntry
 records, on each entry's adjacency lists (`TreeEntry.adjacency`); they
 build a Tree only for the source and the result of a move they report,
-whose rebuild checks the scan.
+whose rebuild checks the scan. A mate pair keeps only the two trees' edge
+tuples, so the pairs held for sorting hold no Tree.
 
 A tree covers another when some single branch relocation maps one to the
 other with equal diameter and strictly larger Wiener index. Maximal
@@ -261,13 +262,15 @@ def _relocation_diameters(adj, i1: int, parent, order, depth, top):
 class MatePair(NamedTuple):
     """Two non-isomorphic same-order trees with identical Wiener index, so
     identical Kemeny's constant `kemeny_from_wiener(order, wiener)`,
-    produced by a zero-delta contract-and-subdivide."""
+    produced by a zero-delta contract-and-subdivide. Each tree is its
+    canonical code and its sorted edge tuple, as `Tree.edges` gives it;
+    `tree_from_edges(order, edges_a)` rebuilds it."""
 
     order: int
     code_a: CanonicalCode
     code_b: CanonicalCode
-    tree_a: Tree
-    tree_b: Tree
+    edges_a: tuple[Edge, ...]
+    edges_b: tuple[Edge, ...]
     wiener: int
 
 
@@ -376,7 +379,8 @@ def generate_mates_op1(fam: TreeFamily) -> tuple[MatePair, ...]:
     built once for its first new pair. Two checks run on the rebuild: its
     Wiener index, taken by the edge-cut route, must equal the source's
     carried one, and its canonical code the screened one. Either mismatch
-    raises TheoremViolationError.
+    raises TheoremViolationError. A pair keeps the two trees' edge tuples,
+    not the Trees, so the result holds no Graph.
     """
     check_type("family", fam, TreeFamily)
     n = fam.n
@@ -401,14 +405,8 @@ def generate_mates_op1(fam: TreeFamily) -> tuple[MatePair, ...]:
                 raise TheoremViolationError(
                     f"op1 screen and rebuild disagree on candidate {i1}->{i2}"
                 )
-            found[key] = MatePair(
-                order=n,
-                code_a=key[0],
-                code_b=key[1],
-                tree_a=tree if code_a == key[0] else mate,
-                tree_b=mate if code_a == key[0] else tree,
-                wiener=w_a,
-            )
+            edges = (tree.edges, mate.edges) if code_a < code_b else (mate.edges, tree.edges)
+            found[key] = MatePair(n, *key, *edges, w_a)
     return tuple(found[key] for key in sorted(found))
 
 

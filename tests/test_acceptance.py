@@ -224,15 +224,18 @@ def test_criterion_08_mate_generation_to_15():
     assert mates
     for pair in mates:
         assert pair.code_a != pair.code_b
-        assert pair.tree_a.n == pair.tree_b.n == pair.order <= 15
+        tree_a = kt.tree_from_edges(pair.order, pair.edges_a)
+        tree_b = kt.tree_from_edges(pair.order, pair.edges_b)
+        assert (kt.canonical_code(tree_a), kt.canonical_code(tree_b)) == (pair.code_a, pair.code_b)
+        assert tree_a.n == tree_b.n == pair.order <= 15
         assert (
-            kt.wiener_edge_cut_route(pair.tree_a)
-            == kt.wiener_edge_cut_route(pair.tree_b)
+            kt.wiener_edge_cut_route(tree_a)
+            == kt.wiener_edge_cut_route(tree_b)
             == pair.wiener
         )
         assert (
-            kt.kemeny_wiener_route(pair.tree_a)
-            == kt.kemeny_wiener_route(pair.tree_b)
+            kt.kemeny_wiener_route(tree_a)
+            == kt.kemeny_wiener_route(tree_b)
             == kt.kemeny_from_wiener(pair.order, pair.wiener)
         )
     ma = helpers.load_tree("mates15_a")

@@ -642,6 +642,15 @@ def test_census_line_is_plain_edge_formatting_inside_and_outside_its_table():
     assert kt.census_line(b"()()", ((0, 40),)) == "28292829 0-40"
 
 
+def test_census_line_reads_a_one_shot_iterable_like_a_list():
+    # inside the edge table and past it, where the edges are read a second time
+    for edges, line in [
+        ([(0, 1), (1, 2)], "2829 0-1 1-2"),
+        ([(0, 1), (100, 200)], "2829 0-1 100-200"),
+    ]:
+        assert kt.census_line(b"()", edges) == kt.census_line(b"()", iter(edges)) == line
+
+
 def test_entry_lines_are_the_census_lines_of_their_edges():
     for n in range(1, 13):
         for e in kt.enumerate_trees(n).entries:

@@ -232,12 +232,13 @@ def test_transform_records_keep_their_fields_and_are_frozen():
         order=8,
         code_a=b"((()()()())(()))",
         code_b=b"((()())(())()())",
-        tree_a=pair.tree_a,
-        tree_b=pair.tree_b,
+        edges_a=((0, 1), (0, 3), (0, 5), (0, 6), (0, 7), (1, 2), (2, 4)),
+        edges_b=((0, 1), (0, 2), (0, 6), (0, 7), (1, 3), (1, 5), (2, 4)),
         wiener=62,
     )
     assert kt.kemeny_from_wiener(pair.order, pair.wiener) == Fraction(143, 14)
-    assert kt.canonical_code(pair.tree_a) == pair.code_a
+    assert kt.canonical_code(kt.tree_from_edges(pair.order, pair.edges_a)) == pair.code_a
+    assert kt.canonical_code(kt.tree_from_edges(pair.order, pair.edges_b)) == pair.code_b
 
     lower, upper = helpers.load_tree("spider_1_6"), helpers.load_tree("spider_2_5")
     witness = kt.covers(lower, upper)

@@ -176,7 +176,10 @@ def test_generate_mates_smallest_order_is_7():
     pair = mates[0]
     assert pair.wiener == 46
     assert pair.code_a != pair.code_b
-    assert not helpers.brute_force_isomorphic(pair.tree_a, pair.tree_b)
+    tree_a = kt.tree_from_edges(pair.order, pair.edges_a)
+    tree_b = kt.tree_from_edges(pair.order, pair.edges_b)
+    assert (kt.canonical_code(tree_a), kt.canonical_code(tree_b)) == (pair.code_a, pair.code_b)
+    assert not helpers.brute_force_isomorphic(tree_a, tree_b)
 
 
 def test_generate_mates_pairs_are_exact_mates_up_to_10():
@@ -188,10 +191,13 @@ def test_generate_mates_pairs_are_exact_mates_up_to_10():
         key = (pair.code_a, pair.code_b)
         assert key not in seen
         seen.add(key)
-        assert pair.tree_a.n == pair.tree_b.n == pair.order
-        assert wiener(pair.tree_a) == wiener(pair.tree_b) == pair.wiener
-        ka = kt.kemeny_forest_route(pair.tree_a)
-        kb = kt.kemeny_forest_route(pair.tree_b)
+        tree_a = kt.tree_from_edges(pair.order, pair.edges_a)
+        tree_b = kt.tree_from_edges(pair.order, pair.edges_b)
+        assert (kt.canonical_code(tree_a), kt.canonical_code(tree_b)) == key
+        assert tree_a.n == tree_b.n == pair.order
+        assert wiener(tree_a) == wiener(tree_b) == pair.wiener
+        ka = kt.kemeny_forest_route(tree_a)
+        kb = kt.kemeny_forest_route(tree_b)
         assert ka == kb == kt.kemeny_from_wiener(pair.order, pair.wiener)
 
 
@@ -486,6 +492,21 @@ def test_mate_scan_roots_each_tree_once_and_rebuilds_only_new_pairs(monkeypatch)
         monkeypatch.setattr(transforms, name, counting)
     mates = kt.generate_mates_op1(kt.enumerate_trees(12))
     assert calls == {"apply_op1": len(mates), "rooted_traversal": len(kt.enumerate_trees(12))}
+
+
+def test_mate_pairs_hold_edge_tuples_and_one_side_is_its_source_entry():
+    fam = kt.enumerate_trees(12)
+    entries = {e.code: e for e in fam.entries}
+    mates = kt.generate_mates_op1(fam)
+    assert mates
+    for pair in mates:
+        assert not any(isinstance(field, kt.Graph) for field in pair)
+        sides = [(pair.code_a, pair.edges_a), (pair.code_b, pair.edges_b)]
+        assert all(type(u) is type(v) is int for _, edges in sides for u, v in edges)
+        sources = [(code, edges) for code, edges in sides if entries[code].edges == edges]
+        assert sources
+        for code, edges in sources:
+            assert kt.census_line(code, edges) == enumeration.entry_line(entries[code])
 
 
 def test_mate_scan_takes_each_source_wiener_index_from_its_family(monkeypatch):
