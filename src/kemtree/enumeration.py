@@ -152,7 +152,9 @@ class TreeFamily:
         return len(self.entries)
 
     def where(self, keep: Callable[[TreeEntry], bool], diameter: int | None) -> TreeFamily:
-        """The entries `keep` accepts, as a family of `diameter`."""
+        """The entries `keep` accepts, as a family of `diameter`; `keep` must be callable."""
+        if not callable(keep):
+            raise InputError(f"filter must be callable, not {type(keep).__name__}")
         return TreeFamily(self.n, diameter, tuple(filter(keep, self.entries)))
 
 

@@ -4,7 +4,8 @@ Vertices are dense 0-based integer labels, which keeps every matrix and
 array operation O(1)-indexable. A Graph is immutable. A Tree is a Graph
 validated connected and acyclic at construction; it computes its
 eccentricities, radius, diameter and center on first read. The distance
-matrix of a tree, as of any connected graph, is `all_pairs_distances(g)`.
+matrix of a tree, as of any connected graph, is `all_pairs_distances(g)`;
+its rows come from `_connected_distances`, the check that names a missing pair.
 The traversals take adjacency lists, a Graph's or a family entry's
 (`TreeEntry.adjacency`), so a scan need not build a Tree to walk one.
 A rooted traversal of a graph with a cycle would never end, so a public
@@ -34,8 +35,8 @@ def _normalize(u: int, v: int) -> Edge:
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with sorted adjacency lists.
 
-    Each edge is a pair of int labels; an edge that is not a pair, or a
-    label that is a bool or not an int, raises InputError.
+    Each edge is a pair of int labels; edges that are not iterable, an edge
+    that is not a pair, or a label that is a bool or not an int raise InputError.
     """
 
     __slots__ = ("n", "edges", "adjacency")
@@ -46,6 +47,10 @@ class Graph:
             raise InputError("vertex count must be positive")
         seen: set[Edge] = set()
         adj: list[list[int]] = [[] for _ in range(n)]
+        try:
+            edges = iter(edges)
+        except TypeError:
+            raise InputError(f"edges must be iterable, not {type(edges).__name__}") from None
         for edge in edges:
             try:
                 u, v = edge
@@ -188,17 +193,19 @@ def bfs_distances(adjacency: Sequence[Sequence[int]], source: int) -> list[int]:
     return dist
 
 
+def _connected_distances(g: Graph, s: int) -> list[int]:
+    """Hop distances from `s` in `g`; DisconnectedError(s, v) names the
+    first vertex v, in label order, that the BFS from `s` misses."""
+    row = bfs_distances(g.adjacency, s)
+    if -1 in row:
+        raise DisconnectedError(s, row.index(-1))
+    return row
+
+
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """BFS from every vertex; raises DisconnectedError naming one missing pair."""
     check_type("graph", g, Graph)
-    rows = []
-    for s in range(g.n):
-        row = bfs_distances(g.adjacency, s)
-        for v, d in enumerate(row):
-            if d < 0:
-                raise DisconnectedError(s, v)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(tuple(_connected_distances(g, s)) for s in range(g.n))
 
 
 def double_sweep(adjacency: Sequence[Sequence[int]]) -> tuple[list[int], int]:

@@ -15,19 +15,21 @@ Kemeny's constant is available through four independent routes:
   vertices;
 * Wiener relation (trees only): `kemeny_from_wiener`, from W and n;
 * edge-cut route (trees only): sum over edges of
-  (2 n1 - 1)(2 n2 - 1) / (2 (n - 1)), with n1, n2 the component sizes
-  left by removing the edge.
+  (2 n1 - 1)(2 n2 - 1) / (2 (n - 1)), with n1 = s and n2 = n - s for the
+  subtree sizes s of a rooting at vertex 0, one per edge but the root.
 
 W and the Gutman index do not depend on the route. On a tree they come from
-the edge-cut sum; on a cyclic graph from one BFS per source, in
-O(n (n + m)) time and O(n) memory. On the sparse route that BFS work is
-checked against MAX_DISTANCE_WORK before any other step, raising
-ResourceLimitError; on the forest route MAX_DENSE_VERTICES bounds it.
+the edge-cut sum W = sum s (n - s) over the same sizes; on a cyclic graph
+from one BFS per source, in O(n (n + m)) time and O(n) memory. On the
+sparse route that BFS work is checked against MAX_DISTANCE_WORK before any
+other step, raising ResourceLimitError; on the forest route
+MAX_DENSE_VERTICES bounds it.
 
 All values are exact: integers or Fractions, never floats. Only the
 functions that read a matrix (the forest route, `wiener_distance_route` and
 `gutman_index`) import `linalg`, and only the sparse route imports
-`sparse`, so the invariants of a tree load neither.
+`sparse`, so the invariants of a tree load neither. Connectivity is
+checked by `graphs._connected_distances`.
 """
 
 from __future__ import annotations
@@ -39,10 +41,10 @@ from fractions import Fraction
 from operator import mul
 from typing import Mapping, NamedTuple
 
-from .errors import DisconnectedError, InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError
 from .errors import RouteRequiresTreeError, check_int, check_type
 from .graphs import DistanceMatrix, Edge, Graph, Tree, bfs_distances
-from .graphs import rooted_traversal, tree_from_graph
+from .graphs import _connected_distances, rooted_traversal, tree_from_graph
 
 # Most vertices of a graph that gets an n x n matrix: the grounded Laplacian
 # and its adjugate on the forest route. On a random connected graph with
@@ -80,23 +82,16 @@ class WeightedEdgeMap(NamedTuple):
         return tuple(sorted(self.weights.values()))
 
 
-def _child_split_sizes(t: Tree) -> dict[Edge, int]:
-    """For each edge, the size of the component on the child side of a
-    traversal rooted at vertex 0. Only the product with (n - size) is ever
-    used, so the orientation choice is immaterial. A Graph that is not a
-    tree raises NotATreeError."""
+def omega_weights(t: Tree) -> WeightedEdgeMap:
+    """Split weight n1(e) * n2(e) for every edge of the tree, from the subtree
+    sizes of a rooting at vertex 0; NotATreeError unless `t` is a tree."""
     parent, _, size = rooted_traversal(tree_from_graph(t).adjacency, 0)
-    return {
-        (min(v, p), max(v, p)): size[v]
+    n = len(size)
+    weights = {
+        (min(v, p), max(v, p)): size[v] * (n - size[v])
         for v, p in enumerate(parent)
         if p >= 0
     }
-
-
-def omega_weights(t: Tree) -> WeightedEdgeMap:
-    """Split weight n1(e) * n2(e) for every edge of the tree."""
-    sizes = _child_split_sizes(t)  # validates t first
-    weights = {e: s * (t.n - s) for e, s in sizes.items()}
     return WeightedEdgeMap(weights=weights, total=sum(weights.values()))
 
 
@@ -110,8 +105,11 @@ def wiener_distance_route(d: DistanceMatrix) -> int:
 
 
 def wiener_edge_cut_route(t: Tree) -> int:
-    """Wiener index as the sum of edge split weights; trees only."""
-    return omega_weights(t).total
+    """Wiener index, the sum of s (n - s) over the subtree sizes s of a
+    rooting at vertex 0 (the root's term is 0); trees only."""
+    size = rooted_traversal(tree_from_graph(t).adjacency, 0)[2]
+    n = len(size)
+    return sum(s * (n - s) for s in size)
 
 
 def gutman_index(g: Graph, d: DistanceMatrix) -> int:
@@ -130,13 +128,6 @@ def gutman_index(g: Graph, d: DistanceMatrix) -> int:
         di = deg[i]
         total += di * sum(row[j] * deg[j] for j in range(g.n))
     return total // 2
-
-
-def _require_connected(g: Graph) -> None:
-    row = bfs_distances(g.adjacency, 0)
-    for v, dist in enumerate(row):
-        if dist < 0:
-            raise DisconnectedError(0, v)
 
 
 def _require_distance_work(g: Graph) -> None:
@@ -175,7 +166,7 @@ def kemeny_forest_route(g: Graph) -> Fraction:
     check_type("graph", g, Graph)
     if g.n < 2:
         raise InputError("Kemeny's constant needs at least two vertices")
-    _require_connected(g)
+    _connected_distances(g, 0)
     if g.n > MAX_DENSE_VERTICES:
         raise ResourceLimitError(
             f"{g.n} vertices exceed the dense-route limit {MAX_DENSE_VERTICES}"
@@ -209,9 +200,8 @@ def kemeny_edge_cut_route(t: Tree) -> Fraction:
     n = t.n
     if n < 2:
         raise InputError("Kemeny's constant needs at least two vertices")
-    acc = 0
-    for s in _child_split_sizes(t).values():
-        acc += (2 * s - 1) * (2 * (n - s) - 1)
+    size = rooted_traversal(tree_from_graph(t).adjacency, 0)[2]
+    acc = sum((2 * s - 1) * (2 * (n - s) - 1) for s in size[1:])
     return Fraction(acc, 2 * (n - 1))
 
 
@@ -240,7 +230,7 @@ def compute_invariants(g: Graph, route: KemenyRoute | str = "auto") -> Invariant
     KemenyRoute value raises InputError.
     """
     check_type("graph", g, Graph)
-    _require_connected(g)
+    _connected_distances(g, 0)
     tree = tree_from_graph(g) if g.m == g.n - 1 else None
     if route == "auto":
         route = KemenyRoute.EDGE_CUT if tree is not None else KemenyRoute.SPARSE

@@ -34,8 +34,7 @@ import heapq
 from fractions import Fraction
 
 from .errors import InputError, ResourceLimitError, check_type
-from .graphs import Graph
-from .invariants import _require_connected
+from .graphs import Graph, _connected_distances
 
 # Exponents e of Mersenne primes 2^e - 1 (OEIS A000043); the tests prove those
 # up to 4423 prime by Lucas-Lehmer.
@@ -152,7 +151,7 @@ def kemeny_sparse_route(g: Graph) -> Fraction:
     check_type("graph", g, Graph)
     if g.n < 2:
         raise InputError("Kemeny's constant needs at least two vertices")
-    _require_connected(g)
+    _connected_distances(g, 0)
     e = _exponent(g)
     return _eliminate(g, _elimination_order(g, e), e)
 

@@ -122,6 +122,11 @@ def test_enumerating_subcommands_exit_0_to_3_without_traceback(capsys, argv):
         lambda: kt.census_line("x", ()),
         lambda: kt.census_line(b"()()", [(0,)]),
         lambda: kt.op1_delta_formula(None),
+        lambda: kt.Graph(3, None),
+        lambda: kt.Tree(3, 5),
+        lambda: kt.tree_from_edges(2, object()),
+        lambda: enumeration.enumerate_trees(5).where(5, None),
+        lambda: enumeration.enumerate_trees(5).where(None, None),
     ],
 )
 def test_an_argument_of_the_wrong_kind_raises_a_typed_error(call):

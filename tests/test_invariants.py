@@ -68,12 +68,28 @@ def test_omega_p4():
 def test_omega_split_sizes_sum_to_n():
     rng = random.Random(17)
     for _ in range(20):
-        t = helpers.random_tree(rng, rng.randrange(2, 12))
-        for (u, v), w in kt.omega_weights(t).weights.items():
+        t = helpers.random_tree(rng, rng.randrange(2, 41))
+        omega = kt.omega_weights(t)
+        for (u, v), w in omega.weights.items():
             # w = n1 * (n - n1) for some 1 <= n1 < n
             assert any(
                 w == s * (t.n - s) for s in range(1, t.n)
             )
+        # a random labelling, so a root-dependent slip cannot cancel
+        wiener = kt.wiener_distance_route(kt.all_pairs_distances(t))
+        assert omega.total == kt.wiener_edge_cut_route(t) == wiener
+
+
+def test_a_trees_edge_cut_sums_build_no_edge_keyed_map(monkeypatch):
+    def forbidden(t):
+        raise AssertionError("omega_weights called")
+
+    monkeypatch.setattr(invariants, "omega_weights", forbidden)
+    t = helpers.load_tree("spider_2_5")
+    assert invariants.wiener_edge_cut_route(t) == 108
+    assert invariants.kemeny_edge_cut_route(t) == Fraction(29, 2)
+    report = invariants.compute_invariants(t)
+    assert (report.wiener, report.kemeny) == (108, Fraction(29, 2))
 
 
 def test_omega_mates15_marked_edges():

@@ -43,10 +43,12 @@ ORACLE_FORBIDDEN = {
 # The kemtree library modules a launch loads, beyond the package and the CLI
 # module itself, and whether it loads `fractions`: the CLI module imports
 # only `errors`, a tree's invariants read no matrix and run no elimination, a
-# cyclic graph's read a matrix only on the forest route, and the generator
-# and the decode oracle build no Graph.
+# cyclic graph's read a matrix only on the forest route, the sparse route
+# takes its connectivity check from `graphs`, not `invariants`, and the
+# generator and the decode oracle build no Graph.
 LAUNCHES = {
     "import kemtree.cli": (("-c", "import kemtree.cli"), {"errors"}, False),
+    "import kemtree.sparse": (("-c", "import kemtree.sparse"), {"errors", "graphs", "sparse"}, True),
     "invariants on a tree": (
         ("-m", "kemtree.cli", "invariants", SPIDER), {"errors", "graphs", "invariants"}, True
     ),
