@@ -32,20 +32,12 @@ build a Tree, and they import `graphs` where they run, so the generator,
 census lines and the decode oracle load no `graphs`.
 
 `prufer_oracle_count` checks the generator's counts independently by
-decoding labeled-tree code sequences in the calling process. The decode
-joins the smallest current leaf to the next symbol, so the first symbol
-is the neighbour of the tree's smallest leaf; and a vertex v appears
-deg(v) - 1 times, so n - 1 is missing exactly when it is a leaf.
-Every tree of order n >= 3 can be labelled so: give a leaf 1, its
-neighbour 0 (no leaf, since n >= 3) and another leaf n - 1. So the
-oracle decodes only the (n-1)^(n-3) sequences that start with 0 and hold
-no n - 1, not all n^(n-2). It codes each decoded tree as it goes as a
-rooted shape at the leaf n - 1: each vertex's child multiset is the
-exact integer sum of n**id over its children's shape ids, interned as
-the next id. Those shapes are the planted trees, one per rooted tree of
-order n - 1, and each gets its canonical code once by the leaf peel. The
-count is the number of distinct codes; each order is decoded once per
-process.
+decoding, in the calling process, only the code sequences that
+`_oracle_codes` shows reach every tree. It codes each decoded tree as it
+goes as a rooted shape at the leaf n - 1 (`_decode_shape`). Those shapes
+are the planted trees, one per rooted tree of order n - 1, and each gets
+its canonical code once by the leaf peel. The count is the number of
+distinct codes; each order is decoded once per process.
 """
 
 from __future__ import annotations
@@ -66,10 +58,10 @@ MAX_ORDER_DEFAULT = 16
 # writes its rows as it makes them, peaks at 74 MB in 5.6-8.7 s (2-core
 # Xeon, Python 3.11). The ceiling stays at 18 until order 19 is measured.
 MAX_ORDER_HARD = 18
-# The order-9 decode of 8^6 = 262,144 sequences took 0.58-0.98 s, median
-# 0.88 s, in 5 fresh processes (2-core Xeon, Python 3.11); order 10 would
-# decode 9^7 = 4,782,969, 18 times as many.
-PRUFER_ORACLE_MAX = 9
+# Order 10 decodes 1 + 8^6 sequences in 0.63-0.66 s (median 0.64 s), order 9
+# in 0.037-0.039 s (5 fresh processes each, 2-core Xeon, Python 3.11); order
+# 11 would decode 1 + 9^7, 18 times as many.
+PRUFER_ORACLE_MAX = 10
 
 CanonicalCode = bytes
 
@@ -152,10 +144,18 @@ class TreeFamily:
         return len(self.entries)
 
     def where(self, keep: Callable[[TreeEntry], bool], diameter: int | None) -> TreeFamily:
-        """The entries `keep` accepts, as a family of `diameter`; `keep` must be callable."""
+        """The entries `keep` accepts, as a family of `diameter`: None, or an
+        int >= 0 that every kept entry has. `keep` must be callable."""
         if not callable(keep):
             raise InputError(f"filter must be callable, not {type(keep).__name__}")
-        return TreeFamily(self.n, diameter, tuple(filter(keep, self.entries)))
+        kept = tuple(filter(keep, self.entries))
+        if diameter is not None:
+            check_int("diameter", diameter)
+            if diameter < 0:
+                raise InputError(f"diameter must be >= 0, not {diameter}")
+            if any(e.diameter != diameter for e in kept):
+                raise InputError(f"a kept entry's diameter is not {diameter}")
+        return TreeFamily(self.n, diameter, kept)
 
 
 def _center_rooting(adj):
@@ -396,17 +396,28 @@ _decoded: dict[int, frozenset[CanonicalCode]] = {}
 
 
 def _oracle_codes(n: int) -> frozenset[CanonicalCode]:
-    """The distinct canonical codes of the trees of the (n-1)^(n-3) code
-    sequences of order n >= 3 that start with 0 and hold no n - 1,
-    decoded on the first call for each order and kept. The sequences are
-    decoded with one `ids`, so each distinct shape is expanded and coded
-    once."""
+    """The distinct canonical codes of the trees of order n >= 3, decoded
+    on the first call for each order and kept, from the star's code
+    sequence (0,) * (n - 2) and, for n >= 4, the (n-2)^(n-4) sequences
+    (0, *w, 2) with w any n - 4 symbols from 0, 2, 3, ..., n - 2.
+
+    These reach every tree. A tree of order n >= 4 that is not a star has
+    a longest path of length at least 3. Label that path's ends 1 and
+    n - 1, and their neighbours 0 and 2: these are distinct, and neither
+    is a leaf. A vertex appears one time fewer than its degree, so 1 and
+    n - 1 appear in no sequence, while 0 and 2 do. The decode removes the
+    smallest leaf, which is 1, so the first symbol is 0; n - 1 is never
+    removed, so the last two vertices left are n - 1 and its neighbour,
+    and the last symbol is 2. The sequences are decoded with one `ids`,
+    so each distinct shape is expanded and coded once."""
     cached = _decoded.get(n)
     if cached is not None:
         return cached
     ids: dict[int, int] = {}
-    seqs = itertools.product((0,), *[range(n - 1)] * (n - 3))
-    shapes = {_decode_shape(seq, n, ids) for seq in seqs}
+    star = (0,) * (n - 2)
+    symbols = (0, *range(2, n - 1))
+    rest = itertools.product((0,), *[symbols] * (n - 4), (2,)) if n > 3 else ()
+    shapes = {_decode_shape(seq, n, ids) for seq in itertools.chain((star,), rest)}
     table = tuple(ids)
     codes = frozenset(_code_from_adjacency(_shape_adjacency(s, n, table)) for s in shapes)
     _decoded[n] = codes
@@ -416,16 +427,11 @@ def _oracle_codes(n: int) -> frozenset[CanonicalCode]:
 def prufer_oracle_count(n: int) -> int:
     """Distinct canonical codes over the labeled trees of order n.
 
-    The decode joins the smallest leaf to the first symbol, and n - 1
-    appears in no sequence exactly when it is a leaf. Every tree of order
-    n >= 3 has a labelling whose leaf 1 hangs from 0 and whose n - 1 is
-    a leaf, so only the (n-1)^(n-3) sequences that start with 0 and hold
-    no n - 1 are decoded, in the calling process. Each tree is coded as a
-    rooted shape (an integer key) during the decode; each distinct shape
-    is expanded once and given its canonical code by the leaf peel.
-    Independent of the growth generator; capped because the sequence
-    space is exponential. The codes of each order are kept for the
-    process (`_oracle_codes`).
+    Decodes, in the calling process, the 1 + (n-2)^(n-4) code sequences
+    that `_oracle_codes` shows reach every tree, not all n^(n-2), coding
+    each tree as a rooted shape as it goes. Independent of the growth
+    generator; capped because the sequence space is exponential. Each
+    order's codes are kept for the process.
     """
     check_int("order", n)
     if n < 1:

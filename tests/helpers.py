@@ -215,6 +215,22 @@ def naive_prufer_decode(seq, n: int) -> set[frozenset[int]]:
     return edges
 
 
+def naive_prufer_encode(edges, n: int) -> tuple[int, ...]:
+    """Reference encode of a labeled tree of order n >= 2: remove the
+    smallest leaf n - 2 times, recording its neighbour each time."""
+    nbrs: dict[int, set[int]] = {v: set() for v in range(n)}
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    seq = []
+    for _ in range(n - 2):
+        leaf = min(v for v, s in nbrs.items() if len(s) == 1)
+        (u,) = nbrs.pop(leaf)
+        nbrs[u].remove(leaf)
+        seq.append(u)
+    return tuple(seq)
+
+
 def random_tree(rng, n: int) -> kt.Tree:
     """Uniform labeled tree from a random decode sequence."""
     if n == 1:

@@ -441,9 +441,10 @@ def test_prufer_decode_stars_reach_the_largest_digit():
 
 
 def _restricted_sequences(n):
-    """The oracle's code sequences of order n >= 3: a first symbol 0, then
-    any n - 3 symbols below n - 1."""
-    return itertools.product((0,), *[range(n - 1)] * (n - 3))
+    """The oracle's code sequences of order n >= 3: the star's, then each
+    0 w 2 with w any n - 4 symbols from 0, 2, 3, ..., n - 2, in order."""
+    rest = itertools.product([0, *range(2, n - 1)], repeat=n - 4) if n > 3 else []
+    return [(0,) * (n - 2)] + [(0, *w, 2) for w in rest]
 
 
 def test_oracle_decodes_every_sequence(monkeypatch):
@@ -456,11 +457,11 @@ def test_oracle_decodes_every_sequence(monkeypatch):
     monkeypatch.setattr(enumeration, "_decoded", {})
     monkeypatch.setattr(enumeration, "_decode_shape", counting)
     assert kt.prufer_oracle_count(6) == 6
-    # each restricted sequence once, in order, all into one ids
-    assert [seq for seq, _ in decoded] == list(_restricted_sequences(6))
-    assert len(decoded) == 5**3 and len({id(ids) for _, ids in decoded}) == 1
+    # each restricted sequence once, the star's first, all into one ids
+    assert [seq for seq, _ in decoded] == _restricted_sequences(6)
+    assert len(decoded) == 1 + 4**2 and len({id(ids) for _, ids in decoded}) == 1
     kt.prufer_oracle_count(6)
-    assert len(decoded) == 5**3
+    assert len(decoded) == 1 + 4**2
 
 
 def _decoded_codes(n, seqs):
@@ -473,10 +474,41 @@ def _decoded_codes(n, seqs):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_restricted_sequences_reach_every_tree(n):
-    # every tree has a labelling whose smallest leaf hangs from 0 and whose
-    # n - 1 is a leaf, so the restricted sequences miss no tree
+    # the star's sequence and the 0 w 2 sequences miss no tree of the
+    # full decode of all n^(n-2) sequences
     full = itertools.product(range(n), repeat=n - 2)
     assert _decoded_codes(n, _restricted_sequences(n)) == _decoded_codes(n, full)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_only_the_star_sequence_reaches_the_star(n):
+    star, *rest = _restricted_sequences(n)
+    star_code = kt.canonical_code(kt.tree_from_graph(helpers.star_graph(n)))
+    assert _decoded_codes(n, [star]) == {star_code}
+    assert _decoded_codes(n, _restricted_sequences(n)) - _decoded_codes(n, rest) == {star_code}
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_longest_path_labelling_encodes_to_0_w_2(n):
+    # relabel each non-star tree as the oracle's lemma does: a longest
+    # path's ends become 1 and n - 1, their neighbours 0 and 2, the rest
+    # 3..n-2 in any order; its sequence is then 0 w 2 with no 1, no n - 1
+    non_stars = [e for e in kt.enumerate_trees(n).entries if e.diameter >= 3]
+    assert len(non_stars) == FREE_TREE_COUNTS[n] - 1
+    for entry in non_stars:
+        adj = entry.adjacency()
+        da, b = double_sweep(adj)
+        path = [b]
+        while da[path[-1]]:
+            path.append(next(u for u in adj[path[-1]] if da[u] == da[path[-1]] - 1))
+        label = {path[-1]: 1, path[-2]: 0, path[1]: 2, b: n - 1}
+        others = iter(range(3, n - 1))
+        label.update((v, next(others)) for v in range(n) if v not in label)
+        edges = [(label[u], label[v]) for u, v in entry.edges]
+        seq = helpers.naive_prufer_encode(edges, n)
+        assert seq[0] == 0 and seq[-1] == 2 and len(seq) == n - 2
+        assert 1 not in seq and n - 1 not in seq
+        assert helpers.naive_prufer_decode(seq, n) == {frozenset(e) for e in edges}
 
 
 def _family_codes(n):
@@ -574,7 +606,7 @@ def test_prufer_oracle_order_zero_is_input_error():
 
 def test_prufer_oracle_cap():
     with pytest.raises(ResourceLimitError):
-        kt.prufer_oracle_count(10)
+        kt.prufer_oracle_count(11)
 
 
 def test_enumerate_float_order_is_input_error(monkeypatch):

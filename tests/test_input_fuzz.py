@@ -154,6 +154,29 @@ def test_a_graph_function_given_no_graph_raises_a_typed_error(call):
         call()
 
 
+_ORDER6 = enumeration.enumerate_trees(6)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _ORDER6.where(lambda e: True, "x"),
+        lambda: _ORDER6.where(lambda e: True, True),
+        lambda: _ORDER6.where(lambda e: True, -1),
+        lambda: _ORDER6.where(lambda e: True, 3),
+        lambda: _ORDER6.where(lambda e: e.diameter >= 3, 3),
+        lambda: transforms.maximal_elements(_ORDER6.where(lambda e: True, "x")),
+        lambda: transforms.maximal_elements(_ORDER6.where(lambda e: True, 3)),
+        lambda: transforms.theorem_leaf_filter(_ORDER6.where(lambda e: True, 3)),
+    ],
+)
+def test_a_family_diameter_its_entries_lack_raises_input_error(call):
+    # a family's diameter is None or the diameter of every entry it keeps,
+    # so the scans that trust it never see a mixed family
+    with pytest.raises(kt.InputError):
+        call()
+
+
 _PATH3 = kt.tree_from_edges(3, [(0, 1), (1, 2)])
 
 
