@@ -9,12 +9,18 @@ of structure, so persisted censuses stay byte-stable across runs.
 
 Generation grows order k+1 representatives from order k by attaching a
 new leaf to each order-k tree and deduplicating by code; the first tree
-found with a code is its representative. Each order-k tree is rooted at
-its center once, which gives every subtree code and every vertex's sorted
-list of child codes; an attachment then re-codes only the path from its
-vertex up to the center, one child code per step (each vertex swaps its
-child's old code for the new one in its sorted list and re-sorts), moving
-the center across one edge when the new leaf deepens the tree. Leaves go only
+found with a code is its representative. Every canonical code comes from
+one center rooting (`_center_rooting`), which takes a tree already rooted
+somewhere and re-roots only the path from that root to the center. An
+order-k tree's attachment bytes root it at vertex 0, so the generator feeds
+them in directly, and its rooting at the center gives every subtree code
+and every vertex's sorted list of child codes; an attachment then re-codes
+only the path from its vertex up to the center, one child code per step
+(each vertex swaps its child's old code for the new one in its sorted list
+and re-sorts), moving the center across one edge when the new leaf
+deepens the tree. `canonical_code` feeds it a BFS rooting from
+`graphs.rooted_traversal`, and the decode oracle its shapes' parent
+lists. Leaves go only
 on the lowest-labelled vertex of each automorphism orbit, since the rest
 of an orbit repeats that vertex's code, so the representatives are those
 of attaching at every vertex. The same rooting gives every vertex's total
@@ -28,16 +34,16 @@ each edge's text from a table built once for trees up to MAX_ORDER_HARD;
 an entry's record is `entry_line(entry)`, the same line read from its
 attachment bytes, with no edge tuples built.
 Only `canonical_code`, `TreeFamily.members` and `parse_census_line` read or
-build a Tree, and they import `graphs` where they run, so the generator,
-census lines and the decode oracle load no `graphs`.
+build a Tree. They and `_code_from_adjacency` import `graphs` where they
+run, so the generator, census lines and the decode oracle load no `graphs`.
 
 `prufer_oracle_count` checks the generator's counts independently by
 decoding, in the calling process, only the code sequences that
 `_oracle_codes` shows reach every tree. It codes each decoded tree as it
 goes as a rooted shape at the leaf n - 1 (`_decode_shape`). Those shapes
 are the planted trees, one per rooted tree of order n - 1, and each gets
-its canonical code once by the leaf peel. The count is the number of
-distinct codes; each order is decoded once per process.
+its canonical code once, from the parent list of its expansion. The count
+is the number of distinct codes; each order is decoded once per process.
 """
 
 from __future__ import annotations
@@ -54,28 +60,39 @@ if TYPE_CHECKING:
 
 MAX_ORDER_DEFAULT = 16
 # Highest order enumerate_trees builds, whatever the cap. Layers 1..18 hold
-# 205,004 entries and peak at 74 MB in 6.5 s; `--cap 18 enum 18`, which
-# writes its rows as it makes them, peaks at 74 MB in 5.6-8.7 s (2-core
-# Xeon, Python 3.11). The ceiling stays at 18 until order 19 is measured.
+# 205,004 entries, peak at 74 MB and take 3.3-4.3 s in a fresh process;
+# `--cap 18 enum 18`, which writes its rows as it makes them, peaks at 74 MB
+# in 5.2-6.2 s. With this constant raised to 19, `--cap 19 enum 19` took
+# 10.8-11.0 s and 164 MB (2-core Xeon, Python 3.11). The ceiling stays at 18
+# until order 19 is certified as orders 17 and 18 are.
 MAX_ORDER_HARD = 18
 # Order 10 decodes 1 + 8^6 sequences in 0.63-0.66 s (median 0.64 s), order 9
 # in 0.037-0.039 s (5 fresh processes each, 2-core Xeon, Python 3.11); order
 # 11 would decode 1 + 9^7, 18 times as many.
 PRUFER_ORACLE_MAX = 10
+# Bytes the subtree codes of a center rooting may hold at once, 2 * (n +
+# D(center)), checked before any is joined: a star of 10^6 vertices needs
+# 4 * 10^6, a path of 20,000 vertices 2 * 10^8.
+MAX_CODE_BYTES = 40_000_000
 
 CanonicalCode = bytes
 
 
 _LEAF_CODE = b"()"
+# A new leaf's b"()" sorts after every other child code, so a vertex it
+# hangs from ends its new code in b"())": a leaf's code becomes b"(())".
+_GROWN_LEAF_CODE = b"(())"
+_GROWN_TAIL = b"())"
+# Each list of child codes opens and closes with these, which sort first
+# and last, so joining the list spells the code.
+_OPEN, _CLOSE = b"(", b")"
 
 
-def _code_from_adjacency(adj) -> bytes:
-    """Canonical code from adjacency lists of a tree (not re-validated):
-    the finish step over `_center_rooting`'s peel, giving the center's
-    rooted code, or the smaller concatenation of the two halves."""
-    if len(adj) == 1:
-        return _LEAF_CODE
-    parent, order, code, _ = _center_rooting(adj)
+def _code_from_rooting(parent, order) -> bytes:
+    """Canonical code of a tree from a rooting of it, as `_center_rooting`
+    takes one: the center's rooted code, or the smaller concatenation of
+    the two halves."""
+    parent, order, code, _, _ = _center_rooting(parent, order)
     c = order[0]
     if parent[c] < 0:
         return code[c]
@@ -83,10 +100,20 @@ def _code_from_adjacency(adj) -> bytes:
     return min(half_a + half_b, half_b + half_a)
 
 
+def _code_from_adjacency(adj) -> bytes:
+    """Canonical code from adjacency lists of a tree (not re-validated),
+    rooted at vertex 0 by `graphs.rooted_traversal`."""
+    from .graphs import rooted_traversal
+
+    parent, order, _ = rooted_traversal(adj, 0)
+    return _code_from_rooting(parent, order)
+
+
 def canonical_code(t: Tree) -> CanonicalCode:
     """Order-invariant byte string identifying the tree up to isomorphism.
-    A Graph that is not a tree raises NotATreeError; the leaf peel would
-    never end on a cycle."""
+    A Graph that is not a tree raises NotATreeError, and a tree whose
+    subtree codes would take more than MAX_CODE_BYTES ResourceLimitError,
+    before any code is joined."""
     from .graphs import tree_from_graph
 
     return _code_from_adjacency(tree_from_graph(t).adjacency)
@@ -158,79 +185,114 @@ class TreeFamily:
         return TreeFamily(self.n, diameter, kept)
 
 
-def _center_rooting(adj):
-    """Root a tree of order >= 2, given by adjacency lists, at its center by
-    peeling leaves: the one leaf peel every canonical code comes from.
+def _center_rooting(parent, order):
+    """Re-root a tree at its center, given a rooting of it: `parent[v]` is
+    v's parent (-1 at the root) and `order` lists every vertex after its
+    parent, the root first. `parent` is not changed.
 
-    Returns (parent, order, code, kids): `order` lists the center(s) first
-    and every vertex after its parent, `kids[v]` is the sorted list of the
-    codes of v's children, and `code[v] = b"(" + b"".join(kids[v]) + b")"`
-    is the rooted code of v's subtree. Across a central edge each center is
-    the other's parent, so the two centers open `order`, their codes are
-    the halves, and neither is in the other's `kids`.
+    One bottom-up pass over ints gives every subtree's size and height, a
+    deepest vertex below each vertex, and the diameter d: the most that the
+    two deepest branches below a vertex add up to, over all vertices. A
+    deepest vertex u below the root ends a longest path P. Where P meets
+    the root's path to u, P's other end is no deeper than u, so the middle
+    of P, the center, lies on the root's path to u, d // 2 steps above u;
+    when d is odd, the other center is the one d // 2 + 1 steps above u.
+    Only the path from the root to the center is re-rooted. The codes take
+    2 * (n + D(center)) bytes, twice the sum of the sizes from the center,
+    which is checked against MAX_CODE_BYTES before one bottom-up pass joins
+    them.
+
+    Returns (parent, order, code, kids, size) of the center rooting: `order`
+    lists the center(s) first and every vertex after its parent, `kids[v]`
+    is b"(", the sorted codes of v's children, then b")" (the brackets sort
+    first and last), `code[v] = b"".join(kids[v])` is the rooted code of
+    v's subtree, and `size[v]` its vertex count. Across a central edge each
+    center is the other's parent, so the two centers open `order`, their
+    codes are the halves, and neither is in the other's `kids`; sizes are
+    those of the rooting at order[0], whose size is the whole tree's.
     """
-    m = len(adj)
+    m = len(parent)
+    size, height, far = [1] * m, [0] * m, list(range(m))
+    diameter = 0
+    for v in order[:0:-1]:
+        p = parent[v]
+        size[p] += size[v]
+        h = height[v] + 1
+        hp = height[p]
+        if h + hp > diameter:
+            diameter = h + hp
+        if h > hp:
+            height[p] = h
+            far[p] = far[v]
+    u = far[order[0]]
+    for _ in range(diameter // 2):
+        u = parent[u]
+    second, center = (u, parent[u]) if diameter % 2 else (-1, u)
+    head = [center] if second < 0 else [center, second]
+    parent = list(parent)
+    # turn the path from the root down to the center around: each vertex on
+    # it becomes the child of the one it was the parent of, and its subtree
+    # becomes all of the tree outside that one's old subtree
+    path = []
+    below, below_size, v = center, size[center], parent[center]
+    while v >= 0:
+        path.append(v)
+        up = parent[v]
+        parent[v] = below
+        size[v], below_size = m - below_size, size[v]
+        below, v = v, up
+    parent[center], size[center] = second, m
+    total = 2 * sum(size)
+    if total > MAX_CODE_BYTES:
+        raise ResourceLimitError(
+            f"the canonical code of a tree of order {m} holds {total} bytes of"
+            f" subtree codes, over {MAX_CODE_BYTES}"
+        )
+    skip = {*head, *path}
+    order = head + path + [v for v in order if v not in skip]
     join = b"".join
-    deg = [len(nbrs) for nbrs in adj]
-    parent = [-1] * m
+    kids = [[_OPEN, _CLOSE] for _ in range(m)]
     code = [_LEAF_CODE] * m
-    kids: list = [None] * m
-    layer = [v for v in range(m) if deg[v] == 1]
-    peeled: list[int] = []
-    remaining = m
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            deg[v] = 0
-            parts = []
-            for u in adj[v]:
-                if deg[u]:
-                    parent[v] = u
-                    deg[u] -= 1
-                    if deg[u] == 1:
-                        nxt.append(u)
-                else:
-                    parts.append(code[u])
-            kids[v] = parts
-            if parts:
-                parts.sort()
-                code[v] = b"(" + join(parts) + b")"
-        peeled += layer
-        layer = nxt
-    if len(layer) == 2:
-        a, b = layer
-        parent[a], parent[b] = b, a
-    for c in layer:
-        p = parent[c]
-        kids[c] = sorted([code[u] for u in adj[c] if u != p])
-        code[c] = b"(" + join(kids[c]) + b")"
-    return parent, layer + peeled[::-1], code, kids
+    for v in order[: len(head) - 1 : -1]:  # children first, the head(s) left out
+        if size[v] > 1:
+            parts = kids[v]
+            parts.sort()
+            code[v] = c = join(parts)
+        else:
+            c = _LEAF_CODE
+        kids[parent[v]].append(c)
+    for v in head:
+        kids[v].sort()
+        code[v] = join(kids[v])
+    return parent, order, code, kids, size
 
 
-def _leaf_attachments(adj) -> list[tuple[int, bytes, int, bool]]:
+def _leaf_attachments(attach: bytes) -> list[tuple[int, bytes, int, bool]]:
     """(v, code, dist, deepens) for the lowest-labelled vertex v of each
-    automorphism orbit of a tree T of order m >= 2, adjacency lists `adj`,
-    v ascending: `code` is the canonical code of T with a new leaf at v,
-    `dist` is D_T(v), v's total distance in T, and `deepens` tells whether
-    the leaf lengthens T's diameter, which it does by one exactly when v is
-    at the greatest depth from the center. Then W(T + leaf) = W(T) + dist + m.
+    automorphism orbit of a tree T of order m >= 2 given by its attachment
+    bytes (vertex k hangs from attach[k-1] < k), v ascending: `code` is the
+    canonical code of T with a new leaf at v, `dist` is D_T(v), v's total
+    distance in T, and `deepens` tells whether the leaf lengthens T's
+    diameter, which it does by one exactly when v is at the greatest depth
+    from the center. Then W(T + leaf) = W(T) + dist + m.
 
-    A vertex's orbit label is its parent's label plus its own subtree code,
-    so two vertices share a label exactly when an automorphism maps one to
-    the other, and attachments within one orbit give the same code. Each
-    attachment re-codes only the path from v up to its center, one child
-    code per step: each vertex on the path takes its sorted child codes
-    from `_center_rooting`, swaps the old code of the child towards v for
-    the new one and re-sorts. The new leaf's code b"()" sorts after every
-    other code, so it is appended to v's children unsorted.
+    The bytes root T at vertex 0 with each vertex after its parent, which
+    is the rooting `_center_rooting` takes. A vertex's orbit label is its
+    parent's label plus its own subtree code, so two vertices share a label
+    exactly when an automorphism maps one to the other, and attachments
+    within one orbit give the same code. Each attachment re-codes only the
+    path from v up to its center, one child code per step. The new leaf's
+    code b"()" sorts after every other child code, so v's new code is its
+    old one with b"()" before the closing bracket, b"(())" for a leaf. Each
+    vertex above copies its bracketed child list from `_center_rooting`,
+    swaps the old code of the child towards v for the new one, re-sorts and
+    joins. A code is one bracketed word, so of two distinct codes neither
+    is a prefix of the other, and a + b < b + a exactly when a < b: two
+    halves are joined once, the smaller first.
     """
-    m = len(adj)
-    parent, order, code, kids = _center_rooting(adj)
+    m = len(attach) + 1
+    parent, order, code, kids, size = _center_rooting([-1, *attach], range(m))
     bicentral = parent[order[0]] >= 0
-    size = [1] * m
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
     # Rooted at order[0], D(root) is the sum of all depths, which is the sum
     # of all other subtree sizes, and a step down to x brings x's subtree one
     # closer: D(x) = D(parent) + m - 2 size(x). Across a central edge the
@@ -244,39 +306,41 @@ def _leaf_attachments(adj) -> list[tuple[int, bytes, int, bool]]:
         dist[v] = dist[p] + m - 2 * size[v]
         label[v] = label[p] + code[v]
     height = max(depth)
-    join = b"".join
+    join, bisect_left = b"".join, bisect.bisect_left
     seen = set()
     found = []
     for a in range(m):
         if label[a] in seen:
             continue
         seen.add(label[a])
-        v, new = a, _LEAF_CODE
-        parts = kids[a] + [new]
+        v, parts = a, None
+        new = _GROWN_LEAF_CODE if size[a] == 1 else code[a][:-1] + _GROWN_TAIL
         while depth[v]:
-            new = b"(" + join(parts) + b")"
             below, v = v, parent[v]
             parts = kids[v][:]
-            parts[bisect.bisect_left(parts, code[below])] = new
+            parts[bisect_left(parts, code[below])] = new
             parts.sort()
-        # v is the center on a's side and `parts` its children's new codes,
-        # sorted; `new` is the new code of its child towards a (the new leaf
-        # when a is v), and parent[v] the other center or -1
+            grown, new = new, join(parts)
+        # v is the center on a's side and `new` its new code; unless a is v,
+        # `parts` is v's new bracketed child list and `grown` the new code of
+        # its child towards a
         if depth[a] < height:
-            half = b"(" + join(parts) + b")"
             if bicentral:
                 other = code[parent[v]]
-                half = min(half + other, other + half)
-            found.append((a, half, dist[a], False))
+                new = new + other if new < other else other + new
+            found.append((a, new, dist[a], False))
         elif bicentral:
             # a deepens its half: v becomes the only center
-            bisect.insort(parts, code[parent[v]])
-            found.append((a, b"(" + join(parts) + b")", dist[a], True))
+            if parts is None:  # a is a center, so m == 2
+                parts = [*kids[a], _LEAF_CODE]
+            parts.append(code[parent[v]])
+            parts.sort()
+            found.append((a, join(parts), dist[a], True))
         else:
             # a deepens one branch: the central edge becomes v-below
-            parts.remove(new)
-            rest = b"(" + join(parts) + b")"
-            found.append((a, min(rest + new, new + rest), dist[a], True))
+            parts.remove(grown)
+            rest = join(parts)
+            found.append((a, rest + grown if rest < grown else grown + rest, dist[a], True))
     return found
 
 
@@ -296,7 +360,7 @@ def _layer(n: int) -> tuple[TreeEntry, ...]:
         found: dict[bytes, TreeEntry] = {}
         for entry in _layer(m):
             attach, base, diameter = entry.attach, entry.wiener + m, entry.diameter
-            for v, code, dist, deepens in _leaf_attachments(entry.adjacency()):
+            for v, code, dist, deepens in _leaf_attachments(attach):
                 if code not in found:
                     found[code] = TreeEntry(
                         code,
@@ -419,7 +483,10 @@ def _oracle_codes(n: int) -> frozenset[CanonicalCode]:
     rest = itertools.product((0,), *[symbols] * (n - 4), (2,)) if n > 3 else ()
     shapes = {_decode_shape(seq, n, ids) for seq in itertools.chain((star,), rest)}
     table = tuple(ids)
-    codes = frozenset(_code_from_adjacency(_shape_adjacency(s, n, table)) for s in shapes)
+    # an expansion numbers each vertex after its parent and lists its parent
+    # first, so its parent list roots it at vertex 0 in the order range(n)
+    parents = ([-1] + [nbrs[0] for nbrs in _shape_adjacency(s, n, table)[1:]] for s in shapes)
+    codes = frozenset(_code_from_rooting(parent, range(n)) for parent in parents)
     _decoded[n] = codes
     return codes
 

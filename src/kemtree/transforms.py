@@ -283,10 +283,14 @@ def _zero_delta_candidates(adjacency):
     The tree is rooted once, at vertex 0: the vertex count on v's side of
     an edge u-v is size[v] when parent[v] == u, else n - size[u]. Along a
     path from i1 the component hanging at an interior vertex is its side
-    minus the next one's, so the side falls strictly. From each i1 and each
-    neighbour p1, a walk extends a path only while its interior components
-    share one size >= 2 and its side is still at least the wanted far size
-    n - side(i1, p1) - 1; it yields the path where the two are equal.
+    minus the next one's, so the side falls strictly. The interior
+    components sum to s1 - want, where s1 = side(i1, p1) and want = n - s1
+    - 1 is the far size, and each holds at least 2 vertices, so a walk
+    starts only where s1 - want >= 2, that is 2 * s1 >= n + 1: on the one
+    neighbour p1 of i1, if any, whose side holds more than half the tree.
+    It extends a path only while its interior components share one size
+    >= 2 and its side is still at least want; it yields the path where the
+    two are equal.
     """
     n = len(adjacency)
     parent, _, size = rooted_traversal(adjacency, 0)
@@ -296,7 +300,7 @@ def _zero_delta_candidates(adjacency):
             s1 = size[p1] if parent[p1] == i1 else n - size[i1]
             want = n - s1 - 1
             # (path so far, its side, common interior size or 0 while none)
-            stack = [((i1, p1), s1, 0)] if want > 0 else []
+            stack = [((i1, p1), s1, 0)] if want > 0 and s1 - want >= 2 else []
             while stack:
                 path, s, common = stack.pop()
                 u, v = path[-2:]

@@ -291,8 +291,9 @@ def omega_by_path_enumeration(t: kt.Tree) -> dict[tuple[int, int], int]:
 def layer_by_full_recode(n: int):
     """Trees of order n as (code, sorted edges) pairs in code order, grown
     by attaching a leaf at every vertex of every order n-1 tree and coding
-    each result from scratch with the leaf peel; the first edge list found
-    per code is kept. The generator this replaced, kept as the oracle for `_layer`."""
+    each result anew with `_code_from_adjacency`; the first edge list
+    found per code is kept. The generator this replaced, kept as the
+    oracle for `_layer`."""
     if n == 1:
         return ((b"()", ()),)
     found = {}

@@ -14,6 +14,7 @@ from kemtree import enumeration
 from kemtree.enumeration import (
     _center_rooting,
     _code_from_adjacency,
+    _code_from_rooting,
     _decode_shape,
     _layer,
     _leaf_attachments,
@@ -21,7 +22,7 @@ from kemtree.enumeration import (
     _shape_adjacency,
 )
 from kemtree.errors import InputError, ParseError, ResourceLimitError
-from kemtree.graphs import bfs_distances, double_sweep
+from kemtree.graphs import bfs_distances, double_sweep, rooted_traversal
 
 import helpers
 
@@ -85,7 +86,7 @@ def test_attachments_are_orbit_minima_with_their_codes():
             orbits = {}
             for v in range(n):
                 orbits.setdefault(helpers.rooted_code(adj, v), v)
-            got = list(_leaf_attachments(e.adjacency()))
+            got = list(_leaf_attachments(e.attach))
             assert [v for v, *_ in got] == sorted(orbits.values())
             for v, code, dist, deepens in got:
                 assert dist == sum(bfs_distances(adj[:n], v))
@@ -102,7 +103,7 @@ def test_attachments_count_rooted_trees():
     # order, so orbit minima over a whole layer number exactly r(n)
     for n in range(2, 16):
         attachments = sum(
-            1 for e in _layer(n) for _ in _leaf_attachments(e.adjacency())
+            1 for e in _layer(n) for _ in _leaf_attachments(e.attach)
         )
         assert attachments == ROOTED_TREE_COUNTS[n]
 
@@ -116,6 +117,16 @@ def test_generator_codes_no_tree_from_scratch(monkeypatch):
     assert len(_layer(12)) == FREE_TREE_COUNTS[12]
 
 
+def test_generator_builds_no_adjacency_lists(monkeypatch):
+    # each parent is rooted from its attachment bytes
+    def forbidden(self):
+        raise AssertionError("TreeEntry.adjacency called")
+
+    monkeypatch.setattr(enumeration, "_layers", {})
+    monkeypatch.setattr(enumeration.TreeEntry, "adjacency", forbidden)
+    assert len(_layer(12)) == FREE_TREE_COUNTS[12]
+
+
 def test_layer_codes_are_the_codes_of_their_edges():
     for n in range(1, 17):
         for e in _layer(n):
@@ -126,25 +137,38 @@ def test_layer_codes_are_the_codes_of_their_edges():
             assert _code_from_adjacency(adj) == e.code
 
 
-def _check_center_rooting(adj):
-    parent, order, code, kids = _center_rooting(adj)
+def _check_center_rooting(rooting):
+    given = list(rooting[0])
+    parent, order, code, kids, size = _center_rooting(*rooting)
+    assert list(rooting[0]) == given
+    adj = [[] for _ in rooting[0]]
+    for v, p in enumerate(rooting[0]):
+        if p >= 0:
+            adj[v].append(p)
+            adj[p].append(v)
     assert sorted(order) == list(range(len(adj)))
+    heads = 1 + (parent[order[0]] >= 0)
+    assert all(order.index(parent[v]) < i for i, v in enumerate(order) if i >= heads)
     for v in order:
         # v's children are its neighbours it is the parent of, less the
         # other center across a central edge
         children = [u for u in adj[v] if parent[u] == v and parent[v] != u]
-        assert kids[v] == sorted(kids[v]) == sorted(code[u] for u in children)
-        assert code[v] == b"(" + b"".join(kids[v]) + b")"
+        assert kids[v] == sorted(kids[v]) == [b"(", *sorted(code[u] for u in children), b")"]
+        assert code[v] == b"".join(kids[v])
+    # sizes are those of the rooting at order[0]; any other vertex's code
+    # spells its subtree, two bytes per vertex
+    assert size[order[0]] == len(adj)
+    assert all(size[v] == len(code[v]) // 2 for v in order[1:])
 
 
 def test_center_rooting_child_lists_are_sorted_and_spell_each_code():
     for n in range(2, 13):
         for e in _layer(n):
-            _check_center_rooting(e.adjacency())
+            _check_center_rooting(([-1, *e.attach], range(n)))
     rng = random.Random(23)
     for n in [2, 3, 5, 18, 40, 97]:
         for _ in range(20):
-            _check_center_rooting(helpers.random_tree(rng, n).adjacency)
+            _check_center_rooting(rooted_traversal(helpers.random_tree(rng, n).adjacency, 0)[:2])
 
 
 def test_layers_satisfy_the_cayley_orbit_identity():
@@ -223,7 +247,8 @@ def test_enumerate_refuses_orders_above_the_hard_ceiling(monkeypatch):
 
 def _center_code_by_recursion(t):
     """Canonical code from the recursive `helpers.rooted_code` at the
-    centers `Tree.center` reads off the eccentricities: no leaf peel."""
+    centers `Tree.center` reads off the eccentricities, not the center
+    `_center_rooting` finds."""
     if len(t.center) == 1:
         (c,) = t.center
         return helpers.rooted_code(t.adjacency, c)
@@ -234,8 +259,9 @@ def _center_code_by_recursion(t):
 
 
 def test_canonical_code_matches_recursive_center_code():
-    # the generator, canonical_code and layer_by_full_recode share one leaf
-    # peel; this oracle roots by eccentricity and codes by recursion instead
+    # the generator, canonical_code, the decode oracle and
+    # layer_by_full_recode share one center rooting; this oracle roots by
+    # eccentricity and codes by recursion instead
     rng = random.Random(1111)
     trees = [t for n in range(1, 13) for t in helpers.members(kt.enumerate_trees(n))]
     trees += [helpers.random_tree(rng, rng.randrange(13, 61)) for _ in range(200)]
@@ -244,6 +270,54 @@ def test_canonical_code_matches_recursive_center_code():
         assert kt.canonical_code(t) == _center_code_by_recursion(t)
         centers.add(len(t.center))
     assert centers == {1, 2}
+    # the rooting fed as the generator feeds it, from every entry's
+    # attachment bytes, and as canonical_code does, from a BFS, here at a
+    # random root: its centers are Tree.center's, its code the recursion's
+    rootings = [
+        (kt.tree_from_edges(n, e.edges), ([-1, *e.attach], range(n)))
+        for n in range(1, 13)
+        for e in _layer(n)
+    ]
+    for _ in range(200):
+        t = helpers.random_tree(rng, rng.randrange(13, 61))
+        rootings.append((t, rooted_traversal(t.adjacency, rng.randrange(t.n))[:2]))
+    centers.clear()
+    for t, (parent, order) in rootings:
+        new_parent, new_order, code, _, _ = _center_rooting(parent, order)
+        heads = new_order[: 1 + (new_parent[new_order[0]] >= 0)]
+        assert sorted(heads) == sorted(t.center)
+        if len(heads) == 1:
+            got = code[heads[0]]
+        else:
+            got = min(code[heads[0]] + code[heads[1]], code[heads[1]] + code[heads[0]])
+        assert got == _center_code_by_recursion(t)
+        centers.add(len(heads))
+    assert centers == {1, 2}
+
+
+def test_center_rooting_checks_the_code_bytes_from_the_center(monkeypatch):
+    # a center rooting holds 2 * (n + D(center)) bytes of subtree codes,
+    # whatever rooting it starts from: 38 for the path of order 7, whose
+    # sizes from the center are 7, 3, 3, 2, 2, 1 and 1
+    path = kt.tree_from_graph(helpers.path_graph(7))
+    monkeypatch.setattr(enumeration, "MAX_CODE_BYTES", 38)
+    for root in range(7):
+        assert _code_from_rooting(*path.rooted(root)) == b"(((()))((())))"
+    monkeypatch.setattr(enumeration, "MAX_CODE_BYTES", 37)
+    for root in range(7):
+        with pytest.raises(ResourceLimitError, match="38 bytes"):
+            _code_from_rooting(*path.rooted(root))
+
+
+def test_canonical_code_refuses_a_long_path_before_joining_codes():
+    # the 100,000-vertex path would hold about 5 GB of subtree codes; the
+    # star of the same order holds 4 * 10^5 bytes and codes
+    n = 100_000
+    path = kt.tree_from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    with pytest.raises(ResourceLimitError, match="canonical code"):
+        kt.canonical_code(path)
+    star = kt.tree_from_edges(n, [(0, v) for v in range(1, n)])
+    assert kt.canonical_code(star) == b"(" + b"()" * (n - 1) + b")"
 
 
 def test_canonical_code_relabel_invariant_p4():
